@@ -8,6 +8,16 @@ construction so the per-operation cost is flat: scheme constants, tag
 masks, counter cells and heap internals are bound once instead of being
 looked up on every call.
 
+Every float<->bits conversion in those closures goes through one 8-byte
+buffer owned by the Runtime, seen through two memoryviews: an unsigned
+64-bit view and a binary64 view of the same bytes. A conversion is a store
+to one view and a load from the other, bit-exact (signalling-NaN payloads
+included) and free of struct calls, bytes objects and tuples. The buffer
+is shared state, so it relies on two conditions: a Runtime has a single
+owner and is not shared between threads, like the SimHeap under it; and
+nothing (profile hook, float operation, heap allocation) is called between
+a store into the buffer and the load that reads it back.
+
 Fixnum placement per scheme:
   - tagged-pointer and self-tagging schemes use the 61-bit two's-complement
     word (value << 3) retagged with the first low-bit tag the scheme leaves
@@ -19,7 +29,6 @@ Fixnum placement per scheme:
     stay in the reserved non-float classes, narrowing the range to 46 bits.
 """
 
-import struct
 from operator import add as _f_add, mul as _f_mul, sub as _f_sub
 
 from .heap import (
@@ -52,9 +61,6 @@ from .schemes import (
 )
 from .words import FIXNUM_MAX, FIXNUM_MIN, M64, SIGN_64, ieee_div
 
-_D = struct.Struct("<d")
-_Q = struct.Struct("<Q")
-
 NAN_FIXNUM_TAG = 1  # payload tag carrying fixnums under NaN boxing
 NAN_FIXNUM_MIN = -(1 << 47)
 NAN_FIXNUM_MAX = (1 << 47) - 1
@@ -62,6 +68,7 @@ NUN_FIXNUM_MIN = -(1 << 45)
 NUN_FIXNUM_MAX = (1 << 45) - 1
 
 _TYPE_ERR = "mixed or non-numeric operands"
+_RANGE_ERR = "float bits out of [0, 2**64): %r"
 
 
 def _tagged_fixnum_rep(fxt):
@@ -160,13 +167,26 @@ class Runtime:
 
     profile_hook, when given, is called with the raw float bits of every
     boxing event before encoding; it is how the distribution profiler taps
-    a run without touching kernel code."""
+    a run without touching kernel code.
+
+    box_float takes float bits in [0, 2**64) and raises ValueError for
+    anything else, under every scheme. Words that are not floats, dangling
+    heap handles included, make unbox_float and the generic operations
+    raise TypeError and is_float_value return False. (A tagged-pointer
+    handle to a ballast cell is not caught: it reads as a float.)
+
+    The float<->bits conversions of every operation share one 8-byte
+    buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
+    has a single owner and must not be shared between threads."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme
         self.heap = SimHeap() if heap is None else heap
         self.profile_hook = profile_hook
         self._boxes = [0]
+        buf = bytearray(8)
+        self._mq = memoryview(buf).cast("Q")
+        self._md = memoryview(buf).cast("d")
         self.fixnum_tag = self._derive_fixnum_tag()
         if scheme.variant == TWO_TAG_ZEROS and self.heap.zero_handles is None:
             self.heap.preallocate_zeros(scheme.heap_float_tag)
@@ -304,7 +324,7 @@ class Runtime:
         c = heap._c
         payload = heap._payload
         kinds = heap._kinds
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         m = self_tag_set(scheme)
         step = 1 + 2 * scheme.tag if scheme.variant == ONE_TAG else 2 * scheme.tag
         bias = (step << 58) & M64
@@ -315,6 +335,8 @@ class Runtime:
         fixops = _fixnum_fallbacks(self._fixrep)
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             boxes[0] += 1
@@ -331,49 +353,56 @@ class Runtime:
                 if c[6] != 2:
                     c[5] += 1
                 c[6] = 1
-            return alloc(un_d(pk_q(bits))[0])
+            mq[0] = bits
+            return alloc(md[0])
 
         def unbox(w):
             t = w & 7
             if (m >> t) & 1:
                 u = (w >> 5) | ((w & 31) << 59)
                 return (u - bias) & M64
-            if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                return un_q(pk_d(payload[w >> 3]))[0]
+            try:
+                if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
+                    md[0] = payload[w >> 3]
+                    return mq[0]
+            except IndexError:  # dangling handle
+                pass
             raise TypeError("not a float word: 0x%016x" % w)
 
-        if generic:
-            def is_float(w):
-                t = w & 7
-                if (m >> t) & 1:
-                    return True
-                return t == ht and (w >> 3) < len(kinds) and kinds[w >> 3] == KIND_FLOAT_GENERIC
-        else:
-            mh = m | (1 << ht)
-
-            def is_float(w):
-                return (mh >> (w & 7)) & 1 == 1
+        def is_float(w):
+            t = w & 7
+            if (m >> t) & 1:
+                return True
+            return t == ht and (w >> 3) < len(kinds) and (
+                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
+            )
 
         def make_arith(fop, fixop):
             def arith(aw, bw):
-                t = aw & 7
-                if (m >> t) & 1:
-                    u = (aw >> 5) | ((aw & 31) << 59)
-                    xa = un_d(pk_q((u - bias) & M64))[0]
-                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fixop(aw, bw)
-                t = bw & 7
-                if (m >> t) & 1:
-                    u = (bw >> 5) | ((bw & 31) << 59)
-                    xb = un_d(pk_q((u - bias) & M64))[0]
-                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
+                try:
+                    t = aw & 7
+                    if (m >> t) & 1:
+                        u = (aw >> 5) | ((aw & 31) << 59)
+                        mq[0] = (u - bias) & M64
+                        xa = md[0]
+                    elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                        xa = payload[aw >> 3]
+                    else:
+                        return fixop(aw, bw)
+                    t = bw & 7
+                    if (m >> t) & 1:
+                        u = (bw >> 5) | ((bw & 31) << 59)
+                        mq[0] = (u - bias) & M64
+                        xb = md[0]
+                    elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                        xb = payload[bw >> 3]
+                    else:
+                        raise TypeError(_TYPE_ERR)
+                except IndexError:  # dangling handle
+                    raise TypeError(_TYPE_ERR) from None
                 r = fop(xa, xb)
-                bits = un_q(pk_d(r))[0]
+                md[0] = r
+                bits = mq[0]
                 if hook is not None:
                     hook(bits)
                 boxes[0] += 1
@@ -397,22 +426,27 @@ class Runtime:
         fless = fixops[4]
 
         def less(aw, bw):
-            t = aw & 7
-            if (m >> t) & 1:
-                u = (aw >> 5) | ((aw & 31) << 59)
-                xa = un_d(pk_q((u - bias) & M64))[0]
-            elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                xa = payload[aw >> 3]
-            else:
-                return fless(aw, bw)
-            t = bw & 7
-            if (m >> t) & 1:
-                u = (bw >> 5) | ((bw & 31) << 59)
-                xb = un_d(pk_q((u - bias) & M64))[0]
-            elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                xb = payload[bw >> 3]
-            else:
-                raise TypeError(_TYPE_ERR)
+            try:
+                t = aw & 7
+                if (m >> t) & 1:
+                    u = (aw >> 5) | ((aw & 31) << 59)
+                    mq[0] = (u - bias) & M64
+                    xa = md[0]
+                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                    xa = payload[aw >> 3]
+                else:
+                    return fless(aw, bw)
+                t = bw & 7
+                if (m >> t) & 1:
+                    u = (bw >> 5) | ((bw & 31) << 59)
+                    mq[0] = (u - bias) & M64
+                    xb = md[0]
+                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                    xb = payload[bw >> 3]
+                else:
+                    raise TypeError(_TYPE_ERR)
+            except IndexError:  # dangling handle
+                raise TypeError(_TYPE_ERR) from None
             return xa < xb
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)
@@ -425,7 +459,7 @@ class Runtime:
         c = heap._c
         payload = heap._payload
         kinds = heap._kinds
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         m = self_tag_set(scheme)
         off = scheme.offset
         hft = scheme.heap_float_tag
@@ -440,6 +474,8 @@ class Runtime:
         zeros = pz_pos is not None
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             boxes[0] += 1
@@ -462,49 +498,56 @@ class Runtime:
                 if c[6] != 2:
                     c[5] += 1
                 c[6] = 1
-            return alloc(un_d(pk_q(bits))[0])
+            mq[0] = bits
+            return alloc(md[0])
 
         def unbox(w):
             t = w & 7
             if (m >> t) & 1:
                 u = (w - off) & M64
                 return (u >> 4) | ((u & 15) << 60)
-            if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                return un_q(pk_d(payload[w >> 3]))[0]
+            try:
+                if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
+                    md[0] = payload[w >> 3]
+                    return mq[0]
+            except IndexError:  # dangling handle
+                pass
             raise TypeError("not a float word: 0x%016x" % w)
 
-        if generic:
-            def is_float(w):
-                t = w & 7
-                if (m >> t) & 1:
-                    return True
-                return t == ht and (w >> 3) < len(kinds) and kinds[w >> 3] == KIND_FLOAT_GENERIC
-        else:
-            mh = m | (1 << ht)
-
-            def is_float(w):
-                return (mh >> (w & 7)) & 1 == 1
+        def is_float(w):
+            t = w & 7
+            if (m >> t) & 1:
+                return True
+            return t == ht and (w >> 3) < len(kinds) and (
+                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
+            )
 
         def make_arith(fop, fixop):
             def arith(aw, bw):
-                t = aw & 7
-                if (m >> t) & 1:
-                    u = (aw - off) & M64
-                    xa = un_d(pk_q((u >> 4) | ((u & 15) << 60)))[0]
-                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fixop(aw, bw)
-                t = bw & 7
-                if (m >> t) & 1:
-                    u = (bw - off) & M64
-                    xb = un_d(pk_q((u >> 4) | ((u & 15) << 60)))[0]
-                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
+                try:
+                    t = aw & 7
+                    if (m >> t) & 1:
+                        u = (aw - off) & M64
+                        mq[0] = (u >> 4) | ((u & 15) << 60)
+                        xa = md[0]
+                    elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                        xa = payload[aw >> 3]
+                    else:
+                        return fixop(aw, bw)
+                    t = bw & 7
+                    if (m >> t) & 1:
+                        u = (bw - off) & M64
+                        mq[0] = (u >> 4) | ((u & 15) << 60)
+                        xb = md[0]
+                    elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                        xb = payload[bw >> 3]
+                    else:
+                        raise TypeError(_TYPE_ERR)
+                except IndexError:  # dangling handle
+                    raise TypeError(_TYPE_ERR) from None
                 r = fop(xa, xb)
-                bits = un_q(pk_d(r))[0]
+                md[0] = r
+                bits = mq[0]
                 if hook is not None:
                     hook(bits)
                 boxes[0] += 1
@@ -534,22 +577,27 @@ class Runtime:
         fless = fixops[4]
 
         def less(aw, bw):
-            t = aw & 7
-            if (m >> t) & 1:
-                u = (aw - off) & M64
-                xa = un_d(pk_q((u >> 4) | ((u & 15) << 60)))[0]
-            elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                xa = payload[aw >> 3]
-            else:
-                return fless(aw, bw)
-            t = bw & 7
-            if (m >> t) & 1:
-                u = (bw - off) & M64
-                xb = un_d(pk_q((u >> 4) | ((u & 15) << 60)))[0]
-            elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                xb = payload[bw >> 3]
-            else:
-                raise TypeError(_TYPE_ERR)
+            try:
+                t = aw & 7
+                if (m >> t) & 1:
+                    u = (aw - off) & M64
+                    mq[0] = (u >> 4) | ((u & 15) << 60)
+                    xa = md[0]
+                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                    xa = payload[aw >> 3]
+                else:
+                    return fless(aw, bw)
+                t = bw & 7
+                if (m >> t) & 1:
+                    u = (bw - off) & M64
+                    mq[0] = (u >> 4) | ((u & 15) << 60)
+                    xb = md[0]
+                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                    xb = payload[bw >> 3]
+                else:
+                    raise TypeError(_TYPE_ERR)
+            except IndexError:  # dangling handle
+                raise TypeError(_TYPE_ERR) from None
             return xa < xb
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)
@@ -562,7 +610,7 @@ class Runtime:
         c = heap._c
         payload = heap._payload
         kinds = heap._kinds
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         hft = scheme.heap_float_tag
         generic = hft is None
         ht = GENERIC_TAG if generic else hft
@@ -570,6 +618,8 @@ class Runtime:
         fixops = _fixnum_fallbacks(self._fixrep)
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             boxes[0] += 1
@@ -584,40 +634,49 @@ class Runtime:
                 if c[6] != 2:
                     c[5] += 1
                 c[6] = 1
-            return alloc(un_d(pk_q(bits))[0])
+            mq[0] = bits
+            return alloc(md[0])
 
         def unbox(w):
             if w & 3 == 0:
                 return w
-            if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                return un_q(pk_d(payload[w >> 3]))[0]
+            try:
+                if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
+                    md[0] = payload[w >> 3]
+                    return mq[0]
+            except IndexError:  # dangling handle
+                pass
             raise TypeError("not a float word: 0x%016x" % w)
 
-        if generic:
-            def is_float(w):
-                if w & 3 == 0:
-                    return True
-                return w & 7 == ht and (w >> 3) < len(kinds) and kinds[w >> 3] == KIND_FLOAT_GENERIC
-        else:
-            def is_float(w):
-                return w & 3 == 0 or w & 7 == ht
+        def is_float(w):
+            if w & 3 == 0:
+                return True
+            return w & 7 == ht and (w >> 3) < len(kinds) and (
+                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
+            )
 
         def make_arith(fop, fixop):
             def arith(aw, bw):
-                if aw & 3 == 0:
-                    xa = un_d(pk_q(aw))[0]
-                elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fixop(aw, bw)
-                if bw & 3 == 0:
-                    xb = un_d(pk_q(bw))[0]
-                elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
+                try:
+                    if aw & 3 == 0:
+                        mq[0] = aw
+                        xa = md[0]
+                    elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                        xa = payload[aw >> 3]
+                    else:
+                        return fixop(aw, bw)
+                    if bw & 3 == 0:
+                        mq[0] = bw
+                        xb = md[0]
+                    elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                        xb = payload[bw >> 3]
+                    else:
+                        raise TypeError(_TYPE_ERR)
+                except IndexError:  # dangling handle
+                    raise TypeError(_TYPE_ERR) from None
                 r = fop(xa, xb)
-                bits = un_q(pk_d(r))[0]
+                md[0] = r
+                bits = mq[0]
                 if hook is not None:
                     hook(bits)
                 boxes[0] += 1
@@ -639,18 +698,23 @@ class Runtime:
         fless = fixops[4]
 
         def less(aw, bw):
-            if aw & 3 == 0:
-                xa = un_d(pk_q(aw))[0]
-            elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                xa = payload[aw >> 3]
-            else:
-                return fless(aw, bw)
-            if bw & 3 == 0:
-                xb = un_d(pk_q(bw))[0]
-            elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                xb = payload[bw >> 3]
-            else:
-                raise TypeError(_TYPE_ERR)
+            try:
+                if aw & 3 == 0:
+                    mq[0] = aw
+                    xa = md[0]
+                elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                    xa = payload[aw >> 3]
+                else:
+                    return fless(aw, bw)
+                if bw & 3 == 0:
+                    mq[0] = bw
+                    xb = md[0]
+                elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                    xb = payload[bw >> 3]
+                else:
+                    raise TypeError(_TYPE_ERR)
+            except IndexError:  # dangling handle
+                raise TypeError(_TYPE_ERR) from None
             return xa < xb
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)
@@ -663,7 +727,7 @@ class Runtime:
         c = heap._c
         payload = heap._payload
         kinds = heap._kinds
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         hft = scheme.heap_float_tag
         generic = hft is None
         ht = GENERIC_TAG if generic else hft
@@ -671,6 +735,8 @@ class Runtime:
         fixops = _fixnum_fallbacks(self._fixrep)
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             boxes[0] += 1
@@ -679,33 +745,40 @@ class Runtime:
                 if c[6] != 2:
                     c[5] += 1
                 c[6] = 1
-            return alloc(un_d(pk_q(bits))[0])
+            mq[0] = bits
+            return alloc(md[0])
 
         def unbox(w):
-            if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                return un_q(pk_d(payload[w >> 3]))[0]
+            try:
+                if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
+                    md[0] = payload[w >> 3]
+                    return mq[0]
+            except IndexError:  # dangling handle
+                pass
             raise TypeError("not a float word: 0x%016x" % w)
 
-        if generic:
-            def is_float(w):
-                return w & 7 == ht and (w >> 3) < len(kinds) and kinds[w >> 3] == KIND_FLOAT_GENERIC
-        else:
-            def is_float(w):
-                return w & 7 == ht
+        def is_float(w):
+            return w & 7 == ht and (w >> 3) < len(kinds) and (
+                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
+            )
 
         def make_arith(fop, fixop):
             def arith(aw, bw):
-                if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fixop(aw, bw)
-                if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
+                try:
+                    if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                        xa = payload[aw >> 3]
+                    else:
+                        return fixop(aw, bw)
+                    if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                        xb = payload[bw >> 3]
+                    else:
+                        raise TypeError(_TYPE_ERR)
+                except IndexError:  # dangling handle
+                    raise TypeError(_TYPE_ERR) from None
                 r = fop(xa, xb)
                 if hook is not None:
-                    hook(un_q(pk_d(r))[0])
+                    md[0] = r
+                    hook(mq[0])
                 boxes[0] += 1
                 c[4] += 1
                 if c[6] != 1:
@@ -719,25 +792,30 @@ class Runtime:
         fless = fixops[4]
 
         def less(aw, bw):
-            if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                xa = payload[aw >> 3]
-            else:
-                return fless(aw, bw)
-            if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                xb = payload[bw >> 3]
-            else:
-                raise TypeError(_TYPE_ERR)
+            try:
+                if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                    xa = payload[aw >> 3]
+                else:
+                    return fless(aw, bw)
+                if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                    xb = payload[bw >> 3]
+                else:
+                    raise TypeError(_TYPE_ERR)
+            except IndexError:  # dangling handle
+                raise TypeError(_TYPE_ERR) from None
             return xa < xb
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)
 
     def _build_nan(self):
         hook = self.profile_hook
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         canon = NAN_CANON
         fixops = _fixnum_fallbacks(self._fixrep)
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             return bits if bits < canon else canon
@@ -756,8 +834,12 @@ class Runtime:
                     return fixop(aw, bw)
                 if bw > canon:
                     raise TypeError(_TYPE_ERR)
-                r = fop(un_d(pk_q(aw))[0], un_d(pk_q(bw))[0])
-                bits = un_q(pk_d(r))[0]
+                mq[0] = aw
+                xa = md[0]
+                mq[0] = bw
+                r = fop(xa, md[0])
+                md[0] = r
+                bits = mq[0]
                 if hook is not None:
                     hook(bits)
                 return bits if bits < canon else canon
@@ -771,19 +853,24 @@ class Runtime:
                 return fless(aw, bw)
             if bw > canon:
                 raise TypeError(_TYPE_ERR)
-            return un_d(pk_q(aw))[0] < un_d(pk_q(bw))[0]
+            mq[0] = aw
+            xa = md[0]
+            mq[0] = bw
+            return xa < md[0]
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)
 
     def _build_nun(self):
         hook = self.profile_hook
-        pk_d, un_d, pk_q, un_q = _D.pack, _D.unpack, _Q.pack, _Q.unpack
+        mq, md = self._mq, self._md
         bias = NUN_BIAS
         canon_min = NUN_CANON_MIN
         canon = NAN_CANON
         fixops = _fixnum_fallbacks(self._fixrep)
 
         def box(bits):
+            if not 0 <= bits <= M64:
+                raise ValueError(_RANGE_ERR % (bits,))
             if hook is not None:
                 hook(bits)
             if bits >= canon_min:
@@ -808,8 +895,12 @@ class Runtime:
                 t = bw >> 48
                 if t == 0 or t == 0xFFFF:
                     raise TypeError(_TYPE_ERR)
-                r = fop(un_d(pk_q((aw - bias) & M64))[0], un_d(pk_q((bw - bias) & M64))[0])
-                bits = un_q(pk_d(r))[0]
+                mq[0] = (aw - bias) & M64
+                xa = md[0]
+                mq[0] = (bw - bias) & M64
+                r = fop(xa, md[0])
+                md[0] = r
+                bits = mq[0]
                 if hook is not None:
                     hook(bits)
                 if bits >= canon_min:
@@ -827,6 +918,9 @@ class Runtime:
             t = bw >> 48
             if t == 0 or t == 0xFFFF:
                 raise TypeError(_TYPE_ERR)
-            return un_d(pk_q((aw - bias) & M64))[0] < un_d(pk_q((bw - bias) & M64))[0]
+            mq[0] = (aw - bias) & M64
+            xa = md[0]
+            mq[0] = (bw - bias) & M64
+            return xa < md[0]
 
         self._assign(box, unbox, is_float, make_arith, less, fixops)

@@ -1,4 +1,5 @@
 import math
+import operator
 from itertools import islice
 
 import pytest
@@ -22,7 +23,15 @@ from tagbench.schemes import (
     SchemeConfig,
     covers,
 )
-from tagbench.words import FIXNUM_MAX, FIXNUM_MIN, bits_to_float, float_to_bits
+from tagbench.words import (
+    FIXNUM_MAX,
+    FIXNUM_MIN,
+    M64,
+    QNAN_64,
+    bits_to_float,
+    float_to_bits,
+    ieee_div,
+)
 
 ALL = tuple(PRESETS)
 
@@ -329,3 +338,74 @@ def test_is_float_value_discriminates(name):
     missed = rt.box_float(TINY)
     assert rt.is_float_value(missed)
     assert not rt.is_fixnum_value(missed)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_box_float_rejects_out_of_range_bits(name):
+    seen = []
+    rt = fresh(name, profile_hook=seen.append)
+    rt.reset_kernel_counters()
+    for bad in (-1, -5, 1 << 64, (1 << 64) + ONE):
+        with pytest.raises(ValueError, match="out of"):
+            rt.box_float(bad)
+    assert seen == []  # rejected before the hook and the counters
+    assert rt.boxes_total == 0
+    assert rt.stats().float_allocs == 0
+    for bits in (0, M64):
+        assert rt.unbox_float(rt.box_float(bits)) == expected_unbox(name, bits)
+
+
+HEAP_PRESETS = tuple(n for n in ALL if n not in ("nanbox", "nunbox"))
+
+
+@pytest.mark.parametrize("name", HEAP_PRESETS)
+def test_dangling_handles_are_not_floats(name):
+    rt = fresh(name)
+    f = rt.box_float(ONE)
+    last = rt.box_float(TINY | 1)  # missed by every heap-using preset
+    assert rt.unbox_float(last) == TINY | 1
+    # handles of the first index past the arena and of one far beyond it
+    for dangling in (last + 8, last + (1000 << 3)):
+        assert not rt.is_float_value(dangling)
+        with pytest.raises(TypeError, match="not a float word"):
+            rt.unbox_float(dangling)
+        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+            with pytest.raises(TypeError, match="mixed or non-numeric"):
+                op(dangling, f)
+            with pytest.raises(TypeError, match="mixed or non-numeric"):
+                op(f, dangling)
+
+
+# operator's functions, not inline x + y: with two NaN operands, which
+# payload survives depends on the C code path that adds, and the runtime
+# adds through these
+REFERENCE_OPS = (
+    ("generic_add", operator.add),
+    ("generic_sub", operator.sub),
+    ("generic_mul", operator.mul),
+    ("generic_div", ieee_div),
+)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_arithmetic_bits_match_struct_reference(name):
+    # words.float_to_bits/bits_to_float (struct) are the reference for the
+    # runtime's own float<->bits conversions
+    rt = fresh(name)
+    edge = [int(b) for b in boundary_words64()]
+    edge += [QNAN_64, QNAN_64 | 1, 0x7FF0000000000001, 0xFFF0000000000001, M64]
+    rand = list(islice(splitmix64(2024), 400))
+    pairs = [(a, b) for a in edge[::3] for b in edge[1::3]]
+    pairs += list(zip(rand, rand[1:] + edge[:1]))
+    pairs += list(zip(edge, rand))
+    rt.reset_kernel_counters()
+    for a, b in pairs:
+        aw, bw = rt.box_float(a), rt.box_float(b)
+        x = bits_to_float(expected_unbox(name, a))
+        y = bits_to_float(expected_unbox(name, b))
+        for op, ref in REFERENCE_OPS:
+            got = rt.unbox_float(getattr(rt, op)(aw, bw))
+            assert got == expected_unbox(name, float_to_bits(ref(x, y))), (op, hex(a), hex(b))
+        assert rt.generic_less(aw, bw) is (x < y)
+    if name not in ("nanbox", "nunbox"):
+        assert rt.stats().float_allocs > 0  # heap operands were exercised
