@@ -83,22 +83,39 @@ class SimHeap:
         """Store a float cell and return its handle word. tag is the
         tagged-pointer tag, or None for the generic-pointer layout
         (handle tagged GENERIC_TAG, one extra header word of cost)."""
-        generic = tag is None
-        if not generic and not 0 <= tag <= 7:
+        if tag is not None and not 0 <= tag <= 7:
             raise ValueError("tag out of [0, 7]: %r" % (tag,))
-        cost = 2 if generic else 1
-        if self._cells + cost > self.capacity:
-            raise MemoryError("simulated heap capacity exhausted")
+        return self.float_allocator(tag)(bits_to_float(bits))
+
+    def float_allocator(self, tag=None):
+        """The float-cell allocation of alloc_float as a closure over this
+        heap's arrays and counter slots, taking the payload as a float and
+        returning the handle word; tag as in alloc_float, not validated.
+        The runtime's compiled closures allocate through it."""
+        generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
-        idx = len(self._payload)
-        self._payload.append(bits_to_float(bits))
-        self._kinds.append(KIND_FLOAT_GENERIC if generic else KIND_FLOAT)
-        self._tags.append(handle_tag)
-        self._cells += cost
+        kind = KIND_FLOAT_GENERIC if generic else KIND_FLOAT
+        cost = 2 if generic else 1
+        nbytes = 16 if generic else 8
+        payload = self._payload
+        kinds = self._kinds
+        tags = self._tags
         c = self._c
-        c[C_FLOAT_ALLOCS] += 1
-        c[C_FLOAT_BYTES] += 16 if generic else 8
-        return (idx << 3) | handle_tag
+        cap = self.capacity
+
+        def alloc(f):
+            if self._cells + cost > cap:
+                raise MemoryError("simulated heap capacity exhausted")
+            i = len(payload)
+            payload.append(f)
+            kinds.append(kind)
+            tags.append(handle_tag)
+            self._cells += cost
+            c[C_FLOAT_ALLOCS] += 1
+            c[C_FLOAT_BYTES] += nbytes
+            return (i << 3) | handle_tag
+
+        return alloc
 
     def read_float(self, w):
         """Bit-exact payload of a float handle."""

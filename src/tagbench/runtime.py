@@ -3,10 +3,22 @@
 A Runtime owns a SimHeap and exposes the value operations a small
 interpreter would have: box/unbox floats, fixnum construction, union type
 tests, and generic arithmetic that dispatches on the operand
-representations. The float paths are compiled to per-scheme closures at
-construction so the per-operation cost is flat: scheme constants, tag
-masks, counter cells and heap internals are bound once instead of being
-looked up on every call.
+representations.
+
+The float operations are closures generated from one of two sources:
+_HEAP_SOURCE, for the families that send the floats they cannot keep
+immediate to the heap (rot5: st1, st2biased; rot4: st2zeros, st3, st4;
+mantissa; boxed), holds the heap fallback, the counters and the flip
+accounting; _NAN_SOURCE, for NaN and NuN boxing, has no heap and counts
+nothing. A family differs from the others sharing its source only in
+three forms, substituted into the source text before it is compiled:
+IMM(w), true when word w is an immediate float; DEC(w), the float bits of
+an immediate word; ENC(bits), the word for float bits (an immediate when
+IMM holds for it). Each family's source is compiled once per process and
+cached (_builder). A Runtime calls the compiled builder with its scheme
+constants, counter cells and heap internals, so the per-operation cost is
+flat: the forms are inline, with no per-operation call, and nothing is
+looked up that could have been bound once.
 
 Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
@@ -29,22 +41,14 @@ Fixnum placement per scheme:
     stay in the reserved non-float classes, narrowing the range to 46 bits.
 """
 
-from operator import add as _f_add, mul as _f_mul, sub as _f_sub
+import re
+from functools import cache
+from operator import add, floordiv, mul, sub
 
-from .heap import (
-    C_FLOAT_ALLOCS,
-    C_FLOAT_BYTES,
-    C_FLIPS,
-    C_LAST_OUTCOME,
-    C_SLOW_ENCODES,
-    GENERIC_TAG,
-    KIND_FLOAT,
-    KIND_FLOAT_GENERIC,
-    NEG_ZERO_BITS,
-    SimHeap,
-)
+from .heap import C_FLOAT_ALLOCS, GENERIC_TAG, KIND_FLOAT_GENERIC, NEG_ZERO_BITS, SimHeap
 from .schemes import (
     BOXED,
+    FOUR_TAG,
     MANTISSA,
     NAN_CANON,
     NAN_PAYLOAD_MASK,
@@ -53,8 +57,9 @@ from .schemes import (
     NUN_CANON_MIN,
     NUNBOX,
     ONE_TAG,
-    ROT4_VARIANTS,
     SELF_TAG_VARIANTS,
+    THREE_TAG,
+    TWO_TAG_BIASED,
     TWO_TAG_ZEROS,
     nan_box_nonfloat,
     self_tag_set,
@@ -119,47 +124,258 @@ def _nun_fixnum_rep():
 
 def _fixnum_fallbacks(rep):
     """Generic-op tails for operands that were not floats: both fixnums
-    compute, anything else is a type error."""
+    compute, anything else is a type error. Returns a factory of the
+    arithmetic tail for an integer operator, and the comparison tail."""
     is_fix, dec, enc, lo, hi = rep
 
-    def guard(aw, bw):
-        if not (is_fix(aw) and is_fix(bw)):
-            raise TypeError(_TYPE_ERR)
+    def fixnum_op(op):
+        def fop(aw, bw):
+            if not (is_fix(aw) and is_fix(bw)):
+                raise TypeError(_TYPE_ERR)
+            v = op(dec(aw), dec(bw))
+            if not lo <= v <= hi:
+                raise OverflowError("fixnum overflow: %d" % v)
+            return enc(v)
 
-    def fadd(aw, bw):
-        guard(aw, bw)
-        v = dec(aw) + dec(bw)
-        if not lo <= v <= hi:
-            raise OverflowError("fixnum overflow: %d" % v)
-        return enc(v)
-
-    def fsub(aw, bw):
-        guard(aw, bw)
-        v = dec(aw) - dec(bw)
-        if not lo <= v <= hi:
-            raise OverflowError("fixnum overflow: %d" % v)
-        return enc(v)
-
-    def fmul(aw, bw):
-        guard(aw, bw)
-        v = dec(aw) * dec(bw)
-        if not lo <= v <= hi:
-            raise OverflowError("fixnum overflow: %d" % v)
-        return enc(v)
-
-    def fdiv(aw, bw):
-        # floor quotient; a zero divisor propagates ZeroDivisionError
-        guard(aw, bw)
-        v = dec(aw) // dec(bw)
-        if not lo <= v <= hi:
-            raise OverflowError("fixnum overflow: %d" % v)
-        return enc(v)
+        return fop
 
     def fless(aw, bw):
-        guard(aw, bw)
+        if not (is_fix(aw) and is_fix(bw)):
+            raise TypeError(_TYPE_ERR)
         return dec(aw) < dec(bw)
 
-    return fadd, fsub, fmul, fdiv, fless
+    return fixnum_op, fless
+
+
+# Closure sources. c[4], c[5] and c[6] are the heap's slow-encode, flip
+# and last-outcome counter slots (heap.C_SLOW_ENCODES, C_FLIPS,
+# C_LAST_OUTCOME). HAS_IMM is False only for the boxed family, whose IMM
+# is the constant False: the compiler then drops every immediate branch,
+# and a boxed re-box converts its result to bits only for the hook.
+# Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
+# them on the slow path, where bits is always bound when zeros is true.
+
+_HEAP_SOURCE = """
+def build(m, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kinds, mq, md, alloc, fless):
+    def box(bits):
+        if not 0 <= bits <= M64:
+            raise ValueError(_RANGE_ERR % (bits,))
+        if hook is not None:
+            hook(bits)
+        boxes[0] += 1
+        if IMM(w := ENC(bits)):
+            if c[6] != 0:
+                if c[6] != 2:
+                    c[5] += 1
+                c[6] = 0
+            return w
+        c[4] += 1
+        if c[6] != 1:
+            if c[6] != 2:
+                c[5] += 1
+            c[6] = 1
+        if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
+            return pz_pos if bits == 0 else pz_neg
+        mq[0] = bits
+        return alloc(md[0])
+
+    def is_float(w):
+        if not 0 <= w <= M64:
+            return False
+        if IMM(w):
+            return True
+        return w & 7 == ht and (w >> 3) < len(kinds) and (
+            not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
+        )
+
+    def unbox(w):
+        if not is_float(w):
+            raise TypeError("not a float word: 0x%016x" % w)
+        if IMM(w):
+            return DEC(w)
+        md[0] = payload[w >> 3]
+        return mq[0]
+
+    def make_arith(fop, fixop):
+        def arith(aw, bw):
+            try:
+                if IMM(aw):
+                    mq[0] = DEC(aw)
+                    xa = md[0]
+                elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                    xa = payload[aw >> 3]
+                else:
+                    return fixop(aw, bw)
+                if IMM(bw):
+                    mq[0] = DEC(bw)
+                    xb = md[0]
+                elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                    xb = payload[bw >> 3]
+                else:
+                    raise TypeError(_TYPE_ERR)
+            except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
+                raise TypeError(_TYPE_ERR) from None
+            r = fop(xa, xb)
+            if HAS_IMM or hook is not None:
+                md[0] = r
+                bits = mq[0]
+                if hook is not None:
+                    hook(bits)
+            boxes[0] += 1
+            if IMM(w := ENC(bits)):
+                if c[6] != 0:
+                    if c[6] != 2:
+                        c[5] += 1
+                    c[6] = 0
+                return w
+            c[4] += 1
+            if c[6] != 1:
+                if c[6] != 2:
+                    c[5] += 1
+                c[6] = 1
+            if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
+                return pz_pos if bits == 0 else pz_neg
+            return alloc(r)
+
+        return arith
+
+    def less(aw, bw):
+        try:
+            if IMM(aw):
+                mq[0] = DEC(aw)
+                xa = md[0]
+            elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                xa = payload[aw >> 3]
+            else:
+                return fless(aw, bw)
+            if IMM(bw):
+                mq[0] = DEC(bw)
+                xb = md[0]
+            elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                xb = payload[bw >> 3]
+            else:
+                raise TypeError(_TYPE_ERR)
+            return xa < xb
+        except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
+            raise TypeError(_TYPE_ERR) from None
+
+    return box, unbox, is_float, make_arith, less
+"""
+
+_NAN_SOURCE = """
+def build(hook, mq, md, fless):
+    def box(bits):
+        if not 0 <= bits <= M64:
+            raise ValueError(_RANGE_ERR % (bits,))
+        if hook is not None:
+            hook(bits)
+        return ENC(bits)
+
+    def is_float(w):
+        return 0 <= w <= M64 and IMM(w)
+
+    def unbox(w):
+        if not is_float(w):
+            raise TypeError("not a float word: 0x%016x" % w)
+        return DEC(w)
+
+    def make_arith(fop, fixop):
+        def arith(aw, bw):
+            if not IMM(aw):
+                return fixop(aw, bw)
+            if not IMM(bw):
+                raise TypeError(_TYPE_ERR)
+            try:
+                mq[0] = DEC(aw)
+                xa = md[0]
+                mq[0] = DEC(bw)
+                md[0] = fop(xa, md[0])  # float operations raise no ValueError
+            except ValueError:  # negative word under nanbox
+                raise TypeError(_TYPE_ERR) from None
+            bits = mq[0]
+            if hook is not None:
+                hook(bits)
+            return ENC(bits)
+
+        return arith
+
+    def less(aw, bw):
+        if not IMM(aw):
+            return fless(aw, bw)
+        if not IMM(bw):
+            raise TypeError(_TYPE_ERR)
+        try:
+            mq[0] = DEC(aw)
+            xa = md[0]
+            mq[0] = DEC(bw)
+            return xa < md[0]
+        except ValueError:  # negative word under nanbox
+            raise TypeError(_TYPE_ERR) from None
+
+    return box, unbox, is_float, make_arith, less
+"""
+
+# family: (source, IMM(w), DEC(w), ENC(bits)); m is the tag-set mask, k the
+# family constant (rot5 bias, rot4 offset). Boxed never evaluates its forms.
+_TAG_IMM = "(m >> ({} & 7)) & 1"
+_FAMILIES = {
+    "rot5": (
+        _HEAP_SOURCE,
+        _TAG_IMM,
+        "((({0} >> 5) | (({0} & 31) << 59)) - k) & M64",
+        "(((v := ({} + k) & M64) << 5) & M64) | (v >> 59)",
+    ),
+    "rot4": (
+        _HEAP_SOURCE,
+        _TAG_IMM,
+        "((u := ({} - k) & M64) >> 4) | ((u & 15) << 60)",
+        "(((({0} << 4) & M64) | ({0} >> 60)) + k) & M64",
+    ),
+    "mantissa": (_HEAP_SOURCE, "{} & 3 == 0", "{}", "{}"),
+    "boxed": (_HEAP_SOURCE, "False", "{}", "{}"),
+    "nanbox": (_NAN_SOURCE, "{} <= NAN_CANON", "{}", "{0} if {0} < NAN_CANON else NAN_CANON"),
+    "nunbox": (
+        _NAN_SOURCE,
+        "NUN_BIAS <= {} < 0xFFFF << 48",
+        "{} - NUN_BIAS",
+        "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
+    ),
+}
+
+_VARIANT_FAMILY = {
+    ONE_TAG: "rot5",
+    TWO_TAG_BIASED: "rot5",
+    TWO_TAG_ZEROS: "rot4",
+    THREE_TAG: "rot4",
+    FOUR_TAG: "rot4",
+    MANTISSA: "mantissa",
+    BOXED: "boxed",
+    NANBOX: "nanbox",
+    NUNBOX: "nunbox",
+}
+
+# a form marker and its argument, which may hold one level of parentheses
+_FORM = re.compile(r"\b(IMM|DEC|ENC)\(((?:[^()]|\([^()]*\))*)\)")
+
+
+@cache
+def _builder(family):
+    """The family's closure builder: its source with the forms
+    substituted, compiled once per process. The sources run in this
+    module's globals, which supply their constants."""
+    source, imm, dec, enc = _FAMILIES[family]
+    forms = {"IMM": imm, "DEC": dec, "ENC": enc}
+
+    def expand(mo):
+        return "(%s)" % forms[mo[1]].format("(%s)" % mo[2])
+
+    text = source.replace("HAS_IMM", str(imm != "False"))
+    n = 1
+    while n:  # a second pass expands the ENC inside IMM(w := ENC(bits))
+        text, n = _FORM.subn(expand, text)
+    ns = {}
+    exec(compile(text, "<runtime %s>" % family, "exec"), globals(), ns)
+    return ns["build"]
 
 
 class Runtime:
@@ -171,9 +387,14 @@ class Runtime:
 
     box_float takes float bits in [0, 2**64) and raises ValueError for
     anything else, under every scheme. Words that are not floats, dangling
-    heap handles included, make unbox_float and the generic operations
-    raise TypeError and is_float_value return False. (A tagged-pointer
-    handle to a ballast cell is not caught: it reads as a float.)
+    heap handles and any word outside [0, 2**64) included, make is_float_value
+    return False and unbox_float raise TypeError. The generic operations
+    raise TypeError for them too, except where catching them would cost a
+    check on every operand: an out-of-range word whose low tag marks an
+    immediate float under an exponent-based self-tagging scheme, or a
+    negative word with the heap-handle tag (read as a cell counted from
+    the arena's end), still computes, and a tagged-pointer handle to a
+    ballast cell reads as a float.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
@@ -254,673 +475,43 @@ class Runtime:
     # -- compilation ------------------------------------------------------
 
     def _compile(self):
-        variant = self.scheme.variant
+        scheme = self.scheme
+        variant = scheme.variant
+        hook = self.profile_hook
+        mq, md = self._mq, self._md
         if variant == NANBOX:
             self._fixrep = _nan_fixnum_rep()
-            self._build_nan()
         elif variant == NUNBOX:
             self._fixrep = _nun_fixnum_rep()
-            self._build_nun()
-        elif variant == BOXED:
-            self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
-            self._build_boxed()
-        elif variant == MANTISSA:
-            self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
-            self._build_mantissa()
-        elif variant in ROT4_VARIANTS:
-            self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
-            self._build_rot4()
         else:
             self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
-            self._build_rot5()
-
-    def _make_alloc(self, handle_tag, generic):
-        """Float-cell allocator closure; mirrors SimHeap.alloc_float with
-        the bits/float conversion hoisted out (payloads arrive as floats)."""
-        heap = self.heap
-        payload = heap._payload
-        kinds = heap._kinds
-        tags = heap._tags
-        c = heap._c
-        cap = heap.capacity
-        kind = KIND_FLOAT_GENERIC if generic else KIND_FLOAT
-        cost = 2 if generic else 1
-        nbytes = 16 if generic else 8
-
-        def alloc(f):
-            if heap._cells + cost > cap:
-                raise MemoryError("simulated heap capacity exhausted")
-            i = len(payload)
-            payload.append(f)
-            kinds.append(kind)
-            tags.append(handle_tag)
-            heap._cells += cost
-            c[C_FLOAT_ALLOCS] += 1
-            c[C_FLOAT_BYTES] += nbytes
-            return (i << 3) | handle_tag
-
-        return alloc
-
-    def _assign(self, box, unbox, is_float, make_arith, less, fixops):
-        fadd, fsub, fmul, fdiv, fless = fixops
+        fixnum_op, fless = _fixnum_fallbacks(self._fixrep)
+        build = _builder(_VARIANT_FAMILY[variant])
+        if variant == NANBOX or variant == NUNBOX:
+            ops = build(hook, mq, md, fless)
+        else:
+            heap = self.heap
+            m = self_tag_set(scheme) if variant in SELF_TAG_VARIANTS else 0
+            if variant == ONE_TAG:
+                k = ((1 + 2 * scheme.tag) << 58) & M64
+            elif variant == TWO_TAG_BIASED:
+                k = ((2 * scheme.tag) << 58) & M64
+            else:
+                k = scheme.offset
+            hft = scheme.heap_float_tag
+            ht = GENERIC_TAG if hft is None else hft
+            zeros = variant == TWO_TAG_ZEROS
+            pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
+            ops = build(
+                m, k, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes, heap._c,
+                heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
+            )
+        box, unbox, is_float, make_arith, less = ops
         self.box_float = box
         self.unbox_float = unbox
         self.is_float_value = is_float
-        self.generic_add = make_arith(_f_add, fadd)
-        self.generic_sub = make_arith(_f_sub, fsub)
-        self.generic_mul = make_arith(_f_mul, fmul)
-        self.generic_div = make_arith(ieee_div, fdiv)
+        self.generic_add = make_arith(add, fixnum_op(add))
+        self.generic_sub = make_arith(sub, fixnum_op(sub))
+        self.generic_mul = make_arith(mul, fixnum_op(mul))
+        self.generic_div = make_arith(ieee_div, fixnum_op(floordiv))
         self.generic_less = less
-
-    # Each _build_* below wires the same surface; they differ only in the
-    # word<->float forms, inlined rather than shared so the hot arithmetic
-    # closures stay free of per-call indirection.
-
-    def _build_rot5(self):
-        scheme = self.scheme
-        heap = self.heap
-        hook = self.profile_hook
-        boxes = self._boxes
-        c = heap._c
-        payload = heap._payload
-        kinds = heap._kinds
-        mq, md = self._mq, self._md
-        m = self_tag_set(scheme)
-        step = 1 + 2 * scheme.tag if scheme.variant == ONE_TAG else 2 * scheme.tag
-        bias = (step << 58) & M64
-        hft = scheme.heap_float_tag
-        generic = hft is None
-        ht = GENERIC_TAG if generic else hft
-        alloc = self._make_alloc(ht, generic)
-        fixops = _fixnum_fallbacks(self._fixrep)
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            boxes[0] += 1
-            v = (bits + bias) & M64
-            w = ((v << 5) & M64) | (v >> 59)
-            if (m >> (w & 7)) & 1:
-                if c[6] != 0:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 0
-                return w
-            c[4] += 1
-            if c[6] != 1:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 1
-            mq[0] = bits
-            return alloc(md[0])
-
-        def unbox(w):
-            t = w & 7
-            if (m >> t) & 1:
-                u = (w >> 5) | ((w & 31) << 59)
-                return (u - bias) & M64
-            try:
-                if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                    md[0] = payload[w >> 3]
-                    return mq[0]
-            except IndexError:  # dangling handle
-                pass
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            t = w & 7
-            if (m >> t) & 1:
-                return True
-            return t == ht and (w >> 3) < len(kinds) and (
-                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
-            )
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                try:
-                    t = aw & 7
-                    if (m >> t) & 1:
-                        u = (aw >> 5) | ((aw & 31) << 59)
-                        mq[0] = (u - bias) & M64
-                        xa = md[0]
-                    elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                        xa = payload[aw >> 3]
-                    else:
-                        return fixop(aw, bw)
-                    t = bw & 7
-                    if (m >> t) & 1:
-                        u = (bw >> 5) | ((bw & 31) << 59)
-                        mq[0] = (u - bias) & M64
-                        xb = md[0]
-                    elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                        xb = payload[bw >> 3]
-                    else:
-                        raise TypeError(_TYPE_ERR)
-                except IndexError:  # dangling handle
-                    raise TypeError(_TYPE_ERR) from None
-                r = fop(xa, xb)
-                md[0] = r
-                bits = mq[0]
-                if hook is not None:
-                    hook(bits)
-                boxes[0] += 1
-                v = (bits + bias) & M64
-                w = ((v << 5) & M64) | (v >> 59)
-                if (m >> (w & 7)) & 1:
-                    if c[6] != 0:
-                        if c[6] != 2:
-                            c[5] += 1
-                        c[6] = 0
-                    return w
-                c[4] += 1
-                if c[6] != 1:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 1
-                return alloc(r)
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            try:
-                t = aw & 7
-                if (m >> t) & 1:
-                    u = (aw >> 5) | ((aw & 31) << 59)
-                    mq[0] = (u - bias) & M64
-                    xa = md[0]
-                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fless(aw, bw)
-                t = bw & 7
-                if (m >> t) & 1:
-                    u = (bw >> 5) | ((bw & 31) << 59)
-                    mq[0] = (u - bias) & M64
-                    xb = md[0]
-                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
-            except IndexError:  # dangling handle
-                raise TypeError(_TYPE_ERR) from None
-            return xa < xb
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)
-
-    def _build_rot4(self):
-        scheme = self.scheme
-        heap = self.heap
-        hook = self.profile_hook
-        boxes = self._boxes
-        c = heap._c
-        payload = heap._payload
-        kinds = heap._kinds
-        mq, md = self._mq, self._md
-        m = self_tag_set(scheme)
-        off = scheme.offset
-        hft = scheme.heap_float_tag
-        generic = hft is None
-        ht = GENERIC_TAG if generic else hft
-        alloc = self._make_alloc(ht, generic)
-        fixops = _fixnum_fallbacks(self._fixrep)
-        if scheme.variant == TWO_TAG_ZEROS:
-            pz_pos, pz_neg = self.heap.zero_handles
-        else:
-            pz_pos = pz_neg = None
-        zeros = pz_pos is not None
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            boxes[0] += 1
-            if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
-                c[4] += 1
-                if c[6] != 1:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 1
-                return pz_pos if bits == 0 else pz_neg
-            w = ((((bits << 4) & M64) | (bits >> 60)) + off) & M64
-            if (m >> (w & 7)) & 1:
-                if c[6] != 0:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 0
-                return w
-            c[4] += 1
-            if c[6] != 1:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 1
-            mq[0] = bits
-            return alloc(md[0])
-
-        def unbox(w):
-            t = w & 7
-            if (m >> t) & 1:
-                u = (w - off) & M64
-                return (u >> 4) | ((u & 15) << 60)
-            try:
-                if t == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                    md[0] = payload[w >> 3]
-                    return mq[0]
-            except IndexError:  # dangling handle
-                pass
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            t = w & 7
-            if (m >> t) & 1:
-                return True
-            return t == ht and (w >> 3) < len(kinds) and (
-                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
-            )
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                try:
-                    t = aw & 7
-                    if (m >> t) & 1:
-                        u = (aw - off) & M64
-                        mq[0] = (u >> 4) | ((u & 15) << 60)
-                        xa = md[0]
-                    elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                        xa = payload[aw >> 3]
-                    else:
-                        return fixop(aw, bw)
-                    t = bw & 7
-                    if (m >> t) & 1:
-                        u = (bw - off) & M64
-                        mq[0] = (u >> 4) | ((u & 15) << 60)
-                        xb = md[0]
-                    elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                        xb = payload[bw >> 3]
-                    else:
-                        raise TypeError(_TYPE_ERR)
-                except IndexError:  # dangling handle
-                    raise TypeError(_TYPE_ERR) from None
-                r = fop(xa, xb)
-                md[0] = r
-                bits = mq[0]
-                if hook is not None:
-                    hook(bits)
-                boxes[0] += 1
-                if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
-                    c[4] += 1
-                    if c[6] != 1:
-                        if c[6] != 2:
-                            c[5] += 1
-                        c[6] = 1
-                    return pz_pos if bits == 0 else pz_neg
-                w = ((((bits << 4) & M64) | (bits >> 60)) + off) & M64
-                if (m >> (w & 7)) & 1:
-                    if c[6] != 0:
-                        if c[6] != 2:
-                            c[5] += 1
-                        c[6] = 0
-                    return w
-                c[4] += 1
-                if c[6] != 1:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 1
-                return alloc(r)
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            try:
-                t = aw & 7
-                if (m >> t) & 1:
-                    u = (aw - off) & M64
-                    mq[0] = (u >> 4) | ((u & 15) << 60)
-                    xa = md[0]
-                elif t == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fless(aw, bw)
-                t = bw & 7
-                if (m >> t) & 1:
-                    u = (bw - off) & M64
-                    mq[0] = (u >> 4) | ((u & 15) << 60)
-                    xb = md[0]
-                elif t == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
-            except IndexError:  # dangling handle
-                raise TypeError(_TYPE_ERR) from None
-            return xa < xb
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)
-
-    def _build_mantissa(self):
-        scheme = self.scheme
-        heap = self.heap
-        hook = self.profile_hook
-        boxes = self._boxes
-        c = heap._c
-        payload = heap._payload
-        kinds = heap._kinds
-        mq, md = self._mq, self._md
-        hft = scheme.heap_float_tag
-        generic = hft is None
-        ht = GENERIC_TAG if generic else hft
-        alloc = self._make_alloc(ht, generic)
-        fixops = _fixnum_fallbacks(self._fixrep)
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            boxes[0] += 1
-            if bits & 3 == 0:
-                if c[6] != 0:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 0
-                return bits
-            c[4] += 1
-            if c[6] != 1:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 1
-            mq[0] = bits
-            return alloc(md[0])
-
-        def unbox(w):
-            if w & 3 == 0:
-                return w
-            try:
-                if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                    md[0] = payload[w >> 3]
-                    return mq[0]
-            except IndexError:  # dangling handle
-                pass
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            if w & 3 == 0:
-                return True
-            return w & 7 == ht and (w >> 3) < len(kinds) and (
-                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
-            )
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                try:
-                    if aw & 3 == 0:
-                        mq[0] = aw
-                        xa = md[0]
-                    elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                        xa = payload[aw >> 3]
-                    else:
-                        return fixop(aw, bw)
-                    if bw & 3 == 0:
-                        mq[0] = bw
-                        xb = md[0]
-                    elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                        xb = payload[bw >> 3]
-                    else:
-                        raise TypeError(_TYPE_ERR)
-                except IndexError:  # dangling handle
-                    raise TypeError(_TYPE_ERR) from None
-                r = fop(xa, xb)
-                md[0] = r
-                bits = mq[0]
-                if hook is not None:
-                    hook(bits)
-                boxes[0] += 1
-                if bits & 3 == 0:
-                    if c[6] != 0:
-                        if c[6] != 2:
-                            c[5] += 1
-                        c[6] = 0
-                    return bits
-                c[4] += 1
-                if c[6] != 1:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 1
-                return alloc(r)
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            try:
-                if aw & 3 == 0:
-                    mq[0] = aw
-                    xa = md[0]
-                elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fless(aw, bw)
-                if bw & 3 == 0:
-                    mq[0] = bw
-                    xb = md[0]
-                elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
-            except IndexError:  # dangling handle
-                raise TypeError(_TYPE_ERR) from None
-            return xa < xb
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)
-
-    def _build_boxed(self):
-        scheme = self.scheme
-        heap = self.heap
-        hook = self.profile_hook
-        boxes = self._boxes
-        c = heap._c
-        payload = heap._payload
-        kinds = heap._kinds
-        mq, md = self._mq, self._md
-        hft = scheme.heap_float_tag
-        generic = hft is None
-        ht = GENERIC_TAG if generic else hft
-        alloc = self._make_alloc(ht, generic)
-        fixops = _fixnum_fallbacks(self._fixrep)
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            boxes[0] += 1
-            c[4] += 1
-            if c[6] != 1:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 1
-            mq[0] = bits
-            return alloc(md[0])
-
-        def unbox(w):
-            try:
-                if w & 7 == ht and (not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC):
-                    md[0] = payload[w >> 3]
-                    return mq[0]
-            except IndexError:  # dangling handle
-                pass
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            return w & 7 == ht and (w >> 3) < len(kinds) and (
-                not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
-            )
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                try:
-                    if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                        xa = payload[aw >> 3]
-                    else:
-                        return fixop(aw, bw)
-                    if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                        xb = payload[bw >> 3]
-                    else:
-                        raise TypeError(_TYPE_ERR)
-                except IndexError:  # dangling handle
-                    raise TypeError(_TYPE_ERR) from None
-                r = fop(xa, xb)
-                if hook is not None:
-                    md[0] = r
-                    hook(mq[0])
-                boxes[0] += 1
-                c[4] += 1
-                if c[6] != 1:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 1
-                return alloc(r)
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            try:
-                if aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
-                    xa = payload[aw >> 3]
-                else:
-                    return fless(aw, bw)
-                if bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
-                    xb = payload[bw >> 3]
-                else:
-                    raise TypeError(_TYPE_ERR)
-            except IndexError:  # dangling handle
-                raise TypeError(_TYPE_ERR) from None
-            return xa < xb
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)
-
-    def _build_nan(self):
-        hook = self.profile_hook
-        mq, md = self._mq, self._md
-        canon = NAN_CANON
-        fixops = _fixnum_fallbacks(self._fixrep)
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            return bits if bits < canon else canon
-
-        def unbox(w):
-            if w <= canon:
-                return w
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            return w <= canon
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                if aw > canon:
-                    return fixop(aw, bw)
-                if bw > canon:
-                    raise TypeError(_TYPE_ERR)
-                mq[0] = aw
-                xa = md[0]
-                mq[0] = bw
-                r = fop(xa, md[0])
-                md[0] = r
-                bits = mq[0]
-                if hook is not None:
-                    hook(bits)
-                return bits if bits < canon else canon
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            if aw > canon:
-                return fless(aw, bw)
-            if bw > canon:
-                raise TypeError(_TYPE_ERR)
-            mq[0] = aw
-            xa = md[0]
-            mq[0] = bw
-            return xa < md[0]
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)
-
-    def _build_nun(self):
-        hook = self.profile_hook
-        mq, md = self._mq, self._md
-        bias = NUN_BIAS
-        canon_min = NUN_CANON_MIN
-        canon = NAN_CANON
-        fixops = _fixnum_fallbacks(self._fixrep)
-
-        def box(bits):
-            if not 0 <= bits <= M64:
-                raise ValueError(_RANGE_ERR % (bits,))
-            if hook is not None:
-                hook(bits)
-            if bits >= canon_min:
-                bits = canon
-            return (bits + bias) & M64
-
-        def unbox(w):
-            t = w >> 48
-            if t != 0 and t != 0xFFFF:
-                return (w - bias) & M64
-            raise TypeError("not a float word: 0x%016x" % w)
-
-        def is_float(w):
-            t = w >> 48
-            return t != 0 and t != 0xFFFF
-
-        def make_arith(fop, fixop):
-            def arith(aw, bw):
-                t = aw >> 48
-                if t == 0 or t == 0xFFFF:
-                    return fixop(aw, bw)
-                t = bw >> 48
-                if t == 0 or t == 0xFFFF:
-                    raise TypeError(_TYPE_ERR)
-                mq[0] = (aw - bias) & M64
-                xa = md[0]
-                mq[0] = (bw - bias) & M64
-                r = fop(xa, md[0])
-                md[0] = r
-                bits = mq[0]
-                if hook is not None:
-                    hook(bits)
-                if bits >= canon_min:
-                    bits = canon
-                return (bits + bias) & M64
-
-            return arith
-
-        fless = fixops[4]
-
-        def less(aw, bw):
-            t = aw >> 48
-            if t == 0 or t == 0xFFFF:
-                return fless(aw, bw)
-            t = bw >> 48
-            if t == 0 or t == 0xFFFF:
-                raise TypeError(_TYPE_ERR)
-            mq[0] = (aw - bias) & M64
-            xa = md[0]
-            mq[0] = (bw - bias) & M64
-            return xa < md[0]
-
-        self._assign(box, unbox, is_float, make_arith, less, fixops)

@@ -32,7 +32,9 @@ ROT4_VARIANTS = frozenset((TWO_TAG_ZEROS, THREE_TAG, FOUR_TAG))
 SELF_TAG_VARIANTS = ROT4_VARIANTS | {ONE_TAG, TWO_TAG_BIASED, MANTISSA}
 ALL_VARIANTS = SELF_TAG_VARIANTS | {BOXED, NANBOX, NUNBOX}
 
-# exponent-top-3-bit classes kept immediate by the 4-bit-rotation family
+# exponent-top-3-bit classes kept immediate by the 4-bit-rotation family;
+# the rotation moves those 3 bits into the tag, so they plus the offset
+# are the family's tag set
 _ROT4_E3 = {
     TWO_TAG_ZEROS: (3, 4),
     THREE_TAG: (0, 3, 4),
@@ -81,8 +83,7 @@ def self_tag_set(config):
     """8-bit membership mask of the tags that mark immediate floats."""
     v = config.variant
     if v in ROT4_VARIANTS:
-        base = {TWO_TAG_ZEROS: (3, 4), THREE_TAG: (0, 3, 4), FOUR_TAG: (0, 3, 4, 7)}[v]
-        return tag_set_mask((t + config.offset) % 8 for t in base)
+        return tag_set_mask((t + config.offset) % 8 for t in _ROT4_E3[v])
     if v == ONE_TAG:
         return tag_set_mask((config.tag,))
     if v == TWO_TAG_BIASED:
@@ -177,27 +178,26 @@ class CoverageInterval:
     includes_inf_nan: bool
 
 
+def class_runs(classes, n):
+    """Maximal runs [a, b] of consecutive members of classes among
+    0..n-1, ascending."""
+    runs = []
+    for p in range(n):
+        if p in classes:
+            if runs and runs[-1][1] == p - 1:
+                runs[-1][1] = p
+            else:
+                runs.append([p, p])
+    return runs
+
+
 def coverage_intervals(config):
     """Maximal disjoint magnitude ranges kept immediate, ascending.
     Adjacent covered prefix classes merge; endpoints are the exact
     binary64 class boundaries (powers of two)."""
-    classes = covered_prefix_classes(config)
-    runs = []
-    run = None
-    for p in range(32):
-        if p in classes:
-            if run is None:
-                run = [p, p]
-            else:
-                run[1] = p
-        elif run is not None:
-            runs.append(run)
-            run = None
-    if run is not None:
-        runs.append(run)
     return [
         CoverageInterval(class_lo(a), class_hi(b), a == 0, b == 31)
-        for a, b in runs
+        for a, b in class_runs(covered_prefix_classes(config), 32)
     ]
 
 

@@ -10,7 +10,7 @@ and the 30-bit fixnum encoding."""
 import math
 from dataclasses import dataclass
 
-from .schemes import CoverageInterval
+from .schemes import CoverageInterval, class_runs
 from .words import M32, rotl32, rotr32
 
 FIXNUM32_MIN = -(1 << 29)
@@ -81,17 +81,6 @@ def class_hi32(p):
 
 def st32_coverage(variant):
     """Covered magnitude intervals, maximal runs of covered classes."""
-    covered = st32_covered_prefix_classes(variant)
-    runs = []
-    cur = None
-    for p in range(16):
-        if p in covered:
-            cur = [p, p] if cur is None else [cur[0], p]
-        elif cur is not None:
-            runs.append(cur)
-            cur = None
-    if cur is not None:
-        runs.append(cur)
     return [
         CoverageInterval(
             lo=class_lo32(a),
@@ -99,7 +88,7 @@ def st32_coverage(variant):
             includes_zero=a == 0,
             includes_inf_nan=b == 15,
         )
-        for a, b in runs
+        for a, b in class_runs(st32_covered_prefix_classes(variant), 16)
     ]
 
 

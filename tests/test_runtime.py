@@ -15,13 +15,18 @@ from tagbench.runtime import (
     Runtime,
 )
 from tagbench.schemes import (
+    ALL_VARIANTS,
     NAN_CANON,
     NUN_CANON_MIN,
     ONE_TAG,
     PRESETS,
     SELF_TAG_PRESETS,
+    SELF_TAG_VARIANTS,
+    TWO_TAG_ZEROS,
     SchemeConfig,
     covers,
+    self_tag_set,
+    st_transform,
 )
 from tagbench.words import (
     FIXNUM_MAX,
@@ -46,6 +51,7 @@ def fresh(name, **kw):
 
 
 def expected_unbox(name, bits):
+    # name is a preset name, or a variant: nanbox and nunbox name both
     if name == "nanbox":
         return bits if bits <= NAN_CANON else NAN_CANON
     if name == "nunbox":
@@ -328,6 +334,11 @@ def test_default_heap_is_private():
     assert b.stats().float_allocs == 0
 
 
+# words outside [0, 2**64), with low tags that several schemes use for
+# immediate floats or heap handles
+OUT_OF_RANGE_WORDS = (-8, -5, 1 << 64, (1 << 64) + 3, (1 << 64) + 4, (1 << 65) + 6)
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_is_float_value_discriminates(name):
     rt = fresh(name)
@@ -338,6 +349,16 @@ def test_is_float_value_discriminates(name):
     missed = rt.box_float(TINY)
     assert rt.is_float_value(missed)
     assert not rt.is_fixnum_value(missed)
+    for bad in OUT_OF_RANGE_WORDS:
+        assert not rt.is_float_value(bad)
+        with pytest.raises(TypeError, match="not a float word"):
+            rt.unbox_float(bad)
+        if name in ("nanbox", "nunbox", "mantissa"):
+            for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+                with pytest.raises(TypeError, match="mixed or non-numeric"):
+                    op(bad, imm_or_handle)
+                with pytest.raises(TypeError, match="mixed or non-numeric"):
+                    op(imm_or_handle, bad)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -409,3 +430,45 @@ def test_arithmetic_bits_match_struct_reference(name):
         assert rt.generic_less(aw, bw) is (x < y)
     if name not in ("nanbox", "nunbox"):
         assert rt.stats().float_allocs > 0  # heap operands were exercised
+
+
+def valid_configs():
+    for variant in sorted(ALL_VARIANTS):
+        for tag in range(8):
+            for offset in range(8):
+                for hft in (None, *range(8)):
+                    try:
+                        yield SchemeConfig("cfg", variant, tag, offset, hft)
+                    except ValueError:
+                        pass
+
+
+def test_every_config_roundtrips_and_encodes_like_schemes():
+    # one loop over the whole SchemeConfig space, checked against the
+    # reference transforms in schemes.py
+    words = [int(b) for b in boundary_words64()] + list(islice(splitmix64(4192), 64))
+    n_configs = 0
+    for cfg in valid_configs():
+        n_configs += 1
+        rt = Runtime(cfg, SimHeap())
+        rt.reset_kernel_counters()
+        tagged = cfg.variant in SELF_TAG_VARIANTS
+        mask = self_tag_set(cfg) if tagged else 0
+        misses = 0
+        for bits in words:
+            w = rt.box_float(bits)
+            assert rt.unbox_float(w) == expected_unbox(cfg.variant, bits), (cfg, hex(bits))
+            assert rt.is_float_value(w), (cfg, hex(bits))
+            assert not rt.is_fixnum_value(w), (cfg, hex(bits))
+            if not tagged:
+                continue
+            zero = cfg.variant == TWO_TAG_ZEROS and bits in (0, NEG_ZERO_BITS)
+            if covers(cfg, bits) and not zero:
+                assert w == st_transform(bits, cfg), (cfg, hex(bits))
+                assert (mask >> (w & 7)) & 1, (cfg, hex(bits))
+            else:
+                assert not (mask >> (w & 7)) & 1, (cfg, hex(bits))
+                misses += not zero
+        if tagged:
+            assert rt.stats().float_allocs == misses, cfg
+    assert n_configs == 4192
