@@ -11,14 +11,29 @@ immediate to the heap (rot5: st1, st2biased; rot4: st2zeros, st3, st4;
 mantissa; boxed), holds the heap fallback, the counters and the flip
 accounting; _NAN_SOURCE, for NaN and NuN boxing, has no heap and counts
 nothing. A family differs from the others sharing its source only in
-three forms, substituted into the source text before it is compiled:
+four forms, substituted into the source text before it is compiled:
+HIT(bits), true when float bits stay immediate (heap source only);
 IMM(w), true when word w is an immediate float; DEC(w), the float bits of
-an immediate word; ENC(bits), the word for float bits (an immediate when
-IMM holds for it). Each family's source is compiled once per process and
-cached (_builder). A Runtime calls the compiled builder with its scheme
-constants, counter cells and heap internals, so the per-operation cost is
-flat: the forms are inline, with no per-operation call, and nothing is
-looked up that could have been bound once.
+an immediate word; ENC(bits), the immediate word for float bits. Each
+family's source is compiled once per process and cached (_builder). A
+Runtime calls the compiled builder with its scheme constants, counter
+cells and heap internals, so the per-operation cost is flat: the forms
+are inline, with no per-operation call, and nothing is looked up that
+could have been bound once.
+
+The rot5 and rot4 forms are table lookups, not rotations. Self-tagging
+moves only the top bits of a float (sign and exponent prefix, 6 bits for
+rot5 and 4 for rot4) into the tag and shifts the rest unchanged, so
+which floats stay immediate, and what the moved bits become, depends
+only on that prefix; on the way back, what the top bits become depends
+only on the low word field (5 or 4 bits). Each Runtime builds four small
+tables for its config (_codec_tables): it[tag], cov[prefix] (HIT),
+et[prefix] and dt[low field]. Their entries are schemes.st_transform and
+schemes.st_untransform evaluated at one representative per class, so the
+reference transforms define the codec and the runtime does not restate
+them. The re-box in box_float and in the generic operations tests HIT on
+the float bits first and builds the word only on a hit, so a miss goes
+to the heap without paying for an encode.
 
 Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
@@ -63,8 +78,13 @@ from .schemes import (
     TWO_TAG_ZEROS,
     nan_box_nonfloat,
     self_tag_set,
+    st_transform,
+    st_untransform,
 )
 from .words import FIXNUM_MAX, FIXNUM_MIN, M64, SIGN_64, ieee_div
+
+M58 = (1 << 58) - 1
+M60 = (1 << 60) - 1
 
 NAN_FIXNUM_TAG = 1  # payload tag carrying fixnums under NaN boxing
 NAN_FIXNUM_MIN = -(1 << 47)
@@ -78,7 +98,7 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 
 def _tagged_fixnum_rep(fxt):
     def is_fix(w):
-        return w & 7 == fxt
+        return 0 <= w <= M64 and w & 7 == fxt
 
     def dec(w):
         w -= fxt
@@ -94,7 +114,7 @@ def _tagged_fixnum_rep(fxt):
 
 def _nan_fixnum_rep():
     def is_fix(w):
-        return w > NAN_CANON and (w >> 48) & 7 == NAN_FIXNUM_TAG
+        return NAN_CANON < w <= M64 and (w >> 48) & 7 == NAN_FIXNUM_TAG
 
     def dec(w):
         p = w & NAN_PAYLOAD_MASK
@@ -149,26 +169,30 @@ def _fixnum_fallbacks(rep):
 
 # Closure sources. c[4], c[5] and c[6] are the heap's slow-encode, flip
 # and last-outcome counter slots (heap.C_SLOW_ENCODES, C_FLIPS,
-# C_LAST_OUTCOME). HAS_IMM is False only for the boxed family, whose IMM
-# is the constant False: the compiler then drops every immediate branch,
-# and a boxed re-box converts its result to bits only for the hook.
+# C_LAST_OUTCOME). HAS_IMM is False only for the boxed family, whose HIT
+# and IMM are the constant False: the compiler then drops every immediate
+# branch, and a boxed re-box converts its result to bits only for the hook.
+# A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
+# negative word has bit 64 set and fails, where w & 7 would let it index
+# the arena from its end; a word of 2**65 or more indexes past the arena,
+# and the IndexError becomes a TypeError.
 # Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
 # them on the slow path, where bits is always bound when zeros is true.
 
 _HEAP_SOURCE = """
-def build(m, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kinds, mq, md, alloc, fless):
+def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kinds, mq, md, alloc, fless):
     def box(bits):
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
         if hook is not None:
             hook(bits)
         boxes[0] += 1
-        if IMM(w := ENC(bits)):
+        if HIT(bits):
             if c[6] != 0:
                 if c[6] != 2:
                     c[5] += 1
                 c[6] = 0
-            return w
+            return ENC(bits)
         c[4] += 1
         if c[6] != 1:
             if c[6] != 2:
@@ -202,14 +226,14 @@ def build(m, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kin
                 if IMM(aw):
                     mq[0] = DEC(aw)
                     xa = md[0]
-                elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                elif aw & ((1 << 64) | 7) == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
                     xa = payload[aw >> 3]
                 else:
                     return fixop(aw, bw)
                 if IMM(bw):
                     mq[0] = DEC(bw)
                     xb = md[0]
-                elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                elif bw & ((1 << 64) | 7) == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
                     xb = payload[bw >> 3]
                 else:
                     raise TypeError(_TYPE_ERR)
@@ -222,12 +246,12 @@ def build(m, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kin
                 if hook is not None:
                     hook(bits)
             boxes[0] += 1
-            if IMM(w := ENC(bits)):
+            if HIT(bits):
                 if c[6] != 0:
                     if c[6] != 2:
                         c[5] += 1
                     c[6] = 0
-                return w
+                return ENC(bits)
             c[4] += 1
             if c[6] != 1:
                 if c[6] != 2:
@@ -244,14 +268,14 @@ def build(m, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kin
             if IMM(aw):
                 mq[0] = DEC(aw)
                 xa = md[0]
-            elif aw & 7 == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+            elif aw & ((1 << 64) | 7) == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
                 xa = payload[aw >> 3]
             else:
                 return fless(aw, bw)
             if IMM(bw):
                 mq[0] = DEC(bw)
                 xb = md[0]
-            elif bw & 7 == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+            elif bw & ((1 << 64) | 7) == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
                 xb = payload[bw >> 3]
             else:
                 raise TypeError(_TYPE_ERR)
@@ -315,32 +339,47 @@ def build(hook, mq, md, fless):
     return box, unbox, is_float, make_arith, less
 """
 
-# family: (source, IMM(w), DEC(w), ENC(bits)); m is the tag-set mask, k the
-# family constant (rot5 bias, rot4 offset). Boxed never evaluates its forms.
-_TAG_IMM = "(m >> ({} & 7)) & 1"
+# family: (source, forms). The rot5 and rot4 forms read the tables that
+# _codec_tables builds per Runtime. k is the rot4 offset: DEC subtracts it
+# from the whole word before shifting, because the borrow can cross the
+# nibble boundary (the all-ones NaN encodes below 16 under rot4 and
+# borrows). The NaN-space families have no HIT: they have no slow path.
 _FAMILIES = {
-    "rot5": (
-        _HEAP_SOURCE,
-        _TAG_IMM,
-        "((({0} >> 5) | (({0} & 31) << 59)) - k) & M64",
-        "(((v := ({} + k) & M64) << 5) & M64) | (v >> 59)",
-    ),
-    "rot4": (
-        _HEAP_SOURCE,
-        _TAG_IMM,
-        "((u := ({} - k) & M64) >> 4) | ((u & 15) << 60)",
-        "(((({0} << 4) & M64) | ({0} >> 60)) + k) & M64",
-    ),
-    "mantissa": (_HEAP_SOURCE, "{} & 3 == 0", "{}", "{}"),
-    "boxed": (_HEAP_SOURCE, "False", "{}", "{}"),
-    "nanbox": (_NAN_SOURCE, "{} <= NAN_CANON", "{}", "{0} if {0} < NAN_CANON else NAN_CANON"),
-    "nunbox": (
-        _NAN_SOURCE,
-        "NUN_BIAS <= {} < 0xFFFF << 48",
-        "{} - NUN_BIAS",
-        "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
-    ),
+    "rot5": (_HEAP_SOURCE, {
+        "HIT": "cov[{} >> 58]",
+        "IMM": "it[{} & 7]",
+        "DEC": "(({0} >> 5) + dt[{0} & 31]) & M64",
+        "ENC": "(({0} & M58) << 5) | et[{0} >> 58]",
+    }),
+    "rot4": (_HEAP_SOURCE, {
+        "HIT": "cov[{} >> 60]",
+        "IMM": "it[{} & 7]",
+        "DEC": "((({0} - k) >> 4) & M60) | dt[{0} & 15]",
+        "ENC": "((({0} & M60) << 4) + et[{0} >> 60]) & M64",
+    }),
+    "mantissa": (_HEAP_SOURCE, {
+        "HIT": "{} & 3 == 0",
+        "IMM": "{} & 3 == 0",
+        "DEC": "{}",
+        "ENC": "{}",
+    }),
+    "boxed": (_HEAP_SOURCE, {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}"}),
+    "nanbox": (_NAN_SOURCE, {
+        "IMM": "{} <= NAN_CANON",
+        "DEC": "{}",
+        "ENC": "{0} if {0} < NAN_CANON else NAN_CANON",
+    }),
+    "nunbox": (_NAN_SOURCE, {
+        "IMM": "NUN_BIAS <= {} < 0xFFFF << 48",
+        "DEC": "{} - NUN_BIAS",
+        "ENC": "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
+    }),
 }
+
+# per table family: the shift that takes float bits to their class (sign
+# and exponent prefix: every bit the transform moves or biases), and the
+# width of the low word field that the rotation brings back to the top
+_CLASS_SHIFT = {"rot5": (58, 5), "rot4": (60, 4)}
 
 _VARIANT_FAMILY = {
     ONE_TAG: "rot5",
@@ -355,7 +394,7 @@ _VARIANT_FAMILY = {
 }
 
 # a form marker and its argument, which may hold one level of parentheses
-_FORM = re.compile(r"\b(IMM|DEC|ENC)\(((?:[^()]|\([^()]*\))*)\)")
+_FORM = re.compile(r"\b(HIT|IMM|DEC|ENC)\(((?:[^()]|\([^()]*\))*)\)")
 
 
 @cache
@@ -363,19 +402,32 @@ def _builder(family):
     """The family's closure builder: its source with the forms
     substituted, compiled once per process. The sources run in this
     module's globals, which supply their constants."""
-    source, imm, dec, enc = _FAMILIES[family]
-    forms = {"IMM": imm, "DEC": dec, "ENC": enc}
+    source, forms = _FAMILIES[family]
 
     def expand(mo):
         return "(%s)" % forms[mo[1]].format("(%s)" % mo[2])
 
-    text = source.replace("HAS_IMM", str(imm != "False"))
-    n = 1
-    while n:  # a second pass expands the ENC inside IMM(w := ENC(bits))
-        text, n = _FORM.subn(expand, text)
+    text = _FORM.sub(expand, source.replace("HAS_IMM", str(forms.get("HIT") != "False")))
     ns = {}
     exec(compile(text, "<runtime %s>" % family, "exec"), globals(), ns)
     return ns["build"]
+
+
+def _codec_tables(scheme, family):
+    """(it, cov, et, dt) for a rot5 or rot4 scheme: the reference
+    transforms in schemes.py evaluated at one representative per class
+    (a prefix with every lower bit 0, a low word field with every higher
+    bit 0). rot4 keeps only the top nibble of dt, because its DEC
+    computes the rest from the word and k."""
+    shift, low = _CLASS_SHIFT[family]
+    m = self_tag_set(scheme)
+    it = tuple(bool((m >> t) & 1) for t in range(8))
+    et = tuple(st_transform(t << shift, scheme) for t in range(1 << (64 - shift)))
+    cov = tuple(it[e & 7] for e in et)
+    dt = tuple(st_untransform(j, scheme) for j in range(1 << low))
+    if family == "rot4":
+        dt = tuple(d & ~M60 for d in dt)
+    return it, cov, et, dt
 
 
 class Runtime:
@@ -388,13 +440,15 @@ class Runtime:
     box_float takes float bits in [0, 2**64) and raises ValueError for
     anything else, under every scheme. Words that are not floats, dangling
     heap handles and any word outside [0, 2**64) included, make is_float_value
-    return False and unbox_float raise TypeError. The generic operations
-    raise TypeError for them too, except where catching them would cost a
+    return False and unbox_float raise TypeError; words that are not
+    fixnums, out-of-range words with the fixnum tag included, make
+    is_fixnum_value return False and unbox_fixnum raise TypeError. The
+    generic operations raise TypeError for all of them, negative words with
+    the heap-handle tag included, except in two cases that would cost a
     check on every operand: an out-of-range word whose low tag marks an
-    immediate float under an exponent-based self-tagging scheme, or a
-    negative word with the heap-handle tag (read as a cell counted from
-    the arena's end), still computes, and a tagged-pointer handle to a
-    ballast cell reads as a float.
+    immediate float under an exponent-based self-tagging scheme (st1,
+    st2biased, st2zeros, st3, st4) still decodes and computes, and a
+    tagged-pointer handle to a ballast cell reads as a float.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
@@ -486,25 +540,20 @@ class Runtime:
         else:
             self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
         fixnum_op, fless = _fixnum_fallbacks(self._fixrep)
-        build = _builder(_VARIANT_FAMILY[variant])
+        family = _VARIANT_FAMILY[variant]
+        build = _builder(family)
         if variant == NANBOX or variant == NUNBOX:
             ops = build(hook, mq, md, fless)
         else:
             heap = self.heap
-            m = self_tag_set(scheme) if variant in SELF_TAG_VARIANTS else 0
-            if variant == ONE_TAG:
-                k = ((1 + 2 * scheme.tag) << 58) & M64
-            elif variant == TWO_TAG_BIASED:
-                k = ((2 * scheme.tag) << 58) & M64
-            else:
-                k = scheme.offset
+            tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None,) * 4
             hft = scheme.heap_float_tag
             ht = GENERIC_TAG if hft is None else hft
             zeros = variant == TWO_TAG_ZEROS
             pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
             ops = build(
-                m, k, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes, heap._c,
-                heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
+                *tables, scheme.offset, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes,
+                heap._c, heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
             )
         box, unbox, is_float, make_arith, less = ops
         self.box_float = box

@@ -231,6 +231,22 @@ def test_fixnum_range_limits(name):
 
 
 @pytest.mark.parametrize("name", ALL)
+def test_out_of_range_fixnum_words_are_not_fixnums(name):
+    rt = fresh(name)
+    fxt = rt.fixnum_tag or 0  # nanbox has none: its fixnums sit in the payload
+    n = rt.box_fixnum(1)
+    for bad in (fxt - 8, (1 << 64) + fxt, (1 << 64) + (1 << 48)):
+        assert not rt.is_fixnum_value(bad)
+        with pytest.raises(TypeError, match="not a fixnum word"):
+            rt.unbox_fixnum(bad)
+        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+            with pytest.raises(TypeError, match="mixed or non-numeric"):
+                op(bad, n)
+            with pytest.raises(TypeError, match="mixed or non-numeric"):
+                op(n, bad)
+
+
+@pytest.mark.parametrize("name", ALL)
 def test_mixed_operands_raise(name):
     rt = fresh(name)
     f = rt.box_float(ONE)
@@ -385,8 +401,10 @@ def test_dangling_handles_are_not_floats(name):
     f = rt.box_float(ONE)
     last = rt.box_float(TINY | 1)  # missed by every heap-using preset
     assert rt.unbox_float(last) == TINY | 1
-    # handles of the first index past the arena and of one far beyond it
-    for dangling in (last + 8, last + (1000 << 3)):
+    # handles of the first index past the arena and of one far beyond it,
+    # and the negative word with the heap-handle tag, which would index
+    # the arena from its end
+    for dangling in (last + 8, last + (1000 << 3), (last & 7) - 8):
         assert not rt.is_float_value(dangling)
         with pytest.raises(TypeError, match="not a float word"):
             rt.unbox_float(dangling)
