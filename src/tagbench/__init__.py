@@ -45,12 +45,8 @@ from .words import (
     bits_to_float,
     decode_fixnum,
     encode_fixnum,
-    fixnum_add,
-    fixnum_sub,
     float_to_bits,
-    has_tag_in_set,
     ieee_div,
-    repeat_mask,
     rotl64,
     rotr64,
     tag_of,

@@ -59,6 +59,13 @@ def covers_block(bits, config):
     return table[(bits >> _u(58)) & _u(31)]
 
 
+def _blocks(seed, n, chunk):
+    """Outputs 0 .. n-1 of the stream for this seed, in blocks of at most
+    chunk words."""
+    for start in range(0, n, chunk):
+        yield splitmix64_block(seed, start, min(chunk, n - start))
+
+
 def _spot64(bits, out, config):
     n = bits.shape[0]
     for i in range(0, n, max(1, n // 16)):
@@ -69,14 +76,10 @@ def _spot64(bits, out, config):
 def st_roundtrip_mismatches(config, n, seed=DEFAULT_SEED, chunk=1 << 20):
     """Words whose transform does not invert exactly, over n random words."""
     total = 0
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        b = splitmix64_block(seed, done, m)
+    for b in _blocks(seed, n, chunk):
         w = st_transform_block(b, config)
         _spot64(b, w, config)
         total += int(np.count_nonzero(st_untransform_block(w, config) != b))
-        done += m
     return total
 
 
@@ -85,15 +88,11 @@ def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
     NaN and never produce a word above it."""
     canon = _u(schemes.NAN_CANON)
     total = 0
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        b = splitmix64_block(seed, done, m)
+    for b in _blocks(seed, n, chunk):
         boxed = np.where(b < canon, b, canon)
         total += int(np.count_nonzero(boxed > canon))
         sel = b < canon
         total += int(np.count_nonzero(boxed[sel] != b[sel]))
-        done += m
     return total
 
 
@@ -103,10 +102,7 @@ def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
     canon_min = _u(schemes.NUN_CANON_MIN)
     bias = _u(schemes.NUN_BIAS)
     total = 0
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        b = splitmix64_block(seed, done, m)
+    for b in _blocks(seed, n, chunk):
         sel = b < canon_min
         bs = b[sel]
         with np.errstate(over="ignore"):
@@ -114,7 +110,6 @@ def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
             top = w >> _u(48)
             total += int(np.count_nonzero((top == _u(0)) | (top == _u(0xFFFF))))
             total += int(np.count_nonzero((w - bias) != bs))
-        done += m
     return total
 
 
@@ -166,14 +161,11 @@ def _spot32(bits, out, variant):
 
 def st32_roundtrip_mismatches(variant, n, seed=DEFAULT_SEED, chunk=1 << 20):
     total = 0
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        b = splitmix64_block(seed, done, m).astype(np.uint32)
+    for b in _blocks(seed, n, chunk):
+        b = b.astype(np.uint32)
         w = st32_transform_block(b, variant)
         _spot32(b, w, variant)
         total += int(np.count_nonzero(st32_untransform_block(w, variant) != b))
-        done += m
     return total
 
 

@@ -5,21 +5,21 @@ interpreter would have: box/unbox floats, fixnum construction, union type
 tests, and generic arithmetic that dispatches on the operand
 representations.
 
-The float operations are closures generated from one of two sources:
-_HEAP_SOURCE, for the families that send the floats they cannot keep
-immediate to the heap (rot5: st1, st2biased; rot4: st2zeros, st3, st4;
-mantissa; boxed), holds the heap fallback, the counters and the flip
-accounting; _NAN_SOURCE, for NaN and NuN boxing, has no heap and counts
-nothing. A family differs from the others sharing its source only in
-four forms, substituted into the source text before it is compiled:
-HIT(bits), true when float bits stay immediate (heap source only);
-IMM(w), true when word w is an immediate float; DEC(w), the float bits of
-an immediate word; ENC(bits), the immediate word for float bits. Each
-family's source is compiled once per process and cached (_builder). A
-Runtime calls the compiled builder with its scheme constants, counter
-cells and heap internals, so the per-operation cost is flat: the forms
-are inline, with no per-operation call, and nothing is looked up that
-could have been bound once.
+The float operations of every scheme are closures generated from one
+source, _SOURCE, which holds the heap fallback, the counters and the
+flip accounting once. The families (rot5: st1, st2biased; rot4:
+st2zeros, st3, st4; mantissa; boxed; nanbox; nunbox) differ only in four
+forms, substituted into the source text before it is compiled:
+HIT(bits), true when float bits stay immediate; IMM(w), true when word w
+is an immediate float; DEC(w), the float bits of an immediate word;
+ENC(bits), the immediate word for float bits. A constant HIT folds a
+path away: boxed (HIT False) has no immediate path, and NaN and NuN
+boxing (HIT True) have no miss path, so they never reach the heap and
+count nothing. Each family's source is compiled once per process and
+cached (_builder). A Runtime calls the compiled builder with its scheme
+constants, counter cells and heap internals, so the per-operation cost
+is flat: the forms are inline, with no per-operation call, and nothing
+is looked up that could have been bound once.
 
 The rot5 and rot4 forms are table lookups, not rotations. Self-tagging
 moves only the top bits of a float (sign and exponent prefix, 6 bits for
@@ -167,25 +167,32 @@ def _fixnum_fallbacks(rep):
     return fixnum_op, fless
 
 
-# Closure sources. c[4], c[5] and c[6] are the heap's slow-encode, flip
-# and last-outcome counter slots (heap.C_SLOW_ENCODES, C_FLIPS,
-# C_LAST_OUTCOME). HAS_IMM is False only for the boxed family, whose HIT
-# and IMM are the constant False: the compiler then drops every immediate
-# branch, and a boxed re-box converts its result to bits only for the hook.
+# The closure source. c[4], c[5] and c[6] are the heap's slow-encode,
+# flip and last-outcome counter slots (heap.C_SLOW_ENCODES, C_FLIPS,
+# C_LAST_OUTCOME). Two constants are derived from HIT, never set: HAS_IMM
+# is False only for the boxed family, whose HIT and IMM are the constant
+# False, so the compiler drops every immediate branch and a boxed re-box
+# converts its result to bits only for the hook; HAS_MISS is False only
+# for nanbox and nunbox, whose HIT is the constant True, so box_float and
+# the re-box return ENC(bits) before the box counter and the flip
+# accounting, and those runtimes count nothing.
 # A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
 # negative word has bit 64 set and fails, where w & 7 would let it index
 # the arena from its end; a word of 2**65 or more indexes past the arena,
-# and the IndexError becomes a TypeError.
+# and the IndexError becomes a TypeError. Families that never miss have no
+# handles, and their ht is -1, which no masked word equals.
 # Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
 # them on the slow path, where bits is always bound when zeros is true.
 
-_HEAP_SOURCE = """
+_SOURCE = """
 def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kinds, mq, md, alloc, fless):
     def box(bits):
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
         if hook is not None:
             hook(bits)
+        if not HAS_MISS:
+            return ENC(bits)
         boxes[0] += 1
         if HIT(bits):
             if c[6] != 0:
@@ -245,6 +252,8 @@ def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c
                 bits = mq[0]
                 if hook is not None:
                     hook(bits)
+            if not HAS_MISS:
+                return ENC(bits)
             boxes[0] += 1
             if HIT(bits):
                 if c[6] != 0:
@@ -286,94 +295,38 @@ def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c
     return box, unbox, is_float, make_arith, less
 """
 
-_NAN_SOURCE = """
-def build(hook, mq, md, fless):
-    def box(bits):
-        if not 0 <= bits <= M64:
-            raise ValueError(_RANGE_ERR % (bits,))
-        if hook is not None:
-            hook(bits)
-        return ENC(bits)
-
-    def is_float(w):
-        return 0 <= w <= M64 and IMM(w)
-
-    def unbox(w):
-        if not is_float(w):
-            raise TypeError("not a float word: 0x%016x" % w)
-        return DEC(w)
-
-    def make_arith(fop, fixop):
-        def arith(aw, bw):
-            if not IMM(aw):
-                return fixop(aw, bw)
-            if not IMM(bw):
-                raise TypeError(_TYPE_ERR)
-            try:
-                mq[0] = DEC(aw)
-                xa = md[0]
-                mq[0] = DEC(bw)
-                md[0] = fop(xa, md[0])  # float operations raise no ValueError
-            except ValueError:  # negative word under nanbox
-                raise TypeError(_TYPE_ERR) from None
-            bits = mq[0]
-            if hook is not None:
-                hook(bits)
-            return ENC(bits)
-
-        return arith
-
-    def less(aw, bw):
-        if not IMM(aw):
-            return fless(aw, bw)
-        if not IMM(bw):
-            raise TypeError(_TYPE_ERR)
-        try:
-            mq[0] = DEC(aw)
-            xa = md[0]
-            mq[0] = DEC(bw)
-            return xa < md[0]
-        except ValueError:  # negative word under nanbox
-            raise TypeError(_TYPE_ERR) from None
-
-    return box, unbox, is_float, make_arith, less
-"""
-
-# family: (source, forms). The rot5 and rot4 forms read the tables that
+# family: its forms. The rot5 and rot4 forms read the tables that
 # _codec_tables builds per Runtime. k is the rot4 offset: DEC subtracts it
 # from the whole word before shifting, because the borrow can cross the
 # nibble boundary (the all-ones NaN encodes below 16 under rot4 and
-# borrows). The NaN-space families have no HIT: they have no slow path.
+# borrows).
 _FAMILIES = {
-    "rot5": (_HEAP_SOURCE, {
+    "rot5": {
         "HIT": "cov[{} >> 58]",
         "IMM": "it[{} & 7]",
         "DEC": "(({0} >> 5) + dt[{0} & 31]) & M64",
         "ENC": "(({0} & M58) << 5) | et[{0} >> 58]",
-    }),
-    "rot4": (_HEAP_SOURCE, {
+    },
+    "rot4": {
         "HIT": "cov[{} >> 60]",
         "IMM": "it[{} & 7]",
         "DEC": "((({0} - k) >> 4) & M60) | dt[{0} & 15]",
         "ENC": "((({0} & M60) << 4) + et[{0} >> 60]) & M64",
-    }),
-    "mantissa": (_HEAP_SOURCE, {
-        "HIT": "{} & 3 == 0",
-        "IMM": "{} & 3 == 0",
-        "DEC": "{}",
-        "ENC": "{}",
-    }),
-    "boxed": (_HEAP_SOURCE, {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}"}),
-    "nanbox": (_NAN_SOURCE, {
+    },
+    "mantissa": {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}"},
+    "boxed": {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}"},
+    "nanbox": {
+        "HIT": "True",
         "IMM": "{} <= NAN_CANON",
         "DEC": "{}",
         "ENC": "{0} if {0} < NAN_CANON else NAN_CANON",
-    }),
-    "nunbox": (_NAN_SOURCE, {
+    },
+    "nunbox": {
+        "HIT": "True",
         "IMM": "NUN_BIAS <= {} < 0xFFFF << 48",
         "DEC": "{} - NUN_BIAS",
         "ENC": "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
-    }),
+    },
 }
 
 # per table family: the shift that takes float bits to their class (sign
@@ -393,21 +346,23 @@ _VARIANT_FAMILY = {
     NUNBOX: "nunbox",
 }
 
-# a form marker and its argument, which may hold one level of parentheses
-_FORM = re.compile(r"\b(HIT|IMM|DEC|ENC)\(((?:[^()]|\([^()]*\))*)\)")
+# a form marker and its argument, a plain name
+_FORM = re.compile(r"\b(HIT|IMM|DEC|ENC)\((\w+)\)")
 
 
 @cache
 def _builder(family):
-    """The family's closure builder: its source with the forms
-    substituted, compiled once per process. The sources run in this
-    module's globals, which supply their constants."""
-    source, forms = _FAMILIES[family]
+    """The family's closure builder: the source with the family's forms
+    and the two constants derived from its HIT substituted, compiled once
+    per process. The source runs in this module's globals, which supply
+    its constants."""
+    forms = _FAMILIES[family]
 
     def expand(mo):
-        return "(%s)" % forms[mo[1]].format("(%s)" % mo[2])
+        return "(%s)" % forms[mo[1]].format(mo[2])
 
-    text = _FORM.sub(expand, source.replace("HAS_IMM", str(forms.get("HIT") != "False")))
+    text = _SOURCE.replace("HAS_IMM", str(forms["HIT"] != "False"))
+    text = _FORM.sub(expand, text.replace("HAS_MISS", str(forms["HIT"] != "True")))
     ns = {}
     exec(compile(text, "<runtime %s>" % family, "exec"), globals(), ns)
     return ns["build"]
@@ -497,17 +452,12 @@ class Runtime:
 
     def hit_ratio(self):
         """Fraction of boxing events that stayed immediate since the last
-        counter reset. Pure schemes are 1.0 by construction, the boxed
-        baseline 0.0."""
-        v = self.scheme.variant
-        if v == NANBOX or v == NUNBOX:
-            return 1.0
-        if v == BOXED:
-            return 0.0
+        counter reset: 1 - float allocations / box events, and 1.0 when
+        nothing was boxed, under every scheme. NaN and NuN boxing count no
+        box events, so they read 1.0; the boxed baseline reads 0.0 once it
+        has boxed."""
         b = self._boxes[0]
-        if b == 0:
-            return 1.0
-        return 1.0 - self.heap._c[C_FLOAT_ALLOCS] / b
+        return 1.0 - self.heap._c[C_FLOAT_ALLOCS] / b if b else 1.0
 
     # -- fixnum api -------------------------------------------------------
 
@@ -541,21 +491,18 @@ class Runtime:
             self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
         fixnum_op, fless = _fixnum_fallbacks(self._fixrep)
         family = _VARIANT_FAMILY[variant]
-        build = _builder(family)
-        if variant == NANBOX or variant == NUNBOX:
-            ops = build(hook, mq, md, fless)
-        else:
-            heap = self.heap
-            tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None,) * 4
-            hft = scheme.heap_float_tag
-            ht = GENERIC_TAG if hft is None else hft
-            zeros = variant == TWO_TAG_ZEROS
-            pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
-            ops = build(
-                *tables, scheme.offset, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes,
-                heap._c, heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
-            )
-        box, unbox, is_float, make_arith, less = ops
+        heap = self.heap
+        tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None,) * 4
+        hft = scheme.heap_float_tag
+        ht = GENERIC_TAG if hft is None else hft
+        if _FAMILIES[family]["HIT"] == "True":
+            ht = -1  # never misses: no word is a heap handle
+        zeros = variant == TWO_TAG_ZEROS
+        pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
+        box, unbox, is_float, make_arith, less = _builder(family)(
+            *tables, scheme.offset, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes,
+            heap._c, heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
+        )
         self.box_float = box
         self.unbox_float = unbox
         self.is_float_value = is_float

@@ -41,10 +41,6 @@ def float_to_bits32(x):
     return _I.unpack(_F.pack(x))[0]
 
 
-def bits_to_float32(w):
-    return _F.unpack(_I.pack(w))[0]
-
-
 def _check_rot(s):
     if not 0 <= s <= 63:
         raise ValueError("rotation amount out of [0, 63]: %r" % (s,))
@@ -86,19 +82,6 @@ def tag_set_mask(tags):
     return m
 
 
-def has_tag_in_set(w, mask):
-    """True iff tag_of(w) is a member of the mask (bit i set = tag i in)."""
-    return (mask >> (w & TAG_MASK)) & 1 == 1
-
-
-def repeat_mask(mask):
-    """Replicate an 8-bit tag-set mask into all four bytes of a 32-bit word,
-    the constant form used by byte-replicated membership tests."""
-    if not 0 <= mask <= 0xFF:
-        raise ValueError("tag-set mask out of [0, 255]: %r" % (mask,))
-    return mask * 0x01010101
-
-
 def encode_fixnum(v):
     """Small signed integer to an immediate word: v << 3, tag 000."""
     if not FIXNUM_MIN <= v <= FIXNUM_MAX:
@@ -113,21 +96,6 @@ def decode_fixnum(w):
     if w & SIGN_64:
         w -= 1 << 64
     return w >> TAG_BITS
-
-
-def fixnum_add(a, b):
-    """Direct word addition of two tag-000 fixnums."""
-    v = decode_fixnum(a) + decode_fixnum(b)
-    if not FIXNUM_MIN <= v <= FIXNUM_MAX:
-        raise OverflowError("fixnum sum out of range: %d" % v)
-    return (a + b) & M64
-
-
-def fixnum_sub(a, b):
-    v = decode_fixnum(a) - decode_fixnum(b)
-    if not FIXNUM_MIN <= v <= FIXNUM_MAX:
-        raise OverflowError("fixnum difference out of range: %d" % v)
-    return (a - b) & M64
 
 
 def exponent_prefix5(bits):

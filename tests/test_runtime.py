@@ -70,7 +70,8 @@ def test_roundtrip_random_words(name):
 @pytest.mark.parametrize("name", ALL)
 def test_roundtrip_boundary_words(name):
     rt = fresh(name)
-    for bits in boundary_words64():
+    canon_edges = [NAN_CANON - 1, NAN_CANON, NAN_CANON + 1, NUN_CANON_MIN - 1, NUN_CANON_MIN]
+    for bits in [*boundary_words64(), *canon_edges]:
         bits = int(bits)
         assert rt.unbox_float(rt.box_float(bits)) == expected_unbox(name, bits)
 
@@ -92,6 +93,7 @@ def test_allocation_follows_coverage(name):
 
 def test_boxed_always_allocates():
     rt = fresh("boxed")
+    assert rt.hit_ratio() == 1.0  # vacuous before any boxing, as under every scheme
     for i in range(10):
         rt.box_float(float_to_bits(float(i)))
     s = rt.stats()
@@ -104,11 +106,14 @@ def test_boxed_always_allocates():
 def test_pure_schemes_never_allocate(name):
     rt = fresh(name)
     for bits in islice(splitmix64(3), 1000):
-        rt.box_float(bits)
+        w = rt.box_float(bits)
+        rt.generic_add(w, w)
     s = rt.stats()
     assert s.float_allocs == 0
     assert s.float_bytes == 0
     assert s.slow_path_encodes == 0
+    assert s.representation_flips == 0
+    assert rt.boxes_total == 0  # no box events are counted
     assert rt.hit_ratio() == 1.0
 
 

@@ -14,12 +14,8 @@ from tagbench.words import (
     encode_fixnum,
     exponent_prefix4,
     exponent_prefix5,
-    fixnum_add,
-    fixnum_sub,
     float_to_bits,
-    has_tag_in_set,
     ieee_div,
-    repeat_mask,
     rotl32,
     rotl64,
     rotr32,
@@ -105,13 +101,8 @@ def test_tag_helpers():
     assert tag_of(0x2F) == 7
     m = tag_set_mask({0, 3, 4})
     assert m == (1 << 0) | (1 << 3) | (1 << 4)
-    assert has_tag_in_set(8 * 5 + 3, m)
-    assert not has_tag_in_set(8 * 5 + 1, m)
-    assert repeat_mask(0x19) == 0x19191919
     with pytest.raises(ValueError):
         tag_set_mask({8})
-    with pytest.raises(ValueError):
-        repeat_mask(256)
 
 
 def test_fixnum_known_words():
@@ -138,23 +129,6 @@ def test_fixnum_bounds():
         encode_fixnum(FIXNUM_MIN - 1)
     with pytest.raises(TypeError):
         decode_fixnum(0x29)
-
-
-small = st.integers(min_value=-(1 << 58), max_value=(1 << 58) - 1)
-
-
-@given(small, small)
-def test_fixnum_word_arith(a, b):
-    wa, wb = encode_fixnum(a), encode_fixnum(b)
-    assert decode_fixnum(fixnum_add(wa, wb)) == a + b
-    assert decode_fixnum(fixnum_sub(wa, wb)) == a - b
-
-
-def test_fixnum_word_arith_overflow():
-    with pytest.raises(OverflowError):
-        fixnum_add(encode_fixnum(FIXNUM_MAX), encode_fixnum(1))
-    with pytest.raises(OverflowError):
-        fixnum_sub(encode_fixnum(FIXNUM_MIN), encode_fixnum(1))
 
 
 def test_ieee_div_zero_denominator():
