@@ -1,7 +1,9 @@
 """Benchmark harness: kernels x schemes, one record per run.
 
 Each run gets a fresh heap and runtime so cells cannot contaminate each
-other; ballast is preloaded and the counters reset before timing starts.
+other; ballast is preloaded (counted as other_allocs/other_bytes and
+against capacity, never stored) and the counters reset before timing
+starts.
 Checksums render scheme-independently (float bits, or the canonical
 shifted fixnum word), so equality across schemes is a bit-exact statement
 about the computation, not about the encodings."""

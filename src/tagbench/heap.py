@@ -1,9 +1,13 @@
-"""Simulated heap arena for boxed floats and ballast.
+"""Simulated heap arena for boxed floats, with ballast as a count.
 
 Cells are 8-byte words; a float reached through a tagged pointer costs one
 cell, a float behind a generic pointer costs two (header + payload). There
 is no collector: handles are arena indices shifted left 3 with the handle
 tag in the low bits, and they stay valid for the life of the heap.
+
+The arena stores float cells only. Ballast (preload), which stands in for
+the program's other objects, is counted against capacity, cells_used and
+the other_* counters but never stored, so no handle can reach it.
 
 Counter slots live in a plain list (heap._c) so the runtime's compiled
 closures can update them without attribute lookups; the indices below are
@@ -15,10 +19,6 @@ from dataclasses import dataclass
 from .words import bits_to_float, float_to_bits
 
 GENERIC_TAG = 1  # handle tag shared by every generic-pointer object
-
-KIND_FLOAT = 0          # float cell reached through a tagged pointer
-KIND_FLOAT_GENERIC = 1  # float cell with a header word
-KIND_BALLAST = 2
 
 DEFAULT_CAPACITY = 1 << 24  # cells
 
@@ -55,7 +55,8 @@ class HeapStats:
 
 
 class SimHeap:
-    """Arena of float cells and ballast with allocation accounting.
+    """Arena of float cells with allocation accounting; ballast is
+    counted, not stored.
 
     Single-owner mutable state; distinct instances are independent."""
 
@@ -64,7 +65,6 @@ class SimHeap:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._payload = array("d")
-        self._kinds = bytearray()
         self._tags = bytearray()
         self._cells = 0
         self._c = [0, 0, 0, 0, 0, 0, 2]
@@ -94,11 +94,9 @@ class SimHeap:
         The runtime's compiled closures allocate through it."""
         generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
-        kind = KIND_FLOAT_GENERIC if generic else KIND_FLOAT
         cost = 2 if generic else 1
         nbytes = 16 if generic else 8
         payload = self._payload
-        kinds = self._kinds
         tags = self._tags
         c = self._c
         cap = self.capacity
@@ -108,7 +106,6 @@ class SimHeap:
                 raise MemoryError("simulated heap capacity exhausted")
             i = len(payload)
             payload.append(f)
-            kinds.append(kind)
             tags.append(handle_tag)
             self._cells += cost
             c[C_FLOAT_ALLOCS] += 1
@@ -122,15 +119,9 @@ class SimHeap:
         idx = w >> 3
         if idx >= len(self._payload):
             raise TypeError("not a live handle: 0x%016x" % w)
-        kind = self._kinds[idx]
-        if kind == KIND_BALLAST or self._tags[idx] != w & 7:
+        if self._tags[idx] != w & 7:
             raise TypeError("not a float handle: 0x%016x" % w)
         return float_to_bits(self._payload[idx])
-
-    def cell_kind(self, idx):
-        if idx >= len(self._kinds):
-            raise IndexError("no such cell: %d" % idx)
-        return self._kinds[idx]
 
     def preallocate_zeros(self, tag=None):
         """Allocate the +-0.0 cells once; returns their handle words."""
@@ -142,8 +133,9 @@ class SimHeap:
         return self._zero_handles
 
     def preload(self, nbytes):
-        """Allocate one ballast vector of at least nbytes (rounded up to
-        whole cells), counted under other_allocs/other_bytes."""
+        """Count one ballast vector of at least nbytes (rounded up to whole
+        cells) against capacity and cells_used, and under
+        other_allocs/other_bytes. Nothing is stored."""
         if nbytes < 0:
             raise ValueError("negative preload: %d" % nbytes)
         if nbytes == 0:
@@ -151,9 +143,6 @@ class SimHeap:
         ncells = (nbytes + 7) // 8
         if self._cells + ncells > self.capacity:
             raise MemoryError("simulated heap capacity exhausted")
-        self._payload.frombytes(bytes(8 * ncells))
-        self._kinds.extend(bytes([KIND_BALLAST]) * ncells)
-        self._tags.extend(bytes([GENERIC_TAG]) * ncells)
         self._cells += ncells
         c = self._c
         c[C_OTHER_ALLOCS] += 1

@@ -60,7 +60,7 @@ import re
 from functools import cache
 from operator import add, floordiv, mul, sub
 
-from .heap import C_FLOAT_ALLOCS, GENERIC_TAG, KIND_FLOAT_GENERIC, NEG_ZERO_BITS, SimHeap
+from .heap import C_FLOAT_ALLOCS, GENERIC_TAG, NEG_ZERO_BITS, SimHeap
 from .schemes import (
     BOXED,
     FOUR_TAG,
@@ -185,7 +185,7 @@ def _fixnum_fallbacks(rep):
 # them on the slow path, where bits is always bound when zeros is true.
 
 _SOURCE = """
-def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c, payload, kinds, mq, md, alloc, fless):
+def build(it, cov, et, dt, k, ht, zeros, pz_pos, pz_neg, hook, boxes, c, payload, mq, md, alloc, fless):
     def box(bits):
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
@@ -215,17 +215,16 @@ def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c
             return False
         if IMM(w):
             return True
-        return w & 7 == ht and (w >> 3) < len(kinds) and (
-            not generic or kinds[w >> 3] == KIND_FLOAT_GENERIC
-        )
+        return w & 7 == ht and (w >> 3) < len(payload)
 
     def unbox(w):
-        if not is_float(w):
-            raise TypeError("not a float word: 0x%016x" % w)
-        if IMM(w):
-            return DEC(w)
-        md[0] = payload[w >> 3]
-        return mq[0]
+        if 0 <= w <= M64:
+            if IMM(w):
+                return DEC(w)
+            if w & 7 == ht and (w >> 3) < len(payload):
+                md[0] = payload[w >> 3]
+                return mq[0]
+        raise TypeError("not a float word: 0x%016x" % w)
 
     def make_arith(fop, fixop):
         def arith(aw, bw):
@@ -233,14 +232,14 @@ def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c
                 if IMM(aw):
                     mq[0] = DEC(aw)
                     xa = md[0]
-                elif aw & ((1 << 64) | 7) == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+                elif aw & ((1 << 64) | 7) == ht:
                     xa = payload[aw >> 3]
                 else:
                     return fixop(aw, bw)
                 if IMM(bw):
                     mq[0] = DEC(bw)
                     xb = md[0]
-                elif bw & ((1 << 64) | 7) == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+                elif bw & ((1 << 64) | 7) == ht:
                     xb = payload[bw >> 3]
                 else:
                     raise TypeError(_TYPE_ERR)
@@ -277,14 +276,14 @@ def build(it, cov, et, dt, k, ht, generic, zeros, pz_pos, pz_neg, hook, boxes, c
             if IMM(aw):
                 mq[0] = DEC(aw)
                 xa = md[0]
-            elif aw & ((1 << 64) | 7) == ht and (not generic or kinds[aw >> 3] == KIND_FLOAT_GENERIC):
+            elif aw & ((1 << 64) | 7) == ht:
                 xa = payload[aw >> 3]
             else:
                 return fless(aw, bw)
             if IMM(bw):
                 mq[0] = DEC(bw)
                 xb = md[0]
-            elif bw & ((1 << 64) | 7) == ht and (not generic or kinds[bw >> 3] == KIND_FLOAT_GENERIC):
+            elif bw & ((1 << 64) | 7) == ht:
                 xb = payload[bw >> 3]
             else:
                 raise TypeError(_TYPE_ERR)
@@ -399,11 +398,15 @@ class Runtime:
     fixnums, out-of-range words with the fixnum tag included, make
     is_fixnum_value return False and unbox_fixnum raise TypeError. The
     generic operations raise TypeError for all of them, negative words with
-    the heap-handle tag included, except in two cases that would cost a
+    the heap-handle tag included, except in one case that would cost a
     check on every operand: an out-of-range word whose low tag marks an
     immediate float under an exponent-based self-tagging scheme (st1,
-    st2biased, st2zeros, st3, st4) still decodes and computes, and a
-    tagged-pointer handle to a ballast cell reads as a float.
+    st2biased, st2zeros, st3, st4) still decodes and computes.
+
+    A Runtime owns its heap. Heap handles are checked by tag and arena
+    bound under both the tagged-pointer and the generic-pointer layout,
+    not by what the cell holds: the arena stores float cells only (ballast
+    is counted, never stored), so no handle reaches ballast.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
@@ -500,8 +503,8 @@ class Runtime:
         zeros = variant == TWO_TAG_ZEROS
         pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
         box, unbox, is_float, make_arith, less = _builder(family)(
-            *tables, scheme.offset, ht, hft is None, zeros, pz_pos, pz_neg, hook, self._boxes,
-            heap._c, heap._payload, heap._kinds, mq, md, heap.float_allocator(hft), fless,
+            *tables, scheme.offset, ht, zeros, pz_pos, pz_neg, hook, self._boxes,
+            heap._c, heap._payload, mq, md, heap.float_allocator(hft), fless,
         )
         self.box_float = box
         self.unbox_float = unbox

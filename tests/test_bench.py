@@ -18,6 +18,9 @@ from tagbench.kernels import KERNEL_FUNCS, KernelSpec
 from tagbench.words import float_to_bits
 
 
+SMALL_SIZES = {"sumfp": 2000, "fibfp": 10, "mbrot": 6, "pnpoly": 200, "fft": 64, "sum1": 200}
+
+
 def small_spec():
     return KernelSpec("fibfp", 12, 1)
 
@@ -72,6 +75,20 @@ def test_run_matrix_shape_and_preload():
         assert r.stats.other_bytes == 64
     # reps are independent runs on fresh heaps: identical counters
     assert recs[0].stats == recs[1].stats
+
+
+def test_preload_changes_only_other_accounting():
+    specs = [KernelSpec(k, n) for k, n in SMALL_SIZES.items()]
+    bare = run_matrix(specs, list(PRESETS))
+    loaded = run_matrix(specs, list(PRESETS), preload_bytes=80000)
+    assert len(bare) == len(loaded) == 6 * 9
+    for rec, pre in zip(bare, loaded):
+        rb, rl = rec.row(), pre.row()  # row() raises for a failed cell
+        assert (rb["other_allocs"], rb["other_bytes"]) == (0, 0)
+        assert (rl["other_allocs"], rl["other_bytes"]) == (1, 80000)
+        for col in ("other_allocs", "other_bytes", "seconds"):
+            del rb[col], rl[col]
+        assert rb == rl
 
 
 def test_run_matrix_records_failures_and_continues(monkeypatch):

@@ -6,9 +6,6 @@ from hypothesis import strategies as st
 
 from tagbench.heap import (
     GENERIC_TAG,
-    KIND_BALLAST,
-    KIND_FLOAT,
-    KIND_FLOAT_GENERIC,
     NEG_ZERO_BITS,
     HeapStats,
     SimHeap,
@@ -25,7 +22,6 @@ def test_tagged_alloc_roundtrip():
     assert s.float_allocs == 1
     assert s.float_bytes == 8
     assert h.cells_used == 1
-    assert h.cell_kind(0) == KIND_FLOAT
 
 
 def test_generic_alloc_costs_two_cells():
@@ -37,7 +33,6 @@ def test_generic_alloc_costs_two_cells():
     assert s.float_allocs == 1
     assert s.float_bytes == 16
     assert h.cells_used == 2
-    assert h.cell_kind(0) == KIND_FLOAT_GENERIC
 
 
 @given(st.integers(min_value=0, max_value=M64))
@@ -107,7 +102,6 @@ def test_preload_accounting():
     assert s.other_bytes == 104
     assert s.float_allocs == 0
     assert h.cells_used == 13
-    assert h.cell_kind(0) == KIND_BALLAST
     h.preload(0)  # no-op
     assert h.stats().other_allocs == 1
     with pytest.raises(ValueError, match="negative preload"):
@@ -117,8 +111,22 @@ def test_preload_accounting():
 def test_preload_cells_are_not_floats():
     h = SimHeap()
     h.preload(8)
-    with pytest.raises(TypeError, match="not a float handle"):
+    with pytest.raises(TypeError, match="not a live handle"):
         h.read_float(0 << 3 | GENERIC_TAG)
+
+
+def test_preload_uses_up_capacity():
+    h = SimHeap(capacity=10)
+    h.preload(64)  # 8 of the 10 cells
+    h.alloc_float(0, tag=2)
+    h.alloc_float(0, tag=2)
+    with pytest.raises(MemoryError, match="capacity exhausted"):
+        h.alloc_float(0, tag=2)
+    g = SimHeap(capacity=10)
+    g.preload(64)
+    g.alloc_float(0, tag=None)  # header + payload: the last 2 cells
+    with pytest.raises(MemoryError, match="capacity exhausted"):
+        g.alloc_float(0, tag=None)
 
 
 def test_reset_keeps_ballast_counters():

@@ -17,7 +17,9 @@ from tagbench.runtime import (
 from tagbench.schemes import (
     ALL_VARIANTS,
     NAN_CANON,
+    NANBOX,
     NUN_CANON_MIN,
+    NUNBOX,
     ONE_TAG,
     PRESETS,
     SELF_TAG_PRESETS,
@@ -25,6 +27,8 @@ from tagbench.schemes import (
     TWO_TAG_ZEROS,
     SchemeConfig,
     covers,
+    nan_box_float,
+    nun_box_float,
     self_tag_set,
     st_transform,
 )
@@ -420,6 +424,32 @@ def test_dangling_handles_are_not_floats(name):
                 op(f, dangling)
 
 
+@pytest.mark.parametrize("name", HEAP_PRESETS)
+def test_ballast_addresses_are_not_floats(name):
+    heap = SimHeap()
+    heap.preload(64)  # eight cells of ballast, no float boxed yet
+    rt = Runtime(PRESETS[name], heap)
+    hft = PRESETS[name].heap_float_tag
+    ht = GENERIC_TAG if hft is None else hft
+    partners = [rt.box_fixnum(1)]
+    if name != "boxed":
+        partners.append(rt.box_float(ONE))  # an immediate float
+        assert rt.stats().float_allocs == (2 if name == "st2zeros" else 0)
+    for i in range(8):
+        w = (i << 3) | ht
+        if w in (heap.zero_handles or ()):
+            continue
+        assert not rt.is_float_value(w), hex(w)
+        with pytest.raises(TypeError, match="not a float word"):
+            rt.unbox_float(w)
+        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+            for p in partners:
+                with pytest.raises(TypeError, match="mixed or non-numeric"):
+                    op(w, p)
+                with pytest.raises(TypeError, match="mixed or non-numeric"):
+                    op(p, w)
+
+
 # operator's functions, not inline x + y: with two NaN operands, which
 # payload survives depends on the C code path that adds, and the runtime
 # adds through these
@@ -483,6 +513,10 @@ def test_every_config_roundtrips_and_encodes_like_schemes():
             assert rt.unbox_float(w) == expected_unbox(cfg.variant, bits), (cfg, hex(bits))
             assert rt.is_float_value(w), (cfg, hex(bits))
             assert not rt.is_fixnum_value(w), (cfg, hex(bits))
+            if cfg.variant == NANBOX:
+                assert w == nan_box_float(bits), (cfg, hex(bits))
+            elif cfg.variant == NUNBOX:
+                assert w == nun_box_float(bits), (cfg, hex(bits))
             if not tagged:
                 continue
             zero = cfg.variant == TWO_TAG_ZEROS and bits in (0, NEG_ZERO_BITS)
