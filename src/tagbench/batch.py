@@ -2,9 +2,25 @@
 
 The generator is the same splitmix stream the rest of the package uses,
 computed in closed form (the k-th state is seed + (k+1)*step), so a block
-here is bit-identical to k calls of the scalar generator. Roundtrip
-drivers spot-check a few lanes of every block against the scalar
-implementations so a vectorization bug cannot agree with itself."""
+here is bit-identical to k calls of the scalar generator, and the words
+and mismatch totals do not depend on the block size.
+
+Every driver walks its words in blocks of BLOCK words. A roundtrip makes
+about twenty numpy temporaries the size of its block, so the block is
+sized to keep them cache-resident: at 2^14 words each uint64 array is
+128 KiB and a block's working set fits in a 2 MiB L2 cache, while at
+2^20 words each temporary is an 8 MiB array streamed through memory.
+Ten 2^22-word roundtrips (six self-tagging presets, nan, nun, two 32-bit
+variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB of L2 per core,
+BENCH_7.json) took 0.80 s at 2^12 words per block, 0.51 s at 2^13,
+0.45 s at 2^14, 0.54 s at 2^15, 0.70 s at 2^16, 0.93 s at 2^18 and
+1.28 s at 2^20.
+
+Roundtrip drivers spot-check lanes against the scalar implementations so
+a vectorization bug cannot agree with itself. The lanes are fixed by the
+word count alone: every (m // 16)-th lane of each SPOT_SPAN-word stretch
+of the stream (2^22 words for the exhaustive 32-bit sweep), m being the
+stretch's length. They do not depend on BLOCK."""
 
 import numpy as np
 
@@ -59,36 +75,55 @@ def covers_block(bits, config):
     return table[(bits >> _u(58)) & _u(31)]
 
 
-def _blocks(seed, n, chunk):
-    """Outputs 0 .. n-1 of the stream for this seed, in blocks of at most
-    chunk words."""
-    for start in range(0, n, chunk):
-        yield splitmix64_block(seed, start, min(chunk, n - start))
+BLOCK = 1 << 14
+SPOT_SPAN = 1 << 20
 
 
-def _spot64(bits, out, config):
-    n = bits.shape[0]
-    for i in range(0, n, max(1, n // 16)):
-        if int(out[i]) != schemes.st_transform(int(bits[i]), config):
-            raise AssertionError("vector transform disagrees with scalar at lane %d" % i)
+def _blocks(seed, n):
+    """(start, outputs start .. start+count-1) over outputs 0 .. n-1 of the
+    stream for this seed, in blocks of at most BLOCK words."""
+    for start in range(0, n, BLOCK):
+        yield start, splitmix64_block(seed, start, min(BLOCK, n - start))
 
 
-def st_roundtrip_mismatches(config, n, seed=DEFAULT_SEED, chunk=1 << 20):
-    """Words whose transform does not invert exactly, over n random words."""
+def _spot_lanes(n, span):
+    """Ascending lanes of 0 .. n-1 to check against the scalar transform:
+    every (m // 16)-th lane of each span-word stretch, m its length."""
+    for start in range(0, n, span):
+        m = min(span, n - start)
+        yield from range(start, start + m, max(1, m // 16))
+
+
+def _roundtrip_mismatches(blocks, lanes, param, forward, backward, scalar):
+    """Words of the (start, words) blocks that forward(., param) does not
+    map back exactly under backward(., param). At each lane, forward must
+    equal scalar(., param); a disagreement raises AssertionError."""
+    lanes = iter(lanes)
+    lane = next(lanes, None)
     total = 0
-    for b in _blocks(seed, n, chunk):
-        w = st_transform_block(b, config)
-        _spot64(b, w, config)
-        total += int(np.count_nonzero(st_untransform_block(w, config) != b))
+    for start, b in blocks:
+        w = forward(b, param)
+        end = start + b.shape[0]
+        while lane is not None and lane < end:
+            if int(w[lane - start]) != scalar(int(b[lane - start]), param):
+                raise AssertionError("vector transform disagrees with scalar at lane %d" % lane)
+            lane = next(lanes, None)
+        total += int(np.count_nonzero(backward(w, param) != b))
     return total
 
 
-def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
+def st_roundtrip_mismatches(config, n, seed=DEFAULT_SEED):
+    """Words whose transform does not invert exactly, over n random words."""
+    return _roundtrip_mismatches(_blocks(seed, n), _spot_lanes(n, SPOT_SPAN), config,
+                                 st_transform_block, st_untransform_block, schemes.st_transform)
+
+
+def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED):
     """Boxing under NaN collapse must be the identity below the canonical
     NaN and never produce a word above it."""
     canon = _u(schemes.NAN_CANON)
     total = 0
-    for b in _blocks(seed, n, chunk):
+    for _, b in _blocks(seed, n):
         boxed = np.where(b < canon, b, canon)
         total += int(np.count_nonzero(boxed > canon))
         sel = b < canon
@@ -96,13 +131,13 @@ def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
     return total
 
 
-def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED, chunk=1 << 20):
+def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED):
     """Bias-boxing must land every float outside the two reserved top-16
     classes and invert exactly below the canonicalization threshold."""
     canon_min = _u(schemes.NUN_CANON_MIN)
     bias = _u(schemes.NUN_BIAS)
     total = 0
-    for b in _blocks(seed, n, chunk):
+    for _, b in _blocks(seed, n):
         sel = b < canon_min
         bs = b[sel]
         with np.errstate(over="ignore"):
@@ -152,30 +187,17 @@ def st32_untransform_block(words, variant):
         return r - _u32(bias)
 
 
-def _spot32(bits, out, variant):
-    n = bits.shape[0]
-    for i in range(0, n, max(1, n // 16)):
-        if int(out[i]) != st32.st32_transform(int(bits[i]), variant):
-            raise AssertionError("vector transform disagrees with scalar at lane %d" % i)
+def st32_roundtrip_mismatches(variant, n, seed=DEFAULT_SEED):
+    blocks = ((start, b.astype(np.uint32)) for start, b in _blocks(seed, n))
+    return _roundtrip_mismatches(blocks, _spot_lanes(n, SPOT_SPAN), variant,
+                                 st32_transform_block, st32_untransform_block, st32.st32_transform)
 
 
-def st32_roundtrip_mismatches(variant, n, seed=DEFAULT_SEED, chunk=1 << 20):
-    total = 0
-    for b in _blocks(seed, n, chunk):
-        b = b.astype(np.uint32)
-        w = st32_transform_block(b, variant)
-        _spot32(b, w, variant)
-        total += int(np.count_nonzero(st32_untransform_block(w, variant) != b))
-    return total
-
-
-def st32_exhaustive_mismatches(variant, chunk=1 << 22):
+def st32_exhaustive_mismatches(variant):
     """Roundtrip over every 32-bit word. Minutes of work; meant for the
-    offline gold check, not the default test run."""
-    total = 0
-    for start in range(0, 1 << 32, chunk):
-        b = np.arange(start, start + chunk, dtype=np.int64).astype(np.uint32)
-        w = st32_transform_block(b, variant)
-        _spot32(b, w, variant)
-        total += int(np.count_nonzero(st32_untransform_block(w, variant) != b))
-    return total
+    offline gold check, not the default test run. Spot-checks 16 lanes
+    of every 2^22 words."""
+    blocks = ((start, np.arange(start, start + BLOCK, dtype=np.uint32))
+              for start in range(0, 1 << 32, BLOCK))
+    return _roundtrip_mismatches(blocks, _spot_lanes(1 << 32, 1 << 22), variant,
+                                 st32_transform_block, st32_untransform_block, st32.st32_transform)

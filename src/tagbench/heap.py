@@ -117,7 +117,7 @@ class SimHeap:
     def read_float(self, w):
         """Bit-exact payload of a float handle."""
         idx = w >> 3
-        if idx >= len(self._payload):
+        if not 0 <= idx < len(self._payload):
             raise TypeError("not a live handle: 0x%016x" % w)
         if self._tags[idx] != w & 7:
             raise TypeError("not a float handle: 0x%016x" % w)

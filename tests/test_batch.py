@@ -3,6 +3,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from tagbench import batch, schemes, st32
 from tagbench.batch import (
     boundary_words32,
     boundary_words64,
@@ -92,3 +93,56 @@ def test_covers_block_mantissa_rule():
     words = np.arange(64, dtype=np.uint64)
     cov = covers_block(words, cfg)
     assert np.array_equal(cov, (words & np.uint64(3)) == 0)
+
+
+def _chunk_lanes(n, chunk=1 << 20):
+    # reference spot-check lanes: every (m // 16)-th lane of each
+    # 2^20-word chunk, m its length
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        yield from range(start, start + m, max(1, m // 16))
+
+
+@pytest.mark.parametrize("n,count", [(100000, 16), ((1 << 20) + 5, 21), (1 << 22, 64), (10**7, 160)])
+def test_spot_check_lanes_do_not_depend_on_block(monkeypatch, n, count):
+    seen64, seen32 = [], []
+    scalar64, scalar32 = schemes.st_transform, st32.st32_transform
+    monkeypatch.setattr(schemes, "st_transform", lambda b, c: seen64.append(b) or scalar64(b, c))
+    monkeypatch.setattr(st32, "st32_transform", lambda b, v: seen32.append(b) or scalar32(b, v))
+    assert st_roundtrip_mismatches(PRESETS["st1"], n, seed=9) == 0
+    assert st32_roundtrip_mismatches(OneTag(0), n, seed=9) == 0
+    lanes = list(_chunk_lanes(n))
+    assert len(lanes) == count
+    want = [int(splitmix64_block(9, i, 1)[0]) for i in lanes]
+    assert seen64 == want
+    assert seen32 == [w & 0xFFFFFFFF for w in want]
+
+
+def test_exhaustive_sweep_spot_checks_16_lanes_per_4m_words():
+    assert list(batch._spot_lanes(1 << 32, 1 << 22)) == list(range(0, 1 << 32, 1 << 18))
+
+
+def test_spot_check_catches_a_self_consistent_vector_bug(monkeypatch):
+    # Forward and inverse blocks both flip the low bit of one word, so every
+    # word still roundtrips; only the comparison with the scalar transform
+    # can see the bug. The word sits on the last spot lane, in the last block.
+    n = (1 << 20) + 5
+    lane = n - 1
+    bad = splitmix64_block(9, lane, 1)[0]
+    fwd, back = batch.st_transform_block, batch.st_untransform_block
+    monkeypatch.setattr(batch, "st_transform_block",
+                        lambda b, c: np.where(b == bad, fwd(b, c) ^ np.uint64(1), fwd(b, c)))
+    monkeypatch.setattr(batch, "st_untransform_block",
+                        lambda w, c: np.where(w == (fwd(bad, c) ^ np.uint64(1)), bad, back(w, c)))
+    with pytest.raises(AssertionError, match="disagrees with scalar at lane %d$" % lane):
+        st_roundtrip_mismatches(PRESETS["st1"], n, seed=9)
+
+    bad32 = bad.astype(np.uint32)
+    variant = OneTag(0)
+    fwd32, back32 = batch.st32_transform_block, batch.st32_untransform_block
+    monkeypatch.setattr(batch, "st32_transform_block",
+                        lambda b, v: np.where(b == bad32, fwd32(b, v) ^ np.uint32(1), fwd32(b, v)))
+    monkeypatch.setattr(batch, "st32_untransform_block",
+                        lambda w, v: np.where(w == (fwd32(bad32, v) ^ np.uint32(1)), bad32, back32(w, v)))
+    with pytest.raises(AssertionError, match="disagrees with scalar at lane %d$" % lane):
+        st32_roundtrip_mismatches(variant, n, seed=9)

@@ -55,6 +55,8 @@ def test_read_rejects_bad_handles():
     w = h.alloc_float(float_to_bits(1.0), tag=4)
     with pytest.raises(TypeError, match="not a live handle"):
         h.read_float((1 << 3) | 4)  # index past the arena
+    with pytest.raises(TypeError, match="not a live handle"):
+        h.read_float(-4)  # a negative index would read the arena from its end
     with pytest.raises(TypeError, match="not a float handle"):
         h.read_float((w & ~7) | 3)  # right cell, wrong tag
 

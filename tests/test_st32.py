@@ -133,7 +133,7 @@ def test_fixnum32_roundtrip(v):
 @pytest.mark.parametrize("variant", [OneTag(0), TwoTag(0)], ids=["one", "two"])
 def test_exhaustive_roundtrip_all_4g_words(variant):
     # deselected by default (pytest -m offline to run); sweeps the whole
-    # 2^32 space in numpy chunks
+    # 2^32 space in numpy blocks
     import time
 
     from tagbench.batch import st32_exhaustive_mismatches
