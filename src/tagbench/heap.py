@@ -9,9 +9,12 @@ The arena stores float cells only. Ballast (preload), which stands in for
 the program's other objects, is counted against capacity, cells_used and
 the other_* counters but never stored, so no handle can reach it.
 
-Counter slots live in a plain list (heap._c) so the runtime's compiled
-closures can update them without attribute lookups; the indices below are
-the shared layout."""
+The heap counts what it stores: float allocations and bytes, and ballast
+allocations and bytes. Their slots live in a plain list (heap._c), so the
+allocator closure updates them without attribute lookups; the indices
+below are its layout. Slow-path encodes and representation flips are
+counted by the Runtime over the heap, so SimHeap.stats() reports them as
+0 and Runtime.stats() fills them in."""
 
 from array import array
 from dataclasses import dataclass
@@ -29,9 +32,6 @@ C_FLOAT_ALLOCS = 0
 C_FLOAT_BYTES = 1
 C_OTHER_ALLOCS = 2
 C_OTHER_BYTES = 3
-C_SLOW_ENCODES = 4
-C_FLIPS = 5
-C_LAST_OUTCOME = 6  # 0 fast, 1 slow, 2 nothing encoded yet
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class SimHeap:
         self._payload = array("d")
         self._tags = bytearray()
         self._cells = 0
-        self._c = [0, 0, 0, 0, 0, 0, 2]
+        self._c = [0, 0, 0, 0]
         self._zero_handles = None
 
     @property
@@ -149,22 +149,21 @@ class SimHeap:
         c[C_OTHER_BYTES] += 8 * ncells
 
     def reset_kernel_counters(self):
-        """Zero the float/encode counters; ballast accounting and all
-        allocated cells are retained."""
+        """Zero the float counters; ballast accounting and all allocated
+        cells are retained."""
         c = self._c
         c[C_FLOAT_ALLOCS] = 0
         c[C_FLOAT_BYTES] = 0
-        c[C_SLOW_ENCODES] = 0
-        c[C_FLIPS] = 0
-        c[C_LAST_OUTCOME] = 2
 
     def stats(self):
+        """The heap's counters; slow_path_encodes and representation_flips
+        are 0 here, because the Runtime counts them."""
         c = self._c
         return HeapStats(
             float_allocs=c[C_FLOAT_ALLOCS],
             float_bytes=c[C_FLOAT_BYTES],
             other_allocs=c[C_OTHER_ALLOCS],
             other_bytes=c[C_OTHER_BYTES],
-            slow_path_encodes=c[C_SLOW_ENCODES],
-            representation_flips=c[C_FLIPS],
+            slow_path_encodes=0,
+            representation_flips=0,
         )

@@ -6,34 +6,52 @@ tests, and generic arithmetic that dispatches on the operand
 representations.
 
 The float operations of every scheme are closures generated from one
-source, _SOURCE, which holds the heap fallback, the counters and the
-flip accounting once. The families (rot5: st1, st2biased; rot4:
-st2zeros, st3, st4; mantissa; boxed; nanbox; nunbox) differ only in four
-forms, substituted into the source text before it is compiled:
-HIT(bits), true when float bits stay immediate; IMM(w), true when word w
-is an immediate float; DEC(w), the float bits of an immediate word;
-ENC(bits), the immediate word for float bits. A constant HIT folds a
-path away: boxed (HIT False) has no immediate path, and NaN and NuN
-boxing (HIT True) have no miss path, so they never reach the heap and
-count nothing. Each family's source is compiled once per process and
-cached (_builder). A Runtime calls the compiled builder with its scheme
-constants, counter cells and heap internals, so the per-operation cost
-is flat: the forms are inline, with no per-operation call, and nothing
-is looked up that could have been bound once.
+source, _SOURCE, which holds the heap fallback and the counters once.
+The families (rot5: st1, st2biased; rot4: st2zeros, st3, st4; mantissa;
+boxed; nanbox; nunbox) differ only in four forms, substituted into the
+source text before it is compiled: HIT(bits), true when float bits stay
+immediate; IMM(w), true when word w is an immediate float; DEC(w), the
+float bits of an immediate word; ENC(bits), the immediate word for float
+bits. Three constants are substituted with them: HAS_IMM and HAS_MISS,
+derived from a constant HIT, fold a path away (boxed, HIT False, has no
+immediate path; NaN and NuN boxing, HIT True, have no miss path, so they
+never reach the heap and count nothing), and HOOKED, whether the Runtime
+has a profile hook, folds the hook calls away when it has none. Module
+constants (M64 and the like) go in as literals. Each (family, HOOKED)
+source is compiled once per process and cached (_builder). A Runtime
+calls the compiled builder with its scheme constants and heap internals,
+so the per-operation cost is flat: the forms are inline, with no
+per-operation call, and nothing is looked up that could have been bound
+once.
+
+The counters belong to the Runtime: they are closure cells of the
+builder (n, the box events; slow, the slow-path encodes; flips; last,
+the event number of the last miss), read and zeroed through its counts()
+and reset(). A box event that stays immediate only adds one to n. A miss
+adds one to slow and records its event number in last; when the event
+before it was not a miss, the outcome flipped once (a leading run of
+hits) or twice (a miss, hits, this miss) since the previous miss. The
+flip back to hits after the last miss is added when the counters are
+read: flips + (0 < last < n). So flips are derived from the misses alone,
+and the hit path does no bookkeeping beyond n.
 
 The rot5 and rot4 forms are table lookups, not rotations. Self-tagging
 moves only the top bits of a float (sign and exponent prefix, 6 bits for
 rot5 and 4 for rot4) into the tag and shifts the rest unchanged, so
 which floats stay immediate, and what the moved bits become, depends
 only on that prefix; on the way back, what the top bits become depends
-only on the low word field (5 or 4 bits). Each Runtime builds four small
-tables for its config (_codec_tables): it[tag], cov[prefix] (HIT),
-et[prefix] and dt[low field]. Their entries are schemes.st_transform and
+only on the low word field (5 or 4 bits). Each Runtime builds two small
+tables for its config (_codec_tables): et[prefix] for encoding and
+dt[low field] for decoding, with None at the entries that are not
+immediate. Their entries are schemes.st_transform and
 schemes.st_untransform evaluated at one representative per class, so the
 reference transforms define the codec and the runtime does not restate
-them. The re-box in box_float and in the generic operations tests HIT on
-the float bits first and builds the word only on a hit, so a miss goes
-to the heap without paying for an encode.
+them. The tag test is the lookup itself: IMM binds d = dt[w & 31] (rot4:
+w & 15) and DEC adds it to the shifted word; HIT binds e = et[bits >> 58]
+(rot4: >> 60) and ENC subtracts it from the shifted bits. The re-box in
+box_float and in the generic operations tests HIT on the float bits
+first and builds the word only on a hit, so a miss goes to the heap
+without paying for an encode.
 
 Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
@@ -57,10 +75,12 @@ Fixnum placement per scheme:
 """
 
 import re
+from dataclasses import replace
 from functools import cache
 from operator import add, floordiv, mul, sub
+from textwrap import indent
 
-from .heap import C_FLOAT_ALLOCS, GENERIC_TAG, NEG_ZERO_BITS, SimHeap
+from .heap import GENERIC_TAG, NEG_ZERO_BITS, SimHeap
 from .schemes import (
     BOXED,
     FOUR_TAG,
@@ -83,7 +103,6 @@ from .schemes import (
 )
 from .words import FIXNUM_MAX, FIXNUM_MIN, M64, SIGN_64, ieee_div
 
-M58 = (1 << 58) - 1
 M60 = (1 << 60) - 1
 
 NAN_FIXNUM_TAG = 1  # payload tag carrying fixnums under NaN boxing
@@ -167,15 +186,18 @@ def _fixnum_fallbacks(rep):
     return fixnum_op, fless
 
 
-# The closure source. c[4], c[5] and c[6] are the heap's slow-encode,
-# flip and last-outcome counter slots (heap.C_SLOW_ENCODES, C_FLIPS,
-# C_LAST_OUTCOME). Two constants are derived from HIT, never set: HAS_IMM
-# is False only for the boxed family, whose HIT and IMM are the constant
-# False, so the compiler drops every immediate branch and a boxed re-box
-# converts its result to bits only for the hook; HAS_MISS is False only
-# for nanbox and nunbox, whose HIT is the constant True, so box_float and
-# the re-box return ENC(bits) before the box counter and the flip
-# accounting, and those runtimes count nothing.
+# The closure source. n, slow, flips and last are the Runtime's counters
+# (box events, slow-path encodes, flips finalised so far, the event number
+# of the last miss); counts() reads them, with the pending flip back to
+# hits added, and reset() zeroes them. MISS marks the bookkeeping of a
+# miss, written once in _MISS and expanded inline in box and the re-box.
+# Three constants are derived, never set: HAS_IMM is False only for the
+# boxed family, whose HIT and IMM are the constant False, so the compiler
+# drops every immediate branch and a boxed re-box converts its result to
+# bits only for the hook; HAS_MISS is False only for nanbox and nunbox,
+# whose HIT is the constant True, so box_float and the re-box return
+# ENC(bits) before the box counter, and those runtimes count nothing;
+# HOOKED is whether the Runtime has a profile hook.
 # A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
 # negative word has bit 64 set and fails, where w & 7 would let it index
 # the arena from its end; a word of 2**65 or more indexes past the arena,
@@ -185,28 +207,28 @@ def _fixnum_fallbacks(rep):
 # them on the slow path, where bits is always bound when zeros is true.
 
 _SOURCE = """
-def build(it, cov, et, dt, k, ht, zeros, pz_pos, pz_neg, hook, boxes, c, payload, mq, md, alloc, fless):
+def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fless):
+    n = slow = flips = last = 0
+
+    def counts():
+        return n, slow, flips + (0 < last < n)
+
+    def reset():
+        nonlocal n, slow, flips, last
+        n = slow = flips = last = 0
+
     def box(bits):
+        nonlocal n, slow, flips, last
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
-        if hook is not None:
+        if HOOKED:
             hook(bits)
         if not HAS_MISS:
             return ENC(bits)
-        boxes[0] += 1
+        n += 1
         if HIT(bits):
-            if c[6] != 0:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 0
             return ENC(bits)
-        c[4] += 1
-        if c[6] != 1:
-            if c[6] != 2:
-                c[5] += 1
-            c[6] = 1
-        if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
-            return pz_pos if bits == 0 else pz_neg
+        MISS
         mq[0] = bits
         return alloc(md[0])
 
@@ -228,6 +250,7 @@ def build(it, cov, et, dt, k, ht, zeros, pz_pos, pz_neg, hook, boxes, c, payload
 
     def make_arith(fop, fixop):
         def arith(aw, bw):
+            nonlocal n, slow, flips, last
             try:
                 if IMM(aw):
                     mq[0] = DEC(aw)
@@ -246,27 +269,17 @@ def build(it, cov, et, dt, k, ht, zeros, pz_pos, pz_neg, hook, boxes, c, payload
             except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
                 raise TypeError(_TYPE_ERR) from None
             r = fop(xa, xb)
-            if HAS_IMM or hook is not None:
+            if HAS_IMM or HOOKED:
                 md[0] = r
                 bits = mq[0]
-                if hook is not None:
+                if HOOKED:
                     hook(bits)
             if not HAS_MISS:
                 return ENC(bits)
-            boxes[0] += 1
+            n += 1
             if HIT(bits):
-                if c[6] != 0:
-                    if c[6] != 2:
-                        c[5] += 1
-                    c[6] = 0
                 return ENC(bits)
-            c[4] += 1
-            if c[6] != 1:
-                if c[6] != 2:
-                    c[5] += 1
-                c[6] = 1
-            if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
-                return pz_pos if bits == 0 else pz_neg
+            MISS
             return alloc(r)
 
         return arith
@@ -291,26 +304,37 @@ def build(it, cov, et, dt, k, ht, zeros, pz_pos, pz_neg, hook, boxes, c, payload
         except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
             raise TypeError(_TYPE_ERR) from None
 
-    return box, unbox, is_float, make_arith, less
+    return box, unbox, is_float, make_arith, less, counts, reset
 """
 
+# A miss: event n went to the slow path. When event n - 1 was not a miss,
+# the outcome flipped from hits to this miss, and, if an earlier miss
+# exists, from that miss to the hits in between.
+_MISS = """slow += 1
+if last != n - 1:
+    flips += 1 + (last > 0)
+last = n
+if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
+    return pz_pos if bits == 0 else pz_neg"""
+
 # family: its forms. The rot5 and rot4 forms read the tables that
-# _codec_tables builds per Runtime. k is the rot4 offset: DEC subtracts it
+# _codec_tables builds per Runtime; IMM binds d and HIT binds e for the
+# DEC and ENC that follow them. k is the rot4 offset: DEC subtracts it
 # from the whole word before shifting, because the borrow can cross the
 # nibble boundary (the all-ones NaN encodes below 16 under rot4 and
 # borrows).
 _FAMILIES = {
     "rot5": {
-        "HIT": "cov[{} >> 58]",
-        "IMM": "it[{} & 7]",
-        "DEC": "(({0} >> 5) + dt[{0} & 31]) & M64",
-        "ENC": "(({0} & M58) << 5) | et[{0} >> 58]",
+        "HIT": "(e := et[{} >> 58]) is not None",
+        "IMM": "(d := dt[{} & 31]) is not None",
+        "DEC": "(({} >> 5) + d) & M64",
+        "ENC": "({} << 5) - e",
     },
     "rot4": {
-        "HIT": "cov[{} >> 60]",
-        "IMM": "it[{} & 7]",
-        "DEC": "((({0} - k) >> 4) & M60) | dt[{0} & 15]",
-        "ENC": "((({0} & M60) << 4) + et[{0} >> 60]) & M64",
+        "HIT": "(e := et[{} >> 60]) is not None",
+        "IMM": "(d := dt[{} & 15]) is not None",
+        "DEC": "((({} - k) >> 4) & M60) | d",
+        "ENC": "(({} << 4) - e) & M64",
     },
     "mantissa": {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}"},
     "boxed": {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}"},
@@ -326,6 +350,16 @@ _FAMILIES = {
         "DEC": "{} - NUN_BIAS",
         "ENC": "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
     },
+}
+
+# module constants the source and forms name, compiled in as literals
+_LITERALS = {
+    "M64": M64,
+    "M60": M60,
+    "NEG_ZERO_BITS": NEG_ZERO_BITS,
+    "NAN_CANON": NAN_CANON,
+    "NUN_BIAS": NUN_BIAS,
+    "NUN_CANON_MIN": NUN_CANON_MIN,
 }
 
 # per table family: the shift that takes float bits to their class (sign
@@ -350,38 +384,53 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC)\((\w+)\)")
 
 
 @cache
-def _builder(family):
-    """The family's closure builder: the source with the family's forms
-    and the two constants derived from its HIT substituted, compiled once
-    per process. The source runs in this module's globals, which supply
-    its constants."""
+def _builder(family, hooked):
+    """The family's closure builder: the source with MISS expanded, the
+    family's forms, the three derived constants and the module constants
+    substituted, compiled once per family and hooked flag in a process.
+    The source runs in this module's globals, which supply its error
+    messages."""
     forms = _FAMILIES[family]
 
     def expand(mo):
         return "(%s)" % forms[mo[1]].format(mo[2])
 
-    text = _SOURCE.replace("HAS_IMM", str(forms["HIT"] != "False"))
-    text = _FORM.sub(expand, text.replace("HAS_MISS", str(forms["HIT"] != "True")))
+    consts = dict(
+        _LITERALS,
+        HAS_IMM=forms["HIT"] != "False",
+        HAS_MISS=forms["HIT"] != "True",
+        HOOKED=hooked,
+    )
+    text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
+    text = _FORM.sub(expand, text)
+    text = re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
     ns = {}
     exec(compile(text, "<runtime %s>" % family, "exec"), globals(), ns)
     return ns["build"]
 
 
 def _codec_tables(scheme, family):
-    """(it, cov, et, dt) for a rot5 or rot4 scheme: the reference
-    transforms in schemes.py evaluated at one representative per class
-    (a prefix with every lower bit 0, a low word field with every higher
-    bit 0). rot4 keeps only the top nibble of dt, because its DEC
-    computes the rest from the word and k."""
+    """(dt, et) for a rot5 or rot4 scheme: the reference transforms in
+    schemes.py evaluated at one representative per class (a low word
+    field with every higher bit 0, a prefix with every lower bit 0), and
+    None where the class is not immediate. dt[j] holds the top bits that
+    DEC puts onto the shifted word: st_untransform(j), of which rot4 keeps
+    only the top nibble, because its DEC computes the rest from the word
+    and k.
+    et[p] is what ENC subtracts from the shifted float bits: the prefix p
+    shifted out of the top, less st_transform of the class representative,
+    so that (bits << low) - et[p] is the transformed word."""
     shift, low = _CLASS_SHIFT[family]
     m = self_tag_set(scheme)
-    it = tuple(bool((m >> t) & 1) for t in range(8))
-    et = tuple(st_transform(t << shift, scheme) for t in range(1 << (64 - shift)))
-    cov = tuple(it[e & 7] for e in et)
-    dt = tuple(st_untransform(j, scheme) for j in range(1 << low))
+    dt = [st_untransform(j, scheme) for j in range(1 << low)]
     if family == "rot4":
-        dt = tuple(d & ~M60 for d in dt)
-    return it, cov, et, dt
+        dt = [d & ~M60 for d in dt]
+    dt = tuple(d if (m >> (j & 7)) & 1 else None for j, d in enumerate(dt))
+    et = []
+    for p in range(1 << (64 - shift)):
+        w = st_transform(p << shift, scheme)
+        et.append((p << (shift + low)) - w if (m >> (w & 7)) & 1 else None)
+    return dt, tuple(et)
 
 
 class Runtime:
@@ -408,6 +457,11 @@ class Runtime:
     not by what the cell holds: the arena stores float cells only (ballast
     is counted, never stored), so no handle reaches ballast.
 
+    The counters of box events, slow-path encodes and representation
+    flips belong to the Runtime, not its heap: they live in the compiled
+    closures' cells, and stats() joins them to the heap's allocation
+    counters.
+
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
     has a single owner and must not be shared between threads."""
@@ -416,7 +470,6 @@ class Runtime:
         self.scheme = scheme
         self.heap = SimHeap() if heap is None else heap
         self.profile_hook = profile_hook
-        self._boxes = [0]
         buf = bytearray(8)
         self._mq = memoryview(buf).cast("Q")
         self._md = memoryview(buf).cast("d")
@@ -444,14 +497,15 @@ class Runtime:
 
     @property
     def boxes_total(self):
-        return self._boxes[0]
+        return self._counts()[0]
 
     def reset_kernel_counters(self):
         self.heap.reset_kernel_counters()
-        self._boxes[0] = 0
+        self._reset()
 
     def stats(self):
-        return self.heap.stats()
+        _, slow, flips = self._counts()
+        return replace(self.heap.stats(), slow_path_encodes=slow, representation_flips=flips)
 
     def hit_ratio(self):
         """Fraction of boxing events that stayed immediate since the last
@@ -459,8 +513,8 @@ class Runtime:
         nothing was boxed, under every scheme. NaN and NuN boxing count no
         box events, so they read 1.0; the boxed baseline reads 0.0 once it
         has boxed."""
-        b = self._boxes[0]
-        return 1.0 - self.heap._c[C_FLOAT_ALLOCS] / b if b else 1.0
+        b = self._counts()[0]
+        return 1.0 - self.heap.stats().float_allocs / b if b else 1.0
 
     # -- fixnum api -------------------------------------------------------
 
@@ -495,16 +549,18 @@ class Runtime:
         fixnum_op, fless = _fixnum_fallbacks(self._fixrep)
         family = _VARIANT_FAMILY[variant]
         heap = self.heap
-        tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None,) * 4
+        tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None, None)
         hft = scheme.heap_float_tag
         ht = GENERIC_TAG if hft is None else hft
         if _FAMILIES[family]["HIT"] == "True":
             ht = -1  # never misses: no word is a heap handle
         zeros = variant == TWO_TAG_ZEROS
         pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
-        box, unbox, is_float, make_arith, less = _builder(family)(
-            *tables, scheme.offset, ht, zeros, pz_pos, pz_neg, hook, self._boxes,
-            heap._c, heap._payload, mq, md, heap.float_allocator(hft), fless,
+        box, unbox, is_float, make_arith, less, self._counts, self._reset = _builder(
+            family, hook is not None
+        )(
+            *tables, scheme.offset, ht, zeros, pz_pos, pz_neg, hook,
+            heap._payload, mq, md, heap.float_allocator(hft), fless,
         )
         self.box_float = box
         self.unbox_float = unbox

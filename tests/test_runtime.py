@@ -1,11 +1,12 @@
 import math
 import operator
+import sys
 from itertools import islice
 
 import pytest
 
 from tagbench.batch import boundary_words64
-from tagbench.heap import GENERIC_TAG, NEG_ZERO_BITS, SimHeap
+from tagbench.heap import GENERIC_TAG, NEG_ZERO_BITS, HeapStats, SimHeap
 from tagbench.prng import splitmix64
 from tagbench.runtime import (
     NAN_FIXNUM_MAX,
@@ -16,6 +17,7 @@ from tagbench.runtime import (
 )
 from tagbench.schemes import (
     ALL_VARIANTS,
+    BOXED,
     NAN_CANON,
     NANBOX,
     NUN_CANON_MIN,
@@ -529,3 +531,182 @@ def test_every_config_roundtrips_and_encodes_like_schemes():
         if tagged:
             assert rt.stats().float_allocs == misses, cfg
     assert n_configs == 4192
+
+
+# -- counters against an independent replay --------------------------------
+
+MIXED_SPECIALS = (
+    0, NEG_ZERO_BITS, QNAN_64, QNAN_64 | 1, 0x7FF0000000000001, 0xFFF8000000000001, M64,
+    ONE, HALF15, TINY, BIG,
+)
+
+
+def mixed_steps(n=240, seed=11):
+    """A mixed stream of box events: ("box", bits) of splitmix64 words,
+    covered-class floats, +-0 and NaNs; (op, i, j), op operator.add or
+    operator.mul, over the i-th and j-th words made so far; and one
+    ("reset",) halfway."""
+    steps = []
+    made = 0
+    for k, r in enumerate(islice(splitmix64(seed), n)):
+        kind = r & 7
+        if made >= 2 and kind >= 5:
+            op = operator.add if kind < 7 else operator.mul
+            steps.append((op, (r >> 8) % made, (r >> 32) % made))
+        elif kind == 4:
+            steps.append(("box", MIXED_SPECIALS[(r >> 8) % len(MIXED_SPECIALS)]))
+        elif kind == 3:
+            # |x| in [2**-8, 2**9): a class every exponent preset keeps immediate
+            x = math.ldexp(1 + (r >> 40) / 2**24, (r >> 8) % 17 - 8)
+            steps.append(("box", float_to_bits(-x if r >> 63 else x)))
+        else:
+            steps.append(("box", r))
+        made += 1
+        if k == n // 2:
+            steps.append(("reset",))
+    return steps
+
+
+def run_step(rt, words, step):
+    """Apply one step of mixed_steps; returns the float bits the step
+    boxed (None for a reset), computed outside the runtime."""
+    if step[0] == "reset":
+        rt.reset_kernel_counters()
+        return None
+    if step[0] == "box":
+        bits = step[1]
+        words.append(rt.box_float(bits))
+        return bits
+    op, i, j = step
+    x = bits_to_float(rt.unbox_float(words[i]))
+    y = bits_to_float(rt.unbox_float(words[j]))
+    words.append((rt.generic_add if op is operator.add else rt.generic_mul)(words[i], words[j]))
+    return float_to_bits(op(x, y))
+
+
+class CounterReplay:
+    """Box events, slow-path encodes, flips and float allocations of one
+    preset, derived from schemes.covers: a plain state machine over the
+    outcome of each box event, independent of the runtime's bookkeeping."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.events = self.misses = self.flips = 0
+        self.prev = None
+        # st2zeros preallocates its two zero cells before any event
+        self.allocs = 2 if cfg.variant == TWO_TAG_ZEROS else 0
+
+    def reset(self):
+        self.events = self.misses = self.flips = self.allocs = 0
+        self.prev = None
+
+    def event(self, bits):
+        v = self.cfg.variant
+        if v in (NANBOX, NUNBOX):
+            return  # no miss path: nothing is counted
+        zero = v == TWO_TAG_ZEROS and bits in (0, NEG_ZERO_BITS)
+        hit = v != BOXED and covers(self.cfg, bits) and not zero
+        self.events += 1
+        if self.prev is not None and hit != self.prev:
+            self.flips += 1
+        self.prev = hit
+        if not hit:
+            self.misses += 1
+            self.allocs += not zero
+
+    def expected(self):
+        cell = 16 if self.cfg.heap_float_tag is None else 8
+        stats = HeapStats(self.allocs, cell * self.allocs, 0, 0, self.misses, self.flips)
+        ratio = 1.0 - self.allocs / self.events if self.events else 1.0
+        return stats, self.events, ratio
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", ALL)
+def test_counters_match_independent_replay(name, hooked):
+    rt = fresh(name, profile_hook=[].append if hooked else None)
+    replay = CounterReplay(PRESETS[name])
+    words = []
+    steps = mixed_steps()
+    for k, step in enumerate(steps):
+        bits = run_step(rt, words, step)
+        if bits is None:
+            replay.reset()
+        else:
+            replay.event(bits)
+        # read after every step: a read inside a run of hits must count
+        # the flip back from the last miss
+        assert (rt.stats(), rt.boxes_total, rt.hit_ratio()) == replay.expected(), (k, step)
+    if name in SELF_TAG_PRESETS:
+        assert replay.flips > 4 and replay.misses > 4  # both outcomes were exercised
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_hooked_and_unhooked_runtimes_agree(name):
+    seen = []
+    plain, hooked = fresh(name), fresh(name, profile_hook=seen.append)
+    plain_words, hooked_words, boxed_bits = [], [], []
+    for step in mixed_steps(seed=5):
+        bits = run_step(plain, plain_words, step)
+        assert run_step(hooked, hooked_words, step) == bits
+        if bits is not None:
+            boxed_bits.append(bits)
+        assert hooked.stats() == plain.stats()
+        assert hooked.boxes_total == plain.boxes_total
+    assert hooked_words == plain_words
+    assert seen == boxed_bits
+
+
+# box_float, generic_add, generic_less, unbox_float on a fresh runtime,
+# operands 1.5 and 2.25 (both immediate except under boxed)
+HOT_PATH_OPCODES = {
+    "boxed": (99, 121, 33, 38),
+    "nanbox": (18, 53, 31, 16),
+    "nunbox": (20, 71, 47, 24),
+    "st1": (29, 84, 51, 26),
+    "st2biased": (29, 84, 51, 26),
+    "st2zeros": (31, 90, 55, 28),
+    "st3": (31, 90, 55, 28),
+    "st4": (31, 90, 55, 28),
+    "mantissa": (23, 62, 35, 18),
+}
+
+
+def count_opcodes(fn, *args):
+    """Bytecodes executed by fn(*args) and every Python call under it."""
+    n = 0
+
+    def local(frame, event, arg):
+        nonlocal n
+        n += event == "opcode"
+        return local
+
+    def start(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(start)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return n
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytecode counts are specific to CPython 3.11",
+)
+def test_hot_path_opcode_counts():
+    got = {}
+    for name in ALL:
+        rt = fresh(name)
+        a, b = float_to_bits(1.5), float_to_bits(2.25)
+        wa, wb = rt.box_float(a), rt.box_float(b)
+        got[name] = (
+            count_opcodes(rt.box_float, a),
+            count_opcodes(rt.generic_add, wa, wb),
+            count_opcodes(rt.generic_less, wa, wb),
+            count_opcodes(rt.unbox_float, wa),
+        )
+    assert got == HOT_PATH_OPCODES
