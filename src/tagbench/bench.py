@@ -11,7 +11,7 @@ about the computation, not about the encodings."""
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import kernels
@@ -25,12 +25,7 @@ CSV_COLUMNS = (
     "scheme",
     "rep",
     "seconds",
-    "float_allocs",
-    "float_bytes",
-    "other_allocs",
-    "other_bytes",
-    "slow_path_encodes",
-    "representation_flips",
+    *(f.name for f in fields(HeapStats)),
     "hit_ratio",
     "checksum_hex",
 )
@@ -50,18 +45,12 @@ class RunRecord:
     def row(self):
         if self.error is not None:
             raise ValueError("failed run has no row: %s" % self.error)
-        s = self.stats
         return {
             "kernel": self.kernel,
             "scheme": self.scheme,
             "rep": self.rep,
             "seconds": self.seconds,
-            "float_allocs": s.float_allocs,
-            "float_bytes": s.float_bytes,
-            "other_allocs": s.other_allocs,
-            "other_bytes": s.other_bytes,
-            "slow_path_encodes": s.slow_path_encodes,
-            "representation_flips": s.representation_flips,
+            **self.stats.as_dict(),
             "hit_ratio": self.hit_ratio,
             "checksum_hex": self.checksum_hex,
         }

@@ -17,7 +17,7 @@ counted by the Runtime over the heap, so SimHeap.stats() reports them as
 0 and Runtime.stats() fills them in."""
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .words import bits_to_float, float_to_bits
 
@@ -44,14 +44,7 @@ class HeapStats:
     representation_flips: int
 
     def as_dict(self):
-        return {
-            "float_allocs": self.float_allocs,
-            "float_bytes": self.float_bytes,
-            "other_allocs": self.other_allocs,
-            "other_bytes": self.other_bytes,
-            "slow_path_encodes": self.slow_path_encodes,
-            "representation_flips": self.representation_flips,
-        }
+        return asdict(self)
 
 
 class SimHeap:

@@ -5,29 +5,32 @@ interpreter would have: box/unbox floats, fixnum construction, union type
 tests, and generic arithmetic that dispatches on the operand
 representations.
 
-The float operations of every scheme are closures generated from one
-source, _SOURCE, which holds the heap fallback and the counters once.
-The families (rot5: st1, st2biased; rot4: st2zeros, st3, st4; mantissa;
-boxed; nanbox; nunbox) differ only in four forms, substituted into the
-source text before it is compiled: HIT(bits), true when float bits stay
-immediate; IMM(w), true when word w is an immediate float; DEC(w), the
-float bits of an immediate word; ENC(bits), the immediate word for float
-bits. Three constants are substituted with them: HAS_IMM and HAS_MISS,
-derived from a constant HIT, fold a path away (boxed, HIT False, has no
-immediate path; NaN and NuN boxing, HIT True, have no miss path, so they
-never reach the heap and count nothing), and HOOKED, whether the Runtime
-has a profile hook, folds the hook calls away when it has none. Module
-constants (M64 and the like) go in as literals. Each (family, HOOKED)
-source is compiled once per process and cached (_builder). A Runtime
-calls the compiled builder with its scheme constants and heap internals,
-so the per-operation cost is flat: the forms are inline, with no
-per-operation call, and nothing is looked up that could have been bound
-once.
+The float and fixnum operations of every scheme are closures generated
+from one source, _SOURCE, which holds the heap fallback, the fixnum
+arithmetic and the counters once. The families (rot5: st1, st2biased;
+rot4: st2zeros, st3, st4; mantissa; boxed; nanbox; nunbox) differ only in
+seven forms, substituted into the source text before it is compiled:
+HIT(bits), true when float bits stay immediate; IMM(w), true when word w
+is an immediate float; DEC(w), the float bits of an immediate word;
+ENC(bits), the immediate word for float bits; FIX(w), true when word w is
+a fixnum; FDEC(w), the value of a fixnum word; FENC(v), the fixnum word
+for value v. Three constants are substituted with them: HAS_IMM and
+HAS_MISS, derived from a constant HIT, fold a path away (boxed, HIT
+False, has no immediate path; NaN and NuN boxing, HIT True, have no miss
+path, so they never reach the heap and count nothing), and HOOKED,
+whether the Runtime has a profile hook, folds the hook calls away when it
+has none. Module constants (M64 and the like) go in as literals. Each
+(family, HOOKED) source is compiled once per process and cached
+(_builder). A Runtime calls the compiled builder with its scheme
+constants and heap internals, so the per-operation cost is flat: the
+forms are inline, with no per-operation call, and nothing is looked up
+that could have been bound once.
 
 The counters belong to the Runtime: they are closure cells of the
 builder (n, the box events; slow, the slow-path encodes; flips; last,
-the event number of the last miss), read and zeroed through its counts()
-and reset(). A box event that stays immediate only adds one to n. A miss
+the event number of the last miss; zhits, the st2zeros encodes served by
+the preallocated zero cells), read and zeroed through its counts() and
+reset(). A box event that stays immediate only adds one to n. A miss
 adds one to slow and records its event number in last; when the event
 before it was not a miss, the outcome flipped once (a leading run of
 hits) or twice (a miss, hits, this miss) since the previous miss. The
@@ -63,15 +66,18 @@ owner and is not shared between threads, like the SimHeap under it; and
 nothing (profile hook, float operation, heap allocation) is called between
 a store into the buffer and the load that reads it back.
 
-Fixnum placement per scheme:
-  - tagged-pointer and self-tagging schemes use the 61-bit two's-complement
-    word (value << 3) retagged with the first low-bit tag the scheme leaves
-    free (tag 000 everywhere except the mantissa scheme, which claims 000
-    and 100 for floats and pushes fixnums to 001);
-  - NaN boxing carries fixnums as non-float payloads (payload tag 001),
-    so the value range narrows to 48 bits;
-  - NuN boxing keeps the canonical word but only where the top 16 bits
-    stay in the reserved non-float classes, narrowing the range to 46 bits.
+Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
+  - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
+    word (value << 3) retagged with fxt, the first low-bit tag the scheme
+    leaves free (tag 000 everywhere except the mantissa scheme, which
+    claims 000 and 100 for floats and pushes fixnums to 001);
+  - NaN payload: NaN boxing carries fixnums as non-float payloads (payload
+    tag 001), so the value range narrows to 48 bits;
+  - NuN prefix: NuN boxing keeps the 000-tagged word but only where the top
+    16 bits stay in the reserved non-float classes (all zeros or all ones),
+    narrowing the range to 46 bits.
+The builder takes the range as lo and hi; box_fixnum and every fixnum
+result are checked against it.
 """
 
 import re
@@ -96,7 +102,6 @@ from .schemes import (
     THREE_TAG,
     TWO_TAG_BIASED,
     TWO_TAG_ZEROS,
-    nan_box_nonfloat,
     self_tag_set,
     st_transform,
     st_untransform,
@@ -115,82 +120,13 @@ _TYPE_ERR = "mixed or non-numeric operands"
 _RANGE_ERR = "float bits out of [0, 2**64): %r"
 
 
-def _tagged_fixnum_rep(fxt):
-    def is_fix(w):
-        return 0 <= w <= M64 and w & 7 == fxt
-
-    def dec(w):
-        w -= fxt
-        if w & SIGN_64:
-            w -= 1 << 64
-        return w >> 3
-
-    def enc(v):
-        return ((v << 3) & M64) | fxt
-
-    return is_fix, dec, enc, FIXNUM_MIN, FIXNUM_MAX
-
-
-def _nan_fixnum_rep():
-    def is_fix(w):
-        return NAN_CANON < w <= M64 and (w >> 48) & 7 == NAN_FIXNUM_TAG
-
-    def dec(w):
-        p = w & NAN_PAYLOAD_MASK
-        return p - (1 << 48) if p >> 47 else p
-
-    def enc(v):
-        return nan_box_nonfloat(NAN_FIXNUM_TAG, v & NAN_PAYLOAD_MASK)
-
-    return is_fix, dec, enc, NAN_FIXNUM_MIN, NAN_FIXNUM_MAX
-
-
-def _nun_fixnum_rep():
-    def is_fix(w):
-        t = w >> 48
-        return (t == 0 or t == 0xFFFF) and w & 7 == 0
-
-    def dec(w):
-        if w & SIGN_64:
-            w -= 1 << 64
-        return w >> 3
-
-    def enc(v):
-        return (v << 3) & M64
-
-    return is_fix, dec, enc, NUN_FIXNUM_MIN, NUN_FIXNUM_MAX
-
-
-def _fixnum_fallbacks(rep):
-    """Generic-op tails for operands that were not floats: both fixnums
-    compute, anything else is a type error. Returns a factory of the
-    arithmetic tail for an integer operator, and the comparison tail."""
-    is_fix, dec, enc, lo, hi = rep
-
-    def fixnum_op(op):
-        def fop(aw, bw):
-            if not (is_fix(aw) and is_fix(bw)):
-                raise TypeError(_TYPE_ERR)
-            v = op(dec(aw), dec(bw))
-            if not lo <= v <= hi:
-                raise OverflowError("fixnum overflow: %d" % v)
-            return enc(v)
-
-        return fop
-
-    def fless(aw, bw):
-        if not (is_fix(aw) and is_fix(bw)):
-            raise TypeError(_TYPE_ERR)
-        return dec(aw) < dec(bw)
-
-    return fixnum_op, fless
-
-
 # The closure source. n, slow, flips and last are the Runtime's counters
 # (box events, slow-path encodes, flips finalised so far, the event number
-# of the last miss); counts() reads them, with the pending flip back to
-# hits added, and reset() zeroes them. MISS marks the bookkeeping of a
-# miss, written once in _MISS and expanded inline in box and the re-box.
+# of the last miss), and zhits counts the slow-path encodes that st2zeros
+# served from its preallocated zero cells; counts() reads them, with the
+# pending flip back to hits added and the misses that went to the heap
+# derived, and reset() zeroes them. MISS marks the bookkeeping of a miss,
+# written once in _MISS and expanded inline in box and the re-box.
 # Three constants are derived, never set: HAS_IMM is False only for the
 # boxed family, whose HIT and IMM are the constant False, so the compiler
 # drops every immediate branch and a boxed re-box converts its result to
@@ -202,23 +138,25 @@ def _fixnum_fallbacks(rep):
 # negative word has bit 64 set and fails, where w & 7 would let it index
 # the arena from its end; a word of 2**65 or more indexes past the arena,
 # and the IndexError becomes a TypeError. Families that never miss have no
-# handles, and their ht is -1, which no masked word equals.
+# handles, and their ht is -1, which no masked word equals. A first
+# operand that is neither an immediate float nor a handle must be a
+# fixnum, and so must the second; the fixnum result must lie in [lo, hi].
 # Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
 # them on the slow path, where bits is always bound when zeros is true.
 
 _SOURCE = """
-def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fless):
-    n = slow = flips = last = 0
+def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc):
+    n = slow = flips = last = zhits = 0
 
     def counts():
-        return n, slow, flips + (0 < last < n)
+        return n, slow, flips + (0 < last < n), slow - zhits
 
     def reset():
-        nonlocal n, slow, flips, last
-        n = slow = flips = last = 0
+        nonlocal n, slow, flips, last, zhits
+        n = slow = flips = last = zhits = 0
 
     def box(bits):
-        nonlocal n, slow, flips, last
+        nonlocal n, slow, flips, last, zhits
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
         if HOOKED:
@@ -248,9 +186,22 @@ def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fl
                 return mq[0]
         raise TypeError("not a float word: 0x%016x" % w)
 
-    def make_arith(fop, fixop):
+    def box_fixnum(v):
+        if not lo <= v <= hi:
+            raise OverflowError("fixnum out of range: %d" % v)
+        return FENC(v)
+
+    def unbox_fixnum(w):
+        if not FIX(w):
+            raise TypeError("not a fixnum word: 0x%016x" % w)
+        return FDEC(w)
+
+    def is_fixnum(w):
+        return FIX(w)
+
+    def make_arith(fop, iop):
         def arith(aw, bw):
-            nonlocal n, slow, flips, last
+            nonlocal n, slow, flips, last, zhits
             try:
                 if IMM(aw):
                     mq[0] = DEC(aw)
@@ -258,7 +209,12 @@ def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fl
                 elif aw & ((1 << 64) | 7) == ht:
                     xa = payload[aw >> 3]
                 else:
-                    return fixop(aw, bw)
+                    if not (FIX(aw) and FIX(bw)):
+                        raise TypeError(_TYPE_ERR)
+                    v = iop(FDEC(aw), FDEC(bw))
+                    if not lo <= v <= hi:
+                        raise OverflowError("fixnum overflow: %d" % v)
+                    return FENC(v)
                 if IMM(bw):
                     mq[0] = DEC(bw)
                     xb = md[0]
@@ -292,7 +248,9 @@ def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fl
             elif aw & ((1 << 64) | 7) == ht:
                 xa = payload[aw >> 3]
             else:
-                return fless(aw, bw)
+                if not (FIX(aw) and FIX(bw)):
+                    raise TypeError(_TYPE_ERR)
+                return FDEC(aw) < FDEC(bw)
             if IMM(bw):
                 mq[0] = DEC(bw)
                 xb = md[0]
@@ -304,7 +262,10 @@ def build(dt, et, k, ht, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc, fl
         except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
             raise TypeError(_TYPE_ERR) from None
 
-    return box, unbox, is_float, make_arith, less, counts, reset
+    return (
+        box, unbox, is_float, box_fixnum, unbox_fixnum, is_fixnum, make_arith, less,
+        counts, reset,
+    )
 """
 
 # A miss: event n went to the slow path. When event n - 1 was not a miss,
@@ -315,6 +276,7 @@ if last != n - 1:
     flips += 1 + (last > 0)
 last = n
 if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
+    zhits += 1
     return pz_pos if bits == 0 else pz_neg"""
 
 # family: its forms. The rot5 and rot4 forms read the tables that
@@ -322,42 +284,66 @@ if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
 # DEC and ENC that follow them. k is the rot4 offset: DEC subtracts it
 # from the whole word before shifting, because the borrow can cross the
 # nibble boundary (the all-ones NaN encodes below 16 under rot4 and
-# borrows).
+# borrows). FIX, FDEC and FENC are the three fixnum layouts of the module
+# docstring; the four families that tag fixnums fxt share _TAGGED_FIX.
+_TAGGED_FIX = {
+    "FIX": "0 <= {0} <= M64 and {0} & 7 == fxt",
+    "FDEC": "((({} - fxt) ^ SIGN_64) - SIGN_64) >> 3",
+    "FENC": "(({} << 3) & M64) | fxt",
+}
 _FAMILIES = {
     "rot5": {
         "HIT": "(e := et[{} >> 58]) is not None",
         "IMM": "(d := dt[{} & 31]) is not None",
         "DEC": "(({} >> 5) + d) & M64",
         "ENC": "({} << 5) - e",
+        **_TAGGED_FIX,
     },
     "rot4": {
         "HIT": "(e := et[{} >> 60]) is not None",
         "IMM": "(d := dt[{} & 15]) is not None",
         "DEC": "((({} - k) >> 4) & M60) | d",
         "ENC": "(({} << 4) - e) & M64",
+        **_TAGGED_FIX,
     },
-    "mantissa": {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}"},
-    "boxed": {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}"},
+    "mantissa": {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX},
+    "boxed": {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX},
     "nanbox": {
         "HIT": "True",
         "IMM": "{} <= NAN_CANON",
         "DEC": "{}",
         "ENC": "{0} if {0} < NAN_CANON else NAN_CANON",
+        "FIX": "NAN_CANON < {0} <= M64 and ({0} >> 48) & 7 == NAN_FIXNUM_TAG",
+        "FDEC": "(({} & NAN_PAYLOAD_MASK) ^ (1 << 47)) - (1 << 47)",
+        "FENC": "{} & NAN_PAYLOAD_MASK | (NAN_CANON | NAN_FIXNUM_TAG << 48)",
     },
     "nunbox": {
         "HIT": "True",
         "IMM": "NUN_BIAS <= {} < 0xFFFF << 48",
         "DEC": "{} - NUN_BIAS",
         "ENC": "({0} if {0} < NUN_CANON_MIN else NAN_CANON) + NUN_BIAS",
+        "FIX": "{0} >> 48 in (0, 0xFFFF) and {0} & 7 == 0",
+        "FDEC": "(({} ^ SIGN_64) - SIGN_64) >> 3",
+        "FENC": "({} << 3) & M64",
     },
+}
+
+# family: its fixnum range, where the payload or the reserved classes
+# narrow it
+_FIXNUM_RANGE = {
+    "nanbox": (NAN_FIXNUM_MIN, NAN_FIXNUM_MAX),
+    "nunbox": (NUN_FIXNUM_MIN, NUN_FIXNUM_MAX),
 }
 
 # module constants the source and forms name, compiled in as literals
 _LITERALS = {
     "M64": M64,
     "M60": M60,
+    "SIGN_64": SIGN_64,
     "NEG_ZERO_BITS": NEG_ZERO_BITS,
     "NAN_CANON": NAN_CANON,
+    "NAN_PAYLOAD_MASK": NAN_PAYLOAD_MASK,
+    "NAN_FIXNUM_TAG": NAN_FIXNUM_TAG,
     "NUN_BIAS": NUN_BIAS,
     "NUN_CANON_MIN": NUN_CANON_MIN,
 }
@@ -380,7 +366,7 @@ _VARIANT_FAMILY = {
 }
 
 # a form marker and its argument, a plain name
-_FORM = re.compile(r"\b(HIT|IMM|DEC|ENC)\((\w+)\)")
+_FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 
 @cache
@@ -457,10 +443,15 @@ class Runtime:
     not by what the cell holds: the arena stores float cells only (ballast
     is counted, never stored), so no handle reaches ballast.
 
+    The float and fixnum operations (box_float, unbox_float,
+    is_float_value, box_fixnum, unbox_fixnum, is_fixnum_value and the
+    generic_* operations) are instance attributes: closures compiled from
+    one source per family, not methods.
+
     The counters of box events, slow-path encodes and representation
     flips belong to the Runtime, not its heap: they live in the compiled
     closures' cells, and stats() joins them to the heap's allocation
-    counters.
+    counters. hit_ratio() counts only the float cells this runtime boxed.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
@@ -504,34 +495,20 @@ class Runtime:
         self._reset()
 
     def stats(self):
-        _, slow, flips = self._counts()
+        _, slow, flips, _ = self._counts()
         return replace(self.heap.stats(), slow_path_encodes=slow, representation_flips=flips)
 
     def hit_ratio(self):
         """Fraction of boxing events that stayed immediate since the last
-        counter reset: 1 - float allocations / box events, and 1.0 when
-        nothing was boxed, under every scheme. NaN and NuN boxing count no
-        box events, so they read 1.0; the boxed baseline reads 0.0 once it
-        has boxed."""
-        b = self._counts()[0]
-        return 1.0 - self.heap.stats().float_allocs / b if b else 1.0
-
-    # -- fixnum api -------------------------------------------------------
-
-    def box_fixnum(self, v):
-        is_fix, dec, enc, lo, hi = self._fixrep
-        if not lo <= v <= hi:
-            raise OverflowError("fixnum out of range: %d" % v)
-        return enc(v)
-
-    def unbox_fixnum(self, w):
-        is_fix, dec, enc, lo, hi = self._fixrep
-        if not is_fix(w):
-            raise TypeError("not a fixnum word: 0x%016x" % w)
-        return dec(w)
-
-    def is_fixnum_value(self, w):
-        return self._fixrep[0](w)
+        counter reset: 1 - this runtime's misses that went to the heap /
+        box events, and 1.0 when nothing was boxed, under every scheme.
+        Cells that the runtime did not box (st2zeros' preallocated zeros,
+        another runtime's boxes on a shared heap) do not count; a miss
+        whose allocation raised MemoryError does. NaN and NuN boxing count
+        no box events, so they read 1.0; the boxed baseline reads 0.0 once
+        it has boxed."""
+        n, _, _, allocs = self._counts()
+        return 1.0 - allocs / n if n else 1.0
 
     # -- compilation ------------------------------------------------------
 
@@ -539,14 +516,6 @@ class Runtime:
         scheme = self.scheme
         variant = scheme.variant
         hook = self.profile_hook
-        mq, md = self._mq, self._md
-        if variant == NANBOX:
-            self._fixrep = _nan_fixnum_rep()
-        elif variant == NUNBOX:
-            self._fixrep = _nun_fixnum_rep()
-        else:
-            self._fixrep = _tagged_fixnum_rep(self.fixnum_tag)
-        fixnum_op, fless = _fixnum_fallbacks(self._fixrep)
         family = _VARIANT_FAMILY[variant]
         heap = self.heap
         tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None, None)
@@ -554,19 +523,18 @@ class Runtime:
         ht = GENERIC_TAG if hft is None else hft
         if _FAMILIES[family]["HIT"] == "True":
             ht = -1  # never misses: no word is a heap handle
+        lo, hi = _FIXNUM_RANGE.get(family, (FIXNUM_MIN, FIXNUM_MAX))
         zeros = variant == TWO_TAG_ZEROS
         pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
-        box, unbox, is_float, make_arith, less, self._counts, self._reset = _builder(
-            family, hook is not None
-        )(
-            *tables, scheme.offset, ht, zeros, pz_pos, pz_neg, hook,
-            heap._payload, mq, md, heap.float_allocator(hft), fless,
+        (
+            self.box_float, self.unbox_float, self.is_float_value,
+            self.box_fixnum, self.unbox_fixnum, self.is_fixnum_value,
+            make_arith, self.generic_less, self._counts, self._reset,
+        ) = _builder(family, hook is not None)(
+            *tables, scheme.offset, ht, self.fixnum_tag, lo, hi, zeros, pz_pos, pz_neg,
+            hook, heap._payload, self._mq, self._md, heap.float_allocator(hft),
         )
-        self.box_float = box
-        self.unbox_float = unbox
-        self.is_float_value = is_float
-        self.generic_add = make_arith(add, fixnum_op(add))
-        self.generic_sub = make_arith(sub, fixnum_op(sub))
-        self.generic_mul = make_arith(mul, fixnum_op(mul))
-        self.generic_div = make_arith(ieee_div, fixnum_op(floordiv))
-        self.generic_less = less
+        self.generic_add = make_arith(add, add)
+        self.generic_sub = make_arith(sub, sub)
+        self.generic_mul = make_arith(mul, mul)
+        self.generic_div = make_arith(ieee_div, floordiv)

@@ -9,12 +9,7 @@ M32 = (1 << 32) - 1
 
 SIGN_64 = 1 << 63
 EXP_MASK_64 = 0x7FF0000000000000   # exponent bits 62-52
-MANT_MASK_64 = 0x000FFFFFFFFFFFFF  # mantissa bits 51-0
 QNAN_64 = 0x7FF8000000000000       # canonical quiet NaN
-
-SIGN_32 = 1 << 31
-EXP_MASK_32 = 0x7F800000           # exponent bits 30-23
-MANT_MASK_32 = 0x007FFFFF          # mantissa bits 22-0
 
 TAG_BITS = 3
 TAG_MASK = (1 << TAG_BITS) - 1

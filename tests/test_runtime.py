@@ -11,6 +11,7 @@ from tagbench.prng import splitmix64
 from tagbench.runtime import (
     NAN_FIXNUM_MAX,
     NAN_FIXNUM_MIN,
+    NAN_FIXNUM_TAG,
     NUN_FIXNUM_MAX,
     NUN_FIXNUM_MIN,
     Runtime,
@@ -19,6 +20,7 @@ from tagbench.schemes import (
     ALL_VARIANTS,
     BOXED,
     NAN_CANON,
+    NAN_PAYLOAD_MASK,
     NANBOX,
     NUN_CANON_MIN,
     NUNBOX,
@@ -30,6 +32,7 @@ from tagbench.schemes import (
     SchemeConfig,
     covers,
     nan_box_float,
+    nan_box_nonfloat,
     nun_box_float,
     self_tag_set,
     st_transform,
@@ -345,6 +348,34 @@ def test_hit_ratio_counts_boxing_events():
     assert rt.hit_ratio() == 1.0  # vacuous before any boxing
 
 
+def test_hit_ratio_counts_only_the_runtimes_own_allocations():
+    # st2zeros' preallocated zero cells are not boxes of this runtime
+    rt = fresh("st2zeros")
+    rt.box_float(HALF15)
+    assert rt.hit_ratio() == 1.0
+    rt.box_float(0)  # a slow-path encode served by a preallocated cell
+    assert rt.hit_ratio() == 1.0
+    rt.box_float(TINY)
+    assert rt.hit_ratio() == 1 - 1 / 3  # one of three box events allocated
+    # nor are the cells another runtime boxed on a shared heap
+    heap = SimHeap()
+    boxed = Runtime(PRESETS["boxed"], heap)
+    boxed.box_float(ONE)
+    boxed.box_float(ONE)
+    rt = Runtime(PRESETS["st1"], heap)
+    rt.box_float(ONE)
+    assert rt.hit_ratio() == 1.0
+    assert boxed.hit_ratio() == 0.0
+    assert rt.stats().float_allocs == 2  # the heap's count is still shared
+    # a miss whose allocation fails did not stay immediate either
+    rt = Runtime(PRESETS["st1"], SimHeap(capacity=1))
+    rt.box_float(TINY)
+    with pytest.raises(MemoryError):
+        rt.box_float(TINY)
+    assert rt.stats().float_allocs == 1
+    assert rt.hit_ratio() == 0.0
+
+
 def test_out_of_memory_propagates():
     rt = Runtime(PRESETS["boxed"], SimHeap(capacity=2))
     rt.box_float(ONE)
@@ -461,6 +492,7 @@ REFERENCE_OPS = (
     ("generic_mul", operator.mul),
     ("generic_div", ieee_div),
 )
+FIXNUM_OPS = (*REFERENCE_OPS[:3], ("generic_div", operator.floordiv))
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -533,6 +565,52 @@ def test_every_config_roundtrips_and_encodes_like_schemes():
     assert n_configs == 4192
 
 
+def expected_fixnum_word(cfg, fxt, v):
+    # the fixnum layouts, restated: a NaN payload under NaN boxing, the
+    # 000-tagged shifted word under NuN boxing, else the shifted word
+    # retagged with the scheme's fixnum tag
+    if cfg.variant == NANBOX:
+        return nan_box_nonfloat(NAN_FIXNUM_TAG, v & NAN_PAYLOAD_MASK)
+    return ((v << 3) & M64) | fxt
+
+
+def test_every_config_fixnums_match_int_arithmetic():
+    # box/unbox round trips at the range edges, overflow past them, and
+    # the five generic operations against Python int arithmetic, with
+    # floor division, over the whole SchemeConfig space
+    n_configs = 0
+    for cfg in valid_configs():
+        n_configs += 1
+        rt = Runtime(cfg, SimHeap())
+        lo, hi = FIXNUM_RANGES.get(cfg.variant, (FIXNUM_MIN, FIXNUM_MAX))
+        box, unbox = rt.box_fixnum, rt.unbox_fixnum
+        for v in (lo, hi, -1, 0):
+            w = box(v)
+            assert w == expected_fixnum_word(cfg, rt.fixnum_tag, v), (cfg, v)
+            assert unbox(w) == v, (cfg, v)
+            assert rt.is_fixnum_value(w) and not rt.is_float_value(w), (cfg, v)
+        for v in (hi + 1, lo - 1):
+            with pytest.raises(OverflowError):
+                box(v)
+        values = (lo, -7, 0, 3, hi)
+        for a in values:
+            for b in values:
+                aw, bw = box(a), box(b)
+                assert rt.generic_less(aw, bw) is (a < b), (cfg, a, b)
+                for op, ref in FIXNUM_OPS:
+                    if ref is operator.floordiv and b == 0:
+                        with pytest.raises(ZeroDivisionError):
+                            getattr(rt, op)(aw, bw)
+                        continue
+                    v = ref(a, b)
+                    if lo <= v <= hi:
+                        assert unbox(getattr(rt, op)(aw, bw)) == v, (cfg, op, a, b)
+                    else:
+                        with pytest.raises(OverflowError, match="fixnum overflow"):
+                            getattr(rt, op)(aw, bw)
+    assert n_configs == 4192
+
+
 # -- counters against an independent replay --------------------------------
 
 MIXED_SPECIALS = (
@@ -591,13 +669,14 @@ class CounterReplay:
 
     def __init__(self, cfg):
         self.cfg = cfg
-        self.events = self.misses = self.flips = 0
+        self.events = self.misses = self.flips = self.own_allocs = 0
         self.prev = None
-        # st2zeros preallocates its two zero cells before any event
+        # st2zeros preallocates its two zero cells before any event; they
+        # count in the heap's allocations, not in the runtime's own
         self.allocs = 2 if cfg.variant == TWO_TAG_ZEROS else 0
 
     def reset(self):
-        self.events = self.misses = self.flips = self.allocs = 0
+        self.events = self.misses = self.flips = self.allocs = self.own_allocs = 0
         self.prev = None
 
     def event(self, bits):
@@ -613,11 +692,12 @@ class CounterReplay:
         if not hit:
             self.misses += 1
             self.allocs += not zero
+            self.own_allocs += not zero
 
     def expected(self):
         cell = 16 if self.cfg.heap_float_tag is None else 8
         stats = HeapStats(self.allocs, cell * self.allocs, 0, 0, self.misses, self.flips)
-        ratio = 1.0 - self.allocs / self.events if self.events else 1.0
+        ratio = 1.0 - self.own_allocs / self.events if self.events else 1.0
         return stats, self.events, ratio
 
 
@@ -672,6 +752,21 @@ HOT_PATH_OPCODES = {
 }
 
 
+# generic_add, generic_less, box_fixnum, unbox_fixnum on a fresh runtime,
+# fixnum operands 3 and -5
+FIXNUM_PATH_OPCODES = {
+    "boxed": (80, 60, 17, 26),
+    "nanbox": (81, 63, 15, 26),
+    "nunbox": (73, 55, 15, 20),
+    "st1": (87, 67, 17, 26),
+    "st2biased": (87, 67, 17, 26),
+    "st2zeros": (87, 67, 17, 26),
+    "st3": (87, 67, 17, 26),
+    "st4": (87, 67, 17, 26),
+    "mantissa": (85, 65, 17, 26),
+}
+
+
 def count_opcodes(fn, *args):
     """Bytecodes executed by fn(*args) and every Python call under it."""
     n = 0
@@ -710,3 +805,21 @@ def test_hot_path_opcode_counts():
             count_opcodes(rt.unbox_float, wa),
         )
     assert got == HOT_PATH_OPCODES
+
+
+@pytest.mark.skipif(
+    sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+    reason="bytecode counts are specific to CPython 3.11",
+)
+def test_fixnum_path_opcode_counts():
+    got = {}
+    for name in ALL:
+        rt = fresh(name)
+        a, b = rt.box_fixnum(3), rt.box_fixnum(-5)
+        got[name] = (
+            count_opcodes(rt.generic_add, a, b),
+            count_opcodes(rt.generic_less, a, b),
+            count_opcodes(rt.box_fixnum, 3),
+            count_opcodes(rt.unbox_fixnum, a),
+        )
+    assert got == FIXNUM_PATH_OPCODES
