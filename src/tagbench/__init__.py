@@ -7,7 +7,7 @@ runtime), and measurement on top (profiler, kernels, bench, batch)."""
 from .bench import RunRecord, checksum_hex, run_kernel, run_matrix
 from .heap import GENERIC_TAG, HeapStats, SimHeap
 from .kernels import KERNEL_NAMES, KernelSpec, default_spec
-from .profiler import FloatProfile, classify, fmt_magnitude, merge, render_table
+from .profiler import FloatProfile, fmt_magnitude, merge, render_table
 from .runtime import Runtime
 from .schemes import (
     ALL_VARIANTS,
@@ -21,13 +21,8 @@ from .schemes import (
     covers,
     nan_box_float,
     nan_box_nonfloat,
-    nan_is_float,
-    nan_nonfloat_parts,
     nun_box_float,
-    nun_is_float,
-    nun_unbox_float,
     self_tag_set,
-    st_encode,
     st_transform,
     st_untransform,
 )

@@ -9,10 +9,12 @@ The arena stores float cells only. Ballast (preload), which stands in for
 the program's other objects, is counted against capacity, cells_used and
 the other_* counters but never stored, so no handle can reach it.
 
-The heap counts what it stores: float allocations and bytes, and ballast
-allocations and bytes. Their slots live in a plain list (heap._c), so the
-allocator closure updates them without attribute lookups; the indices
-below are its layout. Slow-path encodes and representation flips are
+The float counters are not kept but derived from the arena when read:
+float_allocs is the growth of the payload array since the last counter
+reset, and float_bytes is 8 bytes per float cell added since then, float
+cells being cells_used less the ballast cells (other_bytes / 8). So the
+allocator closure updates no counter; only preload counts, its ballast
+allocations and bytes. Slow-path encodes and representation flips are
 counted by the Runtime over the heap, so SimHeap.stats() reports them as
 0 and Runtime.stats() fills them in."""
 
@@ -26,12 +28,6 @@ GENERIC_TAG = 1  # handle tag shared by every generic-pointer object
 DEFAULT_CAPACITY = 1 << 24  # cells
 
 NEG_ZERO_BITS = 0x8000000000000000
-
-# indices into SimHeap._c
-C_FLOAT_ALLOCS = 0
-C_FLOAT_BYTES = 1
-C_OTHER_ALLOCS = 2
-C_OTHER_BYTES = 3
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,9 @@ class SimHeap:
         self._payload = array("d")
         self._tags = bytearray()
         self._cells = 0
-        self._c = [0, 0, 0, 0]
+        self._other_allocs = 0
+        self._other_bytes = 0
+        self._base = (0, 0)  # _float_totals() at the last counter reset
         self._zero_handles = None
 
     @property
@@ -82,16 +80,14 @@ class SimHeap:
 
     def float_allocator(self, tag=None):
         """The float-cell allocation of alloc_float as a closure over this
-        heap's arrays and counter slots, taking the payload as a float and
-        returning the handle word; tag as in alloc_float, not validated.
-        The runtime's compiled closures allocate through it."""
+        heap's arrays, taking the payload as a float and returning the
+        handle word; tag as in alloc_float, not validated. The runtime's
+        compiled closures allocate through it."""
         generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
         cost = 2 if generic else 1
-        nbytes = 16 if generic else 8
         payload = self._payload
         tags = self._tags
-        c = self._c
         cap = self.capacity
 
         def alloc(f):
@@ -101,8 +97,6 @@ class SimHeap:
             payload.append(f)
             tags.append(handle_tag)
             self._cells += cost
-            c[C_FLOAT_ALLOCS] += 1
-            c[C_FLOAT_BYTES] += nbytes
             return (i << 3) | handle_tag
 
         return alloc
@@ -137,26 +131,30 @@ class SimHeap:
         if self._cells + ncells > self.capacity:
             raise MemoryError("simulated heap capacity exhausted")
         self._cells += ncells
-        c = self._c
-        c[C_OTHER_ALLOCS] += 1
-        c[C_OTHER_BYTES] += 8 * ncells
+        self._other_allocs += 1
+        self._other_bytes += 8 * ncells
+
+    def _float_totals(self):
+        # (float cells stored, arena cells they take): every cell that is
+        # not ballast holds a float, and ballast takes 8 bytes a cell
+        return len(self._payload), self._cells - self._other_bytes // 8
 
     def reset_kernel_counters(self):
-        """Zero the float counters; ballast accounting and all allocated
-        cells are retained."""
-        c = self._c
-        c[C_FLOAT_ALLOCS] = 0
-        c[C_FLOAT_BYTES] = 0
+        """Start the float counters from zero by recording where the arena
+        stands; ballast accounting and all allocated cells are retained."""
+        self._base = self._float_totals()
 
     def stats(self):
-        """The heap's counters; slow_path_encodes and representation_flips
-        are 0 here, because the Runtime counts them."""
-        c = self._c
+        """The heap's counters, the float ones derived from the arena's
+        growth since the last reset; slow_path_encodes and
+        representation_flips are 0 here, because the Runtime counts them."""
+        allocs, cells = self._float_totals()
+        base_allocs, base_cells = self._base
         return HeapStats(
-            float_allocs=c[C_FLOAT_ALLOCS],
-            float_bytes=c[C_FLOAT_BYTES],
-            other_allocs=c[C_OTHER_ALLOCS],
-            other_bytes=c[C_OTHER_BYTES],
+            float_allocs=allocs - base_allocs,
+            float_bytes=8 * (cells - base_cells),
+            other_allocs=self._other_allocs,
+            other_bytes=self._other_bytes,
             slow_path_encodes=0,
             representation_flips=0,
         )

@@ -4,27 +4,20 @@ Values are bucketed by their 5-bit exponent prefix into 32 magnitude
 ranges; exact zeros and Inf/NaN get rows of their own in the rendered
 table. A FloatProfile's add method is shaped to be a Runtime profile_hook,
 so a workload can be profiled by running it once under any scheme.
+A profile keeps only those counts: its total is the histogram's sum, and
+the share a self-tagging scheme keeps immediate is
+class_mass(covered_prefix_classes(scheme)).
 
 The magnitude boundary labels are two-significant-digit decimal strings,
 with the first and last bounds pinned to the smallest subnormal and the
 largest finite double."""
 
 import io
-from typing import NamedTuple
 
-from .schemes import (
-    BOXED,
-    MANTISSA,
-    SELF_TAG_VARIANTS,
-    class_lo,
-    covered_prefix_classes,
-)
-from .words import EXP_MASK_64, SIGN_64
+from .schemes import class_lo
 
 MIN_SUBNORMAL = 5e-324
 MAX_FINITE = 1.7976931348623157e308
-
-_ABS_MASK = SIGN_64 - 1  # low 63 bits
 
 
 def fmt_magnitude(x):
@@ -49,36 +42,20 @@ def bound_labels():
     return labels
 
 
-class Classified(NamedTuple):
-    prefix: int
-    is_zero: bool
-    is_inf_nan: bool
-
-
-def classify(bits):
-    return Classified(
-        (bits >> 58) & 31,
-        bits & _ABS_MASK == 0,
-        bits & EXP_MASK_64 == EXP_MASK_64,
-    )
-
-
 class FloatProfile:
     """Histogram over the 32 exponent-prefix classes plus zero and
     Inf/NaN sub-counts (subsets of classes 0 and 31)."""
 
-    __slots__ = ("name", "_prefix", "_zeros", "_inf_nan", "_total")
+    __slots__ = ("name", "_prefix", "_zeros", "_inf_nan")
 
     def __init__(self, name="boxes"):
         self.name = name
         self._prefix = [0] * 32
         self._zeros = 0
         self._inf_nan = 0
-        self._total = 0
 
     def add(self, bits):
         self._prefix[(bits >> 58) & 31] += 1
-        self._total += 1
         if not bits & 0x7FFFFFFFFFFFFFFF:
             self._zeros += 1
         elif bits & 0x7FF0000000000000 == 0x7FF0000000000000:
@@ -86,7 +63,7 @@ class FloatProfile:
 
     @property
     def total(self):
-        return self._total
+        return sum(self._prefix)
 
     @property
     def zeros(self):
@@ -112,28 +89,16 @@ class FloatProfile:
     def class_mass(self, classes):
         """Fraction of all counted boxes whose prefix class is in
         classes (zeros land in class 0, Inf/NaN in class 31)."""
-        if self._total == 0:
+        total = self.total
+        if total == 0:
             return 0.0
-        return sum(self._prefix[p] for p in classes) / self._total
-
-    def hit_ratio(self, scheme):
-        """Fraction of the counted boxes the scheme would have kept
-        immediate. Exponent-prefix schemes only; the mantissa scheme's
-        decision needs low bits this histogram does not keep."""
-        if scheme.variant == MANTISSA:
-            raise ValueError("mantissa coverage is not a prefix-class function")
-        if self._total == 0:
-            return 1.0
-        if scheme.variant in SELF_TAG_VARIANTS:
-            return self.class_mass(covered_prefix_classes(scheme))
-        return 0.0 if scheme.variant == BOXED else 1.0
+        return sum(self._prefix[p] for p in classes) / total
 
     def merged(self, other, name=None):
         out = FloatProfile(self.name if name is None else name)
         out._prefix = [a + b for a, b in zip(self._prefix, other._prefix)]
         out._zeros = self._zeros + other._zeros
         out._inf_nan = self._inf_nan + other._inf_nan
-        out._total = self._total + other._total
         return out
 
 

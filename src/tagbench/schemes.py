@@ -41,9 +41,6 @@ _ROT4_E3 = {
     FOUR_TAG: (0, 3, 4, 7),
 }
 
-NEG_ZERO_BITS = 0x8000000000000000
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """One encoding scheme plus its parameters.
@@ -121,17 +118,6 @@ def st_untransform(w, config):
     raise ValueError("not a self-tagging variant: %r" % (v,))
 
 
-def st_encode(bits, config):
-    """Transform and test: the immediate word, or None when the float
-    falls outside the tag set and needs a heap cell. The two-tag-zeros
-    variant's +-0.0 special case is the caller's job (exact bit compare
-    before transforming)."""
-    w = st_transform(bits, config)
-    if (self_tag_set(config) >> (w & 7)) & 1:
-        return w
-    return None
-
-
 def _class_covered(config, p):
     # p is a 5-bit exponent prefix; membership depends only on p for the
     # exponent-based variants (tag and offset permute the low bits away)
@@ -148,8 +134,8 @@ def _class_covered(config, p):
 
 def covers(config, bits):
     """Independent immediate-representability predicate: inspects the
-    designated exponent (or mantissa) bits only, never st_encode, so the
-    two can be cross-checked against each other."""
+    designated exponent (or mantissa) bits only, never st_transform, so
+    the two can be cross-checked against each other."""
     if config.variant == MANTISSA:
         return bits & 3 == 0
     return _class_covered(config, exponent_prefix5(bits))
@@ -215,10 +201,6 @@ def nan_box_float(bits):
     return bits if bits < NAN_CANON else NAN_CANON
 
 
-def nan_is_float(w):
-    return w <= NAN_CANON
-
-
 def nan_box_nonfloat(tag, payload):
     if not 0 <= tag <= 7:
         raise ValueError("tag out of [0, 7]: %r" % (tag,))
@@ -227,12 +209,6 @@ def nan_box_nonfloat(tag, payload):
     if tag == 0 and payload == 0:
         raise ValueError("(0, 0) is the canonical NaN, not an encodable value")
     return NAN_CANON | (tag << 48) | payload
-
-
-def nan_nonfloat_parts(w):
-    if w <= NAN_CANON:
-        raise TypeError("float word has no non-float parts: 0x%016x" % w)
-    return (w >> 48) & 7, w & NAN_PAYLOAD_MASK
 
 
 # ---- NuN boxing -------------------------------------------------------------
@@ -249,18 +225,6 @@ def nun_box_float(bits):
     if bits >= NUN_CANON_MIN:
         bits = NAN_CANON
     return (bits + NUN_BIAS) & M64
-
-
-def nun_is_float(w):
-    t = w >> 48
-    return t != 0x0000 and t != 0xFFFF
-
-
-def nun_unbox_float(w):
-    t = w >> 48
-    if t == 0x0000 or t == 0xFFFF:
-        raise TypeError("non-float word: 0x%016x" % w)
-    return (w - NUN_BIAS) & M64
 
 
 # ---- benchmark scheme presets ----------------------------------------------

@@ -22,6 +22,16 @@ from tagbench.prng import splitmix64
 from tagbench.schemes import PRESETS, SELF_TAG_PRESETS, covers, st_transform
 from tagbench.st32 import OneTag, TwoTag, st32_covers, st32_transform
 
+from test_schemes import PARAM_CONFIGS
+
+# the presets, then every rot4 offset and every one-tag and biased two-tag
+# tag
+TRANSFORM_CONFIGS = {name: PRESETS[name] for name in SELF_TAG_PRESETS}
+TRANSFORM_CONFIGS.update(
+    ("%s-%d" % (c.variant, c.offset if c.variant in schemes.ROT4_VARIANTS else c.tag), c)
+    for c in PARAM_CONFIGS
+)
+
 
 def test_splitmix_block_matches_scalar_stream():
     seed = 42
@@ -34,9 +44,9 @@ def test_splitmix_block_matches_scalar_stream():
     assert [int(x) for x in tail] == want[600:]
 
 
-@pytest.mark.parametrize("name", SELF_TAG_PRESETS)
+@pytest.mark.parametrize("name", TRANSFORM_CONFIGS)
 def test_transform_block_matches_scalar(name):
-    cfg = PRESETS[name]
+    cfg = TRANSFORM_CONFIGS[name]
     words = splitmix64_block(5, 0, 4096)
     tr = st_transform_block(words, cfg)
     for i in (0, 1, 17, 4095):
@@ -74,9 +84,9 @@ def test_nan_nun_roundtrip_fuzz_small():
 
 
 def test_st32_blocks_match_scalar():
-    for v in (OneTag(0), OneTag(2), TwoTag(0), TwoTag(3)):
-        words = splitmix64_block(3, 0, 4096).astype(np.uint64) & np.uint64(0xFFFFFFFF)
-        words = words.astype(np.uint32)
+    words = splitmix64_block(3, 0, 4096).astype(np.uint64) & np.uint64(0xFFFFFFFF)
+    words = words.astype(np.uint32)
+    for v in [*map(OneTag, range(4)), *map(TwoTag, range(4))]:
         tr = st32_transform_block(words, v)
         for i in (0, 9, 4095):
             assert int(tr[i]) == st32_transform(int(words[i]), v)

@@ -3,15 +3,13 @@ import pytest
 from tagbench.profiler import (
     FloatProfile,
     bound_labels,
-    classify,
     fmt_magnitude,
     merge,
     render_table,
 )
-from tagbench.schemes import PRESETS
 from tagbench.words import float_to_bits
 
-from _frozen import BOUND_LABELS, COVERED_64
+from _frozen import BOUND_LABELS
 
 
 def test_bound_labels_are_the_expected_33():
@@ -27,18 +25,20 @@ def test_fmt_magnitude_spot_values():
 
 
 def test_classify():
-    c = classify(0)
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (0, True, False)
-    c = classify(1 << 63)  # -0.0
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (0, True, False)
-    c = classify(float_to_bits(1.0))
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (15, False, False)
-    c = classify(float_to_bits(float("inf")))
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (31, False, True)
-    c = classify(float_to_bits(float("nan")))
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (31, False, True)
-    c = classify(float_to_bits(5e-324))
-    assert (c.prefix, c.is_zero, c.is_inf_nan) == (0, False, False)
+    # (bits, prefix class, counted as zero, counted as Inf/NaN), one value
+    # per profile
+    for bits, prefix, zero, inf_nan in (
+        (0, 0, True, False),
+        (1 << 63, 0, True, False),  # -0.0
+        (float_to_bits(1.0), 15, False, False),
+        (float_to_bits(float("inf")), 31, False, True),
+        (float_to_bits(float("nan")), 31, False, True),
+        (float_to_bits(5e-324), 0, False, False),
+    ):
+        p = FloatProfile()
+        p.add(bits)
+        assert p.prefix_counts == tuple(int(i == prefix) for i in range(32)), hex(bits)
+        assert (p.zeros, p.inf_nan) == (int(zero), int(inf_nan)), hex(bits)
 
 
 def sample_profile():
@@ -66,18 +66,6 @@ def test_class_mass_includes_zeros_and_infnan():
     assert p.class_mass({31}) == 2 / 7   # 1e300 plus Inf
     assert p.class_mass(range(32)) == 1.0
     assert FloatProfile("empty").class_mass({0}) == 0.0
-
-
-def test_hit_ratio_against_schemes():
-    p = sample_profile()
-    st1_mass = p.class_mass(COVERED_64["st1"])
-    assert p.hit_ratio(PRESETS["st1"]) == st1_mass
-    assert p.hit_ratio(PRESETS["boxed"]) == 0.0
-    assert p.hit_ratio(PRESETS["nanbox"]) == 1.0
-    assert p.hit_ratio(PRESETS["nunbox"]) == 1.0
-    assert FloatProfile("empty").hit_ratio(PRESETS["st3"]) == 1.0
-    with pytest.raises(ValueError, match="not a prefix-class function"):
-        p.hit_ratio(PRESETS["mantissa"])
 
 
 def test_merge():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tagbench.runtime import Runtime
 from tagbench.schemes import (
     EXPONENT_PRESETS,
     MANTISSA,
@@ -24,13 +25,8 @@ from tagbench.schemes import (
     covers,
     nan_box_float,
     nan_box_nonfloat,
-    nan_is_float,
-    nan_nonfloat_parts,
     nun_box_float,
-    nun_is_float,
-    nun_unbox_float,
     self_tag_set,
-    st_encode,
     st_transform,
     st_untransform,
 )
@@ -123,14 +119,15 @@ def test_mask_sizes():
     assert bin(self_tag_set(PRESETS["mantissa"])).count("1") == 2
 
 
+def tag_in_set(w, cfg):
+    return (self_tag_set(cfg) >> (w & 7)) & 1 == 1
+
+
 @given(u64)
 def test_covers_agrees_with_encode(b):
     for name in SELF_TAG_PRESETS:
         cfg = PRESETS[name]
-        enc = st_encode(b, cfg)
-        assert covers(cfg, b) == (enc is not None), name
-        if enc is not None:
-            assert (self_tag_set(cfg) >> (enc & 7)) & 1
+        assert covers(cfg, b) == tag_in_set(st_transform(b, cfg), cfg), name
 
 
 @given(u64)
@@ -144,8 +141,8 @@ def test_zeros_not_covered_by_two_tag_zeros():
     cfg = PRESETS["st2zeros"]
     assert not covers(cfg, 0)
     assert not covers(cfg, 1 << 63)
-    assert st_encode(0, cfg) is None
-    assert st_encode(1 << 63, cfg) is None
+    assert not tag_in_set(st_transform(0, cfg), cfg)
+    assert not tag_in_set(st_transform(1 << 63, cfg), cfg)
 
 
 def test_coverage_intervals_exact():
@@ -202,15 +199,23 @@ def test_config_validation():
 
 # ---- NaN boxing ----
 
+def nan_parts(w):
+    # the payload tag in bits 50-48 and the 48-bit payload below it
+    return (w >> 48) & 7, w & NAN_PAYLOAD_MASK
+
+
 def test_nan_box_known_words():
-    assert nan_box_nonfloat(2, 0x1000) == ST_EXAMPLES["nan_nonfloat_2_0x1000"]
-    assert nan_nonfloat_parts(ST_EXAMPLES["nan_nonfloat_2_0x1000"]) == (2, 0x1000)
+    w = ST_EXAMPLES["nan_nonfloat_2_0x1000"]
+    assert nan_box_nonfloat(2, 0x1000) == w
+    assert nan_parts(w) == (2, 0x1000)
 
 
 @given(u64)
 def test_nan_float_space(b):
+    rt = Runtime(PRESETS["nanbox"])
     w = nan_box_float(b)
-    assert nan_is_float(w)
+    assert rt.is_float_value(w)
+    assert rt.unbox_float(w) == w
     if b <= NAN_CANON:
         assert w == b  # identity on the real float space
     else:
@@ -227,13 +232,8 @@ def test_nan_nonfloat_roundtrip(tag, payload):
             nan_box_nonfloat(tag, payload)
         return
     w = nan_box_nonfloat(tag, payload)
-    assert not nan_is_float(w)
-    assert nan_nonfloat_parts(w) == (tag, payload)
-
-
-def test_nan_parts_rejects_float_words():
-    with pytest.raises(TypeError):
-        nan_nonfloat_parts(ONE_BITS)
+    assert not Runtime(PRESETS["nanbox"]).is_float_value(w)
+    assert nan_parts(w) == (tag, payload)
 
 
 # ---- NuN boxing ----
@@ -245,18 +245,19 @@ def test_nun_known_words():
 
 @given(u64)
 def test_nun_roundtrip(b):
+    rt = Runtime(PRESETS["nunbox"])
     w = nun_box_float(b)
-    assert nun_is_float(w)
+    assert rt.is_float_value(w)
     if b < NUN_CANON_MIN:
         assert w == (b + NUN_BIAS) & M64
-        assert nun_unbox_float(w) == b
+        assert rt.unbox_float(w) == b
     else:
-        assert nun_unbox_float(w) == NAN_CANON
+        assert rt.unbox_float(w) == NAN_CANON
 
 
 @given(u64)
 def test_nun_is_float_is_prefix_test(w):
-    assert nun_is_float(w) == (w >> 48 not in (0x0000, 0xFFFF))
+    assert Runtime(PRESETS["nunbox"]).is_float_value(w) == (w >> 48 not in (0x0000, 0xFFFF))
 
 
 def test_interval_type():
