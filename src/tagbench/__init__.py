@@ -1,13 +1,15 @@
 """Workbench for float value representations.
 
 One package, three layers: pure word-level schemes (schemes, st32,
-words), a simulated heap plus a per-scheme compiled runtime (heap,
-runtime), and measurement on top (profiler, kernels, bench, batch)."""
+words), a simulated heap of float payloads plus a per-scheme compiled
+runtime that owns every float and fixnum value operation (heap, runtime),
+and measurement on top (profiler, kernels, bench, batch). Fixnums exist
+only in the runtime: the word layer has no fixnum codec of its own."""
 
 from .bench import RunRecord, checksum_hex, run_kernel, run_matrix
 from .heap import GENERIC_TAG, HeapStats, SimHeap
 from .kernels import KERNEL_NAMES, KernelSpec, default_spec
-from .profiler import FloatProfile, fmt_magnitude, merge, render_table
+from .profiler import FloatProfile, fmt_magnitude, render_table
 from .runtime import Runtime
 from .schemes import (
     ALL_VARIANTS,
@@ -29,8 +31,6 @@ from .schemes import (
 from .st32 import (
     OneTag,
     TwoTag,
-    decode_fixnum32,
-    encode_fixnum32,
     st32_coverage,
     st32_covers,
     st32_transform,
@@ -38,13 +38,10 @@ from .st32 import (
 )
 from .words import (
     bits_to_float,
-    decode_fixnum,
-    encode_fixnum,
     float_to_bits,
     ieee_div,
     rotl64,
     rotr64,
-    tag_of,
     tag_set_mask,
 )
 

@@ -16,11 +16,15 @@ BENCH_7.json) took 0.80 s at 2^12 words per block, 0.51 s at 2^13,
 0.45 s at 2^14, 0.54 s at 2^15, 0.70 s at 2^16, 0.93 s at 2^18 and
 1.28 s at 2^20.
 
-Roundtrip drivers spot-check lanes against the scalar implementations so
-a vectorization bug cannot agree with itself. The lanes are fixed by the
-word count alone: every (m // 16)-th lane of each SPOT_SPAN-word stretch
-of the stream (2^22 words for the exhaustive 32-bit sweep), m being the
-stretch's length. They do not depend on BLOCK."""
+The self-tagging roundtrip drivers (st_, st32_roundtrip_mismatches and
+st32_exhaustive_mismatches) spot-check lanes against the scalar
+transforms so a vectorization bug cannot agree with itself. The lanes are
+fixed by the word count alone: every (m // 16)-th lane of each
+SPOT_SPAN-word stretch of the stream (2^22 words for the exhaustive 32-bit
+sweep), m being the stretch's length. They do not depend on BLOCK.
+nan_roundtrip_mismatches and nun_roundtrip_mismatches check nothing
+against a scalar implementation: they restate schemes.nan_box_float and
+nun_box_float in numpy and test only those restatements' own invariants."""
 
 import numpy as np
 

@@ -7,7 +7,14 @@ import click
 from . import batch, bench, kernels, profiler, st32
 from .prng import DEFAULT_SEED
 from .runtime import Runtime
-from .schemes import EXPONENT_PRESETS, PRESETS, coverage_intervals
+from .schemes import (
+    EXPONENT_PRESETS,
+    PRESETS,
+    class_hi,
+    class_lo,
+    coverage_intervals,
+    covered_prefix_classes,
+)
 from .st32 import OneTag, TwoTag
 
 _VARIANTS_32 = {"one": OneTag(0), "two": TwoTag(0)}
@@ -107,8 +114,6 @@ def coverage_cmd(scheme, bits, fmt):
             raise click.UsageError(
                 "64-bit scheme must be one of: %s" % ", ".join(EXPONENT_PRESETS)
             )
-        from .schemes import class_hi, class_lo, covered_prefix_classes
-
         config = PRESETS[scheme]
         ivs = coverage_intervals(config)
         nclasses = 32

@@ -5,9 +5,12 @@ cell, a float behind a generic pointer costs two (header + payload). There
 is no collector: handles are arena indices shifted left 3 with the handle
 tag in the low bits, and they stay valid for the life of the heap.
 
-The arena stores float cells only. Ballast (preload), which stands in for
-the program's other objects, is counted against capacity, cells_used and
-the other_* counters but never stored, so no handle can reach it.
+The arena stores float payloads only. A float's type lives in its handle
+word: the tagged-pointer tag, or GENERIC_TAG for the generic-pointer
+layout, whose header cell is charged but not stored; no cell carries a
+tag of its own. Ballast (preload), which stands in for the program's
+other objects, is counted against capacity, cells_used and the other_*
+counters but never stored, so no handle can reach it.
 
 The float counters are not kept but derived from the arena when read:
 float_allocs is the growth of the payload array since the last counter
@@ -21,7 +24,7 @@ counted by the Runtime over the heap, so SimHeap.stats() reports them as
 from array import array
 from dataclasses import asdict, dataclass
 
-from .words import bits_to_float, float_to_bits
+from .words import bits_to_float
 
 GENERIC_TAG = 1  # handle tag shared by every generic-pointer object
 
@@ -54,7 +57,6 @@ class SimHeap:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._payload = array("d")
-        self._tags = bytearray()
         self._cells = 0
         self._other_allocs = 0
         self._other_bytes = 0
@@ -80,14 +82,13 @@ class SimHeap:
 
     def float_allocator(self, tag=None):
         """The float-cell allocation of alloc_float as a closure over this
-        heap's arrays, taking the payload as a float and returning the
+        heap's arena, taking the payload as a float and returning the
         handle word; tag as in alloc_float, not validated. The runtime's
         compiled closures allocate through it."""
         generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
         cost = 2 if generic else 1
         payload = self._payload
-        tags = self._tags
         cap = self.capacity
 
         def alloc(f):
@@ -95,20 +96,10 @@ class SimHeap:
                 raise MemoryError("simulated heap capacity exhausted")
             i = len(payload)
             payload.append(f)
-            tags.append(handle_tag)
             self._cells += cost
             return (i << 3) | handle_tag
 
         return alloc
-
-    def read_float(self, w):
-        """Bit-exact payload of a float handle."""
-        idx = w >> 3
-        if not 0 <= idx < len(self._payload):
-            raise TypeError("not a live handle: 0x%016x" % w)
-        if self._tags[idx] != w & 7:
-            raise TypeError("not a float handle: 0x%016x" % w)
-        return float_to_bits(self._payload[idx])
 
     def preallocate_zeros(self, tag=None):
         """Allocate the +-0.0 cells once; returns their handle words."""

@@ -94,20 +94,6 @@ class FloatProfile:
             return 0.0
         return sum(self._prefix[p] for p in classes) / total
 
-    def merged(self, other, name=None):
-        out = FloatProfile(self.name if name is None else name)
-        out._prefix = [a + b for a, b in zip(self._prefix, other._prefix)]
-        out._zeros = self._zeros + other._zeros
-        out._inf_nan = self._inf_nan + other._inf_nan
-        return out
-
-
-def merge(profiles, name="merged"):
-    out = FloatProfile(name)
-    for p in profiles:
-        out = out.merged(p, name=name)
-    return out
-
 
 def _pct(count, total):
     if count == 0:

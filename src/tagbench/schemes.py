@@ -179,7 +179,7 @@ def class_runs(classes, n):
 
 def coverage_intervals(config):
     """Maximal disjoint magnitude ranges kept immediate, ascending.
-    Adjacent covered prefix classes merge; endpoints are the exact
+    Adjacent covered prefix classes form one range; endpoints are the exact
     binary64 class boundaries (powers of two)."""
     return [
         CoverageInterval(class_lo(a), class_hi(b), a == 0, b == 31)

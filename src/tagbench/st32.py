@@ -3,18 +3,15 @@
 The transform mirrors the 64-bit rotate-and-bias construction scaled to
 the narrower word: the bias steps sit at bit 27 (under the 4-bit prefix of
 sign and top exponent bits) and the rotation is by 4, leaving a 2-bit tag
-plus two spare low bits on immediates. There is no 32-bit heap or runtime;
-this module only answers representation questions: transform, coverage,
-and the 30-bit fixnum encoding."""
+plus two spare low bits on immediates. There is no 32-bit heap, runtime
+or fixnum; this module only answers representation questions: transform
+and coverage."""
 
 import math
 from dataclasses import dataclass
 
 from .schemes import CoverageInterval, class_runs
 from .words import M32, rotl32, rotr32
-
-FIXNUM32_MIN = -(1 << 29)
-FIXNUM32_MAX = (1 << 29) - 1
 
 
 @dataclass(frozen=True)
@@ -90,17 +87,3 @@ def st32_coverage(variant):
         )
         for a, b in class_runs(st32_covered_prefix_classes(variant), 16)
     ]
-
-
-def encode_fixnum32(v):
-    if not FIXNUM32_MIN <= v <= FIXNUM32_MAX:
-        raise OverflowError("fixnum32 out of range: %d" % v)
-    return (v << 2) & M32
-
-
-def decode_fixnum32(w):
-    if w & 3:
-        raise TypeError("not a fixnum32 word: 0x%08x" % w)
-    if w & 0x80000000:
-        w -= 1 << 32
-    return w >> 2

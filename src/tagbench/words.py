@@ -1,6 +1,6 @@
-"""64-bit word primitives: bit rotations, 3-bit tags, fixnums, and
-IEEE754 binary64 bit conversion. Everything here is total over the full
-pattern space and pure."""
+"""Word primitives: 64- and 32-bit rotations, tag-set masks, the range of
+a 3-bit-tagged fixnum, and IEEE754 binary64 bit conversion and division.
+Everything here is total over the full pattern space and pure."""
 
 import struct
 
@@ -8,19 +8,13 @@ M64 = (1 << 64) - 1
 M32 = (1 << 32) - 1
 
 SIGN_64 = 1 << 63
-EXP_MASK_64 = 0x7FF0000000000000   # exponent bits 62-52
 QNAN_64 = 0x7FF8000000000000       # canonical quiet NaN
-
-TAG_BITS = 3
-TAG_MASK = (1 << TAG_BITS) - 1
 
 FIXNUM_MIN = -(1 << 60)
 FIXNUM_MAX = (1 << 60) - 1
 
 _D = struct.Struct("<d")
 _Q = struct.Struct("<Q")
-_F = struct.Struct("<f")
-_I = struct.Struct("<I")
 
 
 def float_to_bits(x):
@@ -29,11 +23,6 @@ def float_to_bits(x):
 
 def bits_to_float(w):
     return _D.unpack(_Q.pack(w))[0]
-
-
-def float_to_bits32(x):
-    # rounds the host double to the nearest binary32 pattern
-    return _I.unpack(_F.pack(x))[0]
 
 
 def _check_rot(s):
@@ -63,10 +52,6 @@ def rotr32(w, s):
     return ((w >> s) | (w << (32 - s))) & M32 if s else w
 
 
-def tag_of(w):
-    return w & TAG_MASK
-
-
 def tag_set_mask(tags):
     """Pack an iterable of 3-bit tags into an 8-bit membership mask."""
     m = 0
@@ -77,30 +62,9 @@ def tag_set_mask(tags):
     return m
 
 
-def encode_fixnum(v):
-    """Small signed integer to an immediate word: v << 3, tag 000."""
-    if not FIXNUM_MIN <= v <= FIXNUM_MAX:
-        raise OverflowError("fixnum out of range: %d" % v)
-    return (v << TAG_BITS) & M64
-
-
-def decode_fixnum(w):
-    if w & TAG_MASK:
-        raise TypeError("not a fixnum word: tag %d" % (w & TAG_MASK))
-    # arithmetic shift of the two's-complement pattern
-    if w & SIGN_64:
-        w -= 1 << 64
-    return w >> TAG_BITS
-
-
 def exponent_prefix5(bits):
     """Top 5 bits of the binary64 exponent (bits 62-58); sign ignored."""
     return (bits >> 58) & 0x1F
-
-
-def exponent_prefix4(bits):
-    """Top 4 bits of the binary32 exponent (bits 30-27); sign ignored."""
-    return (bits >> 27) & 0xF
 
 
 def ieee_div(x, y):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagbench.heap import HeapStats, SimHeap
-from tagbench.profiler import FloatProfile, merge
+from tagbench.profiler import FloatProfile
 from tagbench.words import M64
 
 BITS = st.integers(0, M64)
@@ -88,4 +88,3 @@ def test_derived_counters_match_a_counting_model(capacity, zeros, events):
         assert heap.cells_used == model.cells
     a, b = profiles
     assert [a.total, b.total] == adds
-    assert a.merged(b).total == merge(profiles).total == sum(adds)

@@ -10,14 +10,29 @@ from tagbench.heap import (
     HeapStats,
     SimHeap,
 )
+from tagbench.runtime import Runtime
+from tagbench.schemes import BOXED, SchemeConfig
 from tagbench.words import M64, float_to_bits
+
+
+def reader(h, tag):
+    """A boxed-scheme Runtime over h whose heap floats carry tag (None for
+    the generic-pointer layout): its unbox_float reads a handle's payload
+    bits, checked by handle tag and arena bound."""
+    return Runtime(SchemeConfig("heap", BOXED, heap_float_tag=tag), h)
+
+
+def assert_not_float(rt, w):
+    with pytest.raises(TypeError, match="not a float word"):
+        rt.unbox_float(w)
+    assert not rt.is_float_value(w)
 
 
 def test_tagged_alloc_roundtrip():
     h = SimHeap()
     w = h.alloc_float(float_to_bits(2.5), tag=5)
     assert w & 7 == 5
-    assert h.read_float(w) == float_to_bits(2.5)
+    assert reader(h, 5).unbox_float(w) == float_to_bits(2.5)
     s = h.stats()
     assert s.float_allocs == 1
     assert s.float_bytes == 8
@@ -28,7 +43,7 @@ def test_generic_alloc_costs_two_cells():
     h = SimHeap()
     w = h.alloc_float(float_to_bits(-1.5), tag=None)
     assert w & 7 == GENERIC_TAG
-    assert h.read_float(w) == float_to_bits(-1.5)
+    assert reader(h, None).unbox_float(w) == float_to_bits(-1.5)
     s = h.stats()
     assert s.float_allocs == 1
     assert s.float_bytes == 16
@@ -39,26 +54,25 @@ def test_generic_alloc_costs_two_cells():
 def test_payload_is_bit_exact(bits):
     # NaN payloads and -0.0 must survive storage unchanged
     h = SimHeap()
-    assert h.read_float(h.alloc_float(bits, tag=3)) == bits
+    assert reader(h, 3).unbox_float(h.alloc_float(bits, tag=3)) == bits
 
 
 def test_handles_stay_valid_and_independent():
     h = SimHeap()
     words = [h.alloc_float(float_to_bits(float(i)), tag=2) for i in range(100)]
+    rt = reader(h, 2)
     for i, w in enumerate(words):
-        assert h.read_float(w) == float_to_bits(float(i))
+        assert rt.unbox_float(w) == float_to_bits(float(i))
     assert h.stats().float_allocs == 100
 
 
 def test_read_rejects_bad_handles():
     h = SimHeap()
     w = h.alloc_float(float_to_bits(1.0), tag=4)
-    with pytest.raises(TypeError, match="not a live handle"):
-        h.read_float((1 << 3) | 4)  # index past the arena
-    with pytest.raises(TypeError, match="not a live handle"):
-        h.read_float(-4)  # a negative index would read the arena from its end
-    with pytest.raises(TypeError, match="not a float handle"):
-        h.read_float((w & ~7) | 3)  # right cell, wrong tag
+    rt = reader(h, 4)
+    assert_not_float(rt, (1 << 3) | 4)  # index past the arena
+    assert_not_float(rt, -4)  # a negative index would read the arena from its end
+    assert_not_float(rt, (w & ~7) | 3)  # right cell, wrong tag
 
 
 def test_alloc_validates_tag():
@@ -88,8 +102,9 @@ def test_preallocate_zeros_once():
     assert h.zero_handles is None
     pos, neg = h.preallocate_zeros(tag=6)
     assert h.zero_handles == (pos, neg)
-    assert h.read_float(pos) == 0
-    assert h.read_float(neg) == NEG_ZERO_BITS
+    rt = reader(h, 6)
+    assert rt.unbox_float(pos) == 0
+    assert rt.unbox_float(neg) == NEG_ZERO_BITS
     assert math.copysign(1.0, 0.0) == 1.0  # sanity on the host
     with pytest.raises(RuntimeError, match="already preallocated"):
         h.preallocate_zeros(tag=6)
@@ -113,8 +128,7 @@ def test_preload_accounting():
 def test_preload_cells_are_not_floats():
     h = SimHeap()
     h.preload(8)
-    with pytest.raises(TypeError, match="not a live handle"):
-        h.read_float(0 << 3 | GENERIC_TAG)
+    assert_not_float(reader(h, None), 0 << 3 | GENERIC_TAG)
 
 
 def test_preload_uses_up_capacity():

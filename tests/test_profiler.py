@@ -4,7 +4,6 @@ from tagbench.profiler import (
     FloatProfile,
     bound_labels,
     fmt_magnitude,
-    merge,
     render_table,
 )
 from tagbench.words import float_to_bits
@@ -66,17 +65,6 @@ def test_class_mass_includes_zeros_and_infnan():
     assert p.class_mass({31}) == 2 / 7   # 1e300 plus Inf
     assert p.class_mass(range(32)) == 1.0
     assert FloatProfile("empty").class_mass({0}) == 0.0
-
-
-def test_merge():
-    a = sample_profile()
-    b = FloatProfile("b")
-    b.add(float_to_bits(4.0))
-    m = merge([a, b], "both")
-    assert m.name == "both"
-    assert m.total == 8
-    assert m.zeros == 2
-    assert m.range_count(16) == 3
 
 
 def test_render_table_text():

@@ -804,7 +804,7 @@ def test_hooked_and_unhooked_runtimes_agree(name):
 # box_float, generic_add, generic_less, unbox_float on a fresh runtime,
 # operands 1.5 and 2.25 (both immediate except under boxed)
 HOT_PATH_OPCODES = {
-    "boxed": (79, 101, 33, 38),
+    "boxed": (73, 95, 33, 38),
     "nanbox": (18, 53, 31, 16),
     "nunbox": (20, 71, 47, 24),
     "st1": (29, 84, 51, 26),

@@ -1,19 +1,16 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tagbench.st32 import (
-    FIXNUM32_MAX,
-    FIXNUM32_MIN,
     M32,
     OneTag,
     TwoTag,
     class_hi32,
     class_lo32,
-    decode_fixnum32,
-    encode_fixnum32,
     st32_coverage,
     st32_covered_prefix_classes,
     st32_covers,
@@ -21,13 +18,17 @@ from tagbench.st32 import (
     st32_transform,
     st32_untransform,
 )
-from tagbench.words import exponent_prefix4, float_to_bits32
 
 from _frozen import COVERED_32, INTERVALS_32
 
 u32 = st.integers(min_value=0, max_value=M32)
 
 ALL_VARIANTS_32 = [OneTag(t) for t in range(4)] + [TwoTag(t) for t in range(4)]
+
+
+def bits32(x):
+    # the binary32 pattern nearest the host double
+    return struct.unpack("<I", struct.pack("<f", x))[0]
 
 
 def test_variant_validation():
@@ -69,7 +70,7 @@ def test_covered_classes_parameter_invariant():
 @given(u32)
 def test_covers_is_prefix_class_membership(w):
     for v, key in ((OneTag(0), "one"), (TwoTag(0), "two")):
-        assert st32_covers(w, v) == (exponent_prefix4(w) in COVERED_32[key])
+        assert st32_covers(w, v) == (((w >> 27) & 15) in COVERED_32[key])
 
 
 @given(u32)
@@ -92,41 +93,19 @@ def test_class_bounds():
     assert class_lo32(8) == 2.0
     assert class_hi32(8) == 131072.0
     assert math.isinf(class_hi32(15))
-    assert exponent_prefix4(float_to_bits32(2.0)) == 8
-    assert exponent_prefix4(float_to_bits32(1.0)) == 7
+    assert bits32(2.0) >> 27 == 8
+    assert bits32(1.0) >> 27 == 7
 
 
 def test_coverage_spans_are_sound():
     for v in ALL_VARIANTS_32:
         for iv in st32_coverage(v):
             lo = iv.lo if iv.lo else 0.0
-            assert st32_covers(float_to_bits32(lo), v)
+            assert st32_covers(bits32(lo), v)
             if math.isinf(iv.hi):
                 assert st32_covers(0x7F800000, v)  # +Inf
             else:
-                assert not st32_covers(float_to_bits32(iv.hi), v)
-
-
-def test_fixnum32_roundtrip_limits():
-    assert encode_fixnum32(FIXNUM32_MAX) == 0x7FFFFFFC
-    assert decode_fixnum32(0x7FFFFFFC) == FIXNUM32_MAX
-    assert decode_fixnum32(encode_fixnum32(FIXNUM32_MIN)) == FIXNUM32_MIN
-    assert decode_fixnum32(encode_fixnum32(-1)) == -1
-    assert encode_fixnum32(-1) == 0xFFFFFFFC
-    with pytest.raises(OverflowError):
-        encode_fixnum32(FIXNUM32_MAX + 1)
-    with pytest.raises(OverflowError):
-        encode_fixnum32(FIXNUM32_MIN - 1)
-    with pytest.raises(TypeError, match="not a fixnum32"):
-        decode_fixnum32(0x7FFFFFFD)
-
-
-@given(st.integers(min_value=FIXNUM32_MIN, max_value=FIXNUM32_MAX))
-def test_fixnum32_roundtrip(v):
-    w = encode_fixnum32(v)
-    assert 0 <= w <= M32
-    assert w & 3 == 0
-    assert decode_fixnum32(w) == v
+                assert not st32_covers(bits32(iv.hi), v)
 
 
 @pytest.mark.offline

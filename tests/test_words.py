@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tagbench.runtime import Runtime
+from tagbench.schemes import PRESETS
 from tagbench.words import (
     FIXNUM_MAX,
     FIXNUM_MIN,
     M64,
     QNAN_64,
     bits_to_float,
-    decode_fixnum,
-    encode_fixnum,
-    exponent_prefix4,
     exponent_prefix5,
     float_to_bits,
     ieee_div,
@@ -20,7 +19,6 @@ from tagbench.words import (
     rotl64,
     rotr32,
     rotr64,
-    tag_of,
     tag_set_mask,
 )
 
@@ -88,47 +86,35 @@ def test_exponent_prefix5_classes():
     assert exponent_prefix5(QNAN_64) == 31
 
 
-def test_exponent_prefix4_classes():
-    # binary32: 1.0f = 0x3F800000, prefix (>> 27) & 15 = 7
-    assert exponent_prefix4(0x3F800000) == 7
-    assert exponent_prefix4(0x40000000) == 8
-    assert exponent_prefix4(0xBF800000) == 7
-    assert exponent_prefix4(0x7F800000) == 15
-
-
 def test_tag_helpers():
-    assert tag_of(0x28) == 0
-    assert tag_of(0x2F) == 7
     m = tag_set_mask({0, 3, 4})
     assert m == (1 << 0) | (1 << 3) | (1 << 4)
     with pytest.raises(ValueError):
         tag_set_mask({8})
 
 
+# runtimes of the presets whose fixnum tag is 000; the frozen fixnum words
+# are their layout
+TAG0_RUNTIMES = {name: Runtime(PRESETS[name]) for name in ("st1", "st3", "boxed", "nunbox")}
+
+
 def test_fixnum_known_words():
-    assert encode_fixnum(5) == ST_EXAMPLES["fixnum_enc_5"]
-    assert encode_fixnum(-1) == ST_EXAMPLES["fixnum_enc_neg1"]
-    assert decode_fixnum(ST_EXAMPLES["fixnum_enc_5"]) == 5
-    assert decode_fixnum(ST_EXAMPLES["fixnum_enc_neg1"]) == -1
+    for name, rt in TAG0_RUNTIMES.items():
+        assert rt.fixnum_tag == 0, name
+        assert rt.box_fixnum(5) == ST_EXAMPLES["fixnum_enc_5"], name
+        assert rt.box_fixnum(-1) == ST_EXAMPLES["fixnum_enc_neg1"], name
+        assert rt.unbox_fixnum(ST_EXAMPLES["fixnum_enc_5"]) == 5, name
+        assert rt.unbox_fixnum(ST_EXAMPLES["fixnum_enc_neg1"]) == -1, name
 
 
 @given(st.integers(min_value=FIXNUM_MIN, max_value=FIXNUM_MAX))
 def test_fixnum_roundtrip(v):
-    w = encode_fixnum(v)
+    # FIXNUM_MIN .. FIXNUM_MAX is the range a 000-tagged fixnum word holds
+    rt = TAG0_RUNTIMES["st1"]
+    w = rt.box_fixnum(v)
     assert 0 <= w <= M64
     assert w & 7 == 0
-    assert decode_fixnum(w) == v
-
-
-def test_fixnum_bounds():
-    assert decode_fixnum(encode_fixnum(FIXNUM_MIN)) == FIXNUM_MIN
-    assert decode_fixnum(encode_fixnum(FIXNUM_MAX)) == FIXNUM_MAX
-    with pytest.raises(OverflowError):
-        encode_fixnum(FIXNUM_MAX + 1)
-    with pytest.raises(OverflowError):
-        encode_fixnum(FIXNUM_MIN - 1)
-    with pytest.raises(TypeError):
-        decode_fixnum(0x29)
+    assert rt.unbox_fixnum(w) == v
 
 
 def test_ieee_div_zero_denominator():
