@@ -16,15 +16,15 @@ BENCH_7.json) took 0.80 s at 2^12 words per block, 0.51 s at 2^13,
 0.45 s at 2^14, 0.54 s at 2^15, 0.70 s at 2^16, 0.93 s at 2^18 and
 1.28 s at 2^20.
 
-The self-tagging roundtrip drivers (st_, st32_roundtrip_mismatches and
-st32_exhaustive_mismatches) spot-check lanes against the scalar
-transforms so a vectorization bug cannot agree with itself. The lanes are
-fixed by the word count alone: every (m // 16)-th lane of each
-SPOT_SPAN-word stretch of the stream (2^22 words for the exhaustive 32-bit
-sweep), m being the stretch's length. They do not depend on BLOCK.
-nan_roundtrip_mismatches and nun_roundtrip_mismatches check nothing
-against a scalar implementation: they restate schemes.nan_box_float and
-nun_box_float in numpy and test only those restatements' own invariants."""
+Every roundtrip driver spot-checks lanes against its scalar reference
+(schemes.st_transform, nan_box_float, nun_box_float, st32.st32_transform)
+so a vectorization bug cannot agree with itself. The lanes are fixed by
+the word count alone: every (m // 16)-th lane of each SPOT_SPAN-word
+stretch of the stream (2^22 words for the exhaustive 32-bit sweep), m
+being the stretch's length. They do not depend on BLOCK. NaN and NuN
+boxing collapse the words at and above their bound (NAN_CANON,
+NUN_CANON_MIN) to the canonical NaN, so only the words below it must
+come back exactly."""
 
 import numpy as np
 
@@ -98,80 +98,65 @@ def _spot_lanes(n, span):
         yield from range(start, start + m, max(1, m // 16))
 
 
-def _roundtrip_mismatches(blocks, lanes, param, forward, backward, scalar):
-    """Words of the (start, words) blocks that forward(., param) does not
-    map back exactly under backward(., param). At each lane, forward must
-    equal scalar(., param); a disagreement raises AssertionError."""
+def _roundtrip_mismatches(blocks, lanes, forward, backward, scalar, *args, bound=None):
+    """Words of the (start, words) blocks, only those below bound if one is
+    given, that forward(., *args) does not map back exactly under
+    backward(., *args). At each lane, forward must equal scalar(., *args);
+    a disagreement raises AssertionError."""
     lanes = iter(lanes)
     lane = next(lanes, None)
     total = 0
     for start, b in blocks:
-        w = forward(b, param)
+        w = forward(b, *args)
         end = start + b.shape[0]
         while lane is not None and lane < end:
-            if int(w[lane - start]) != scalar(int(b[lane - start]), param):
+            if int(w[lane - start]) != scalar(int(b[lane - start]), *args):
                 raise AssertionError("vector transform disagrees with scalar at lane %d" % lane)
             lane = next(lanes, None)
-        total += int(np.count_nonzero(backward(w, param) != b))
+        bad = backward(w, *args) != b
+        if bound is not None:
+            bad &= b < _u(bound)
+        total += int(np.count_nonzero(bad))
     return total
 
 
 def st_roundtrip_mismatches(config, n, seed=DEFAULT_SEED):
     """Words whose transform does not invert exactly, over n random words."""
-    return _roundtrip_mismatches(_blocks(seed, n), _spot_lanes(n, SPOT_SPAN), config,
-                                 st_transform_block, st_untransform_block, schemes.st_transform)
+    return _roundtrip_mismatches(_blocks(seed, n), _spot_lanes(n, SPOT_SPAN), st_transform_block,
+                                 st_untransform_block, schemes.st_transform, config)
+
+
+def nan_box_block(bits):
+    return np.minimum(bits, _u(schemes.NAN_CANON))
+
+
+def nan_unbox_block(words):
+    return words
+
+
+def nun_box_block(bits):
+    with np.errstate(over="ignore"):
+        kept = np.where(bits < _u(schemes.NUN_CANON_MIN), bits, _u(schemes.NAN_CANON))
+        return kept + _u(schemes.NUN_BIAS)
+
+
+def nun_unbox_block(words):
+    with np.errstate(over="ignore"):
+        return words - _u(schemes.NUN_BIAS)
 
 
 def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED):
-    """Boxing under NaN collapse must be the identity below the canonical
-    NaN and never produce a word above it."""
-    canon = _u(schemes.NAN_CANON)
-    total = 0
-    for _, b in _blocks(seed, n):
-        boxed = np.where(b < canon, b, canon)
-        total += int(np.count_nonzero(boxed > canon))
-        sel = b < canon
-        total += int(np.count_nonzero(boxed[sel] != b[sel]))
-    return total
+    """Words below the canonical NaN that NaN boxing does not return
+    exactly, over n random words."""
+    return _roundtrip_mismatches(_blocks(seed, n), _spot_lanes(n, SPOT_SPAN), nan_box_block,
+                                 nan_unbox_block, schemes.nan_box_float, bound=schemes.NAN_CANON)
 
 
 def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED):
-    """Bias-boxing must land every float outside the two reserved top-16
-    classes and invert exactly below the canonicalization threshold."""
-    canon_min = _u(schemes.NUN_CANON_MIN)
-    bias = _u(schemes.NUN_BIAS)
-    total = 0
-    for _, b in _blocks(seed, n):
-        sel = b < canon_min
-        bs = b[sel]
-        with np.errstate(over="ignore"):
-            w = bs + bias
-            top = w >> _u(48)
-            total += int(np.count_nonzero((top == _u(0)) | (top == _u(0xFFFF))))
-            total += int(np.count_nonzero((w - bias) != bs))
-    return total
-
-
-def boundary_words64():
-    """Structured word set: exponent field at both edges of every prefix
-    class, both signs, extreme and near-extreme mantissas."""
-    ws = []
-    for p in range(32):
-        for e in (64 * p, 64 * p + 63):
-            for m in (0, 1, (1 << 52) - 1):
-                for s in (0, 1 << 63):
-                    ws.append(s | (e << 52) | m)
-    return np.array(sorted(set(ws)), dtype=np.uint64)
-
-
-def boundary_words32():
-    ws = []
-    for p in range(16):
-        for e in (16 * p, 16 * p + 15):
-            for m in (0, 1, (1 << 23) - 1):
-                for s in (0, 1 << 31):
-                    ws.append(s | (e << 23) | m)
-    return np.array(sorted(set(ws)), dtype=np.uint32)
+    """Words below NUN_CANON_MIN that NuN boxing does not return exactly,
+    over n random words."""
+    return _roundtrip_mismatches(_blocks(seed, n), _spot_lanes(n, SPOT_SPAN), nun_box_block,
+                                 nun_unbox_block, schemes.nun_box_float, bound=schemes.NUN_CANON_MIN)
 
 
 _u32 = np.uint32
@@ -193,8 +178,8 @@ def st32_untransform_block(words, variant):
 
 def st32_roundtrip_mismatches(variant, n, seed=DEFAULT_SEED):
     blocks = ((start, b.astype(np.uint32)) for start, b in _blocks(seed, n))
-    return _roundtrip_mismatches(blocks, _spot_lanes(n, SPOT_SPAN), variant,
-                                 st32_transform_block, st32_untransform_block, st32.st32_transform)
+    return _roundtrip_mismatches(blocks, _spot_lanes(n, SPOT_SPAN), st32_transform_block,
+                                 st32_untransform_block, st32.st32_transform, variant)
 
 
 def st32_exhaustive_mismatches(variant):
@@ -203,5 +188,5 @@ def st32_exhaustive_mismatches(variant):
     of every 2^22 words."""
     blocks = ((start, np.arange(start, start + BLOCK, dtype=np.uint32))
               for start in range(0, 1 << 32, BLOCK))
-    return _roundtrip_mismatches(blocks, _spot_lanes(1 << 32, 1 << 22), variant,
-                                 st32_transform_block, st32_untransform_block, st32.st32_transform)
+    return _roundtrip_mismatches(blocks, _spot_lanes(1 << 32, 1 << 22), st32_transform_block,
+                                 st32_untransform_block, st32.st32_transform, variant)

@@ -20,24 +20,12 @@ from .st32 import OneTag, TwoTag
 _VARIANTS_32 = {"one": OneTag(0), "two": TwoTag(0)}
 
 
-def _kernel_names(name):
+def _names(name, known, noun):
     if name == "all":
-        return kernels.KERNEL_NAMES
-    if name not in kernels.KERNEL_NAMES:
+        return tuple(known)
+    if name not in known:
         raise click.UsageError(
-            "unknown kernel %r (choose from %s or all)"
-            % (name, ", ".join(kernels.KERNEL_NAMES))
-        )
-    return (name,)
-
-
-def _scheme_names(name):
-    if name == "all":
-        return tuple(PRESETS)
-    if name not in PRESETS:
-        raise click.UsageError(
-            "unknown scheme %r (choose from %s or all)"
-            % (name, ", ".join(PRESETS))
+            "unknown %s %r (choose from %s or all)" % (noun, name, ", ".join(known))
         )
     return (name,)
 
@@ -59,9 +47,9 @@ def main():
 @click.option("--out", default="-", show_default=True, help="Output path, - for stdout.")
 def bench_cmd(kernel, scheme, reps, preload_bytes, seed, fmt, out):
     """Run kernels against schemes and emit per-run records."""
-    specs = [kernels.default_spec(k, seed) for k in _kernel_names(kernel)]
+    specs = [kernels.default_spec(k, seed) for k in _names(kernel, kernels.KERNEL_NAMES, "kernel")]
     records = bench.run_matrix(
-        specs, _scheme_names(scheme), reps=reps, preload_bytes=preload_bytes
+        specs, _names(scheme, PRESETS, "scheme"), reps=reps, preload_bytes=preload_bytes
     )
     with click.open_file(out, "w") as fh:
         if fmt == "json":
@@ -85,7 +73,7 @@ def profile_cmd(kernel, seed, fmt, out):
     kernel. The run itself uses a pure scheme, so profiling cannot change
     what gets boxed."""
     profiles = []
-    for name in _kernel_names(kernel):
+    for name in _names(kernel, kernels.KERNEL_NAMES, "kernel"):
         prof = profiler.FloatProfile(name)
         rt = Runtime(PRESETS["nanbox"], profile_hook=prof.add)
         kernels.run(kernels.default_spec(name, seed), rt)

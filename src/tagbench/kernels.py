@@ -241,15 +241,13 @@ def sum1_data_path(size, seed):
     return path
 
 
-def k_sum1(rt, size, seed, path=None):
+def k_sum1(rt, size, seed):
     """Parse one float per line from a text file and sum them."""
-    if path is None:
-        path = sum1_data_path(size, seed)
     fb = float_to_bits
     box = rt.box_float
     add = rt.generic_add
     s = box(fb(0.0))
-    with open(path, encoding="utf-8") as f:
+    with open(sum1_data_path(size, seed), encoding="utf-8") as f:
         for ln in f:
             v = box(fb(float(ln)))
             s = add(s, v)

@@ -5,11 +5,13 @@ import pytest
 
 from tagbench import batch, schemes, st32
 from tagbench.batch import (
-    boundary_words32,
-    boundary_words64,
     covers_block,
+    nan_box_block,
     nan_roundtrip_mismatches,
+    nan_unbox_block,
+    nun_box_block,
     nun_roundtrip_mismatches,
+    nun_unbox_block,
     splitmix64_block,
     st32_roundtrip_mismatches,
     st32_transform_block,
@@ -22,6 +24,7 @@ from tagbench.prng import splitmix64
 from tagbench.schemes import PRESETS, SELF_TAG_PRESETS, covers, st_transform
 from tagbench.st32 import OneTag, TwoTag, st32_covers, st32_transform
 
+from _words import boundary_words32, boundary_words64
 from test_schemes import PARAM_CONFIGS
 
 # the presets, then every rot4 offset and every one-tag and biased two-tag
@@ -83,6 +86,22 @@ def test_nan_nun_roundtrip_fuzz_small():
     assert nun_roundtrip_mismatches(100000, seed=9) == 0
 
 
+def test_nan_nun_blocks_match_references():
+    # the collapse edges of both codecs, among random words
+    edges = [0, schemes.NAN_CANON - 1, schemes.NAN_CANON, schemes.NAN_CANON + 1,
+             schemes.NUN_CANON_MIN - 1, schemes.NUN_CANON_MIN, (1 << 64) - 1]
+    words = np.concatenate([splitmix64_block(13, 0, 4096), np.array(edges, dtype=np.uint64)])
+    ints = [int(b) for b in words]
+    nan_boxed = nan_box_block(words)
+    assert [int(w) for w in nan_boxed] == [schemes.nan_box_float(b) for b in ints]
+    nun_boxed = nun_box_block(words)
+    assert [int(w) for w in nun_boxed] == [schemes.nun_box_float(b) for b in ints]
+    below = words < np.uint64(schemes.NAN_CANON)
+    assert np.array_equal(nan_unbox_block(nan_boxed)[below], words[below])
+    below = words < np.uint64(schemes.NUN_CANON_MIN)
+    assert np.array_equal(nun_unbox_block(nun_boxed)[below], words[below])
+
+
 def test_st32_blocks_match_scalar():
     words = splitmix64_block(3, 0, 4096).astype(np.uint64) & np.uint64(0xFFFFFFFF)
     words = words.astype(np.uint32)
@@ -115,17 +134,24 @@ def _chunk_lanes(n, chunk=1 << 20):
 
 @pytest.mark.parametrize("n,count", [(100000, 16), ((1 << 20) + 5, 21), (1 << 22, 64), (10**7, 160)])
 def test_spot_check_lanes_do_not_depend_on_block(monkeypatch, n, count):
-    seen64, seen32 = [], []
+    seen64, seen32, seen_nan, seen_nun = [], [], [], []
     scalar64, scalar32 = schemes.st_transform, st32.st32_transform
+    nan_ref, nun_ref = schemes.nan_box_float, schemes.nun_box_float
     monkeypatch.setattr(schemes, "st_transform", lambda b, c: seen64.append(b) or scalar64(b, c))
     monkeypatch.setattr(st32, "st32_transform", lambda b, v: seen32.append(b) or scalar32(b, v))
+    monkeypatch.setattr(schemes, "nan_box_float", lambda b: seen_nan.append(b) or nan_ref(b))
+    monkeypatch.setattr(schemes, "nun_box_float", lambda b: seen_nun.append(b) or nun_ref(b))
     assert st_roundtrip_mismatches(PRESETS["st1"], n, seed=9) == 0
     assert st32_roundtrip_mismatches(OneTag(0), n, seed=9) == 0
+    assert nan_roundtrip_mismatches(n, seed=9) == 0
+    assert nun_roundtrip_mismatches(n, seed=9) == 0
     lanes = list(_chunk_lanes(n))
     assert len(lanes) == count
     want = [int(splitmix64_block(9, i, 1)[0]) for i in lanes]
     assert seen64 == want
     assert seen32 == [w & 0xFFFFFFFF for w in want]
+    assert seen_nan == want
+    assert seen_nun == want
 
 
 def test_exhaustive_sweep_spot_checks_16_lanes_per_4m_words():
@@ -156,3 +182,14 @@ def test_spot_check_catches_a_self_consistent_vector_bug(monkeypatch):
                         lambda w, v: np.where(w == (fwd32(bad32, v) ^ np.uint32(1)), bad32, back32(w, v)))
     with pytest.raises(AssertionError, match="disagrees with scalar at lane %d$" % lane):
         st32_roundtrip_mismatches(variant, n, seed=9)
+
+    for box, unbox, driver in (("nan_box_block", "nan_unbox_block", nan_roundtrip_mismatches),
+                               ("nun_box_block", "nun_unbox_block", nun_roundtrip_mismatches)):
+        fwd, back = getattr(batch, box), getattr(batch, unbox)
+        flipped = fwd(bad) ^ np.uint64(1)
+        monkeypatch.setattr(batch, box,
+                            lambda b, fwd=fwd: np.where(b == bad, fwd(b) ^ np.uint64(1), fwd(b)))
+        monkeypatch.setattr(batch, unbox,
+                            lambda w, back=back, flipped=flipped: np.where(w == flipped, bad, back(w)))
+        with pytest.raises(AssertionError, match="disagrees with scalar at lane %d$" % lane):
+            driver(n, seed=9)

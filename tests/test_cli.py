@@ -114,6 +114,9 @@ def test_fuzz_clean_run():
     assert "0 mismatches in 100000 words" in r.output
     r = invoke(["fuzz", "--scheme", "nanbox", "--n", "50000"])
     assert r.exit_code == 0
+    r = invoke(["fuzz", "--scheme", "nunbox", "--n", "50000"])
+    assert r.exit_code == 0
+    assert "nunbox: 0 mismatches in 50000 words" in r.output
     r = invoke(["fuzz", "--scheme", "one", "--n", "50000"])
     assert r.exit_code == 0
 

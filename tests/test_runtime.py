@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagbench.batch import boundary_words64
 from tagbench.heap import GENERIC_TAG, NEG_ZERO_BITS, HeapStats, SimHeap
 from tagbench.prng import splitmix64
 from tagbench.runtime import (
@@ -48,6 +47,8 @@ from tagbench.words import (
     float_to_bits,
     ieee_div,
 )
+
+from _words import boundary_words64
 
 ALL = tuple(PRESETS)
 
