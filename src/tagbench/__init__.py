@@ -1,19 +1,20 @@
 """Workbench for float value representations.
 
-One package, three layers: pure word-level schemes (schemes, st32,
-words), a simulated heap of float payloads plus a per-scheme compiled
-runtime that owns every float and fixnum value operation (heap, runtime),
-and measurement on top (profiler, kernels, bench, batch). Fixnums exist
-only in the runtime: the word layer has no fixnum codec of its own."""
+One package, three layers: the word layer (schemes, st32, words, prng),
+which imports nothing above it; a simulated heap of float payloads and a
+per-scheme compiled runtime that owns every float and fixnum operation
+(heap, runtime); and measurement on top (profiler, kernels, bench, batch).
+Fixnums exist only in the runtime: the word layer has no fixnum codec."""
 
 from .bench import RunRecord, checksum_hex, run_kernel, run_matrix
-from .heap import GENERIC_TAG, HeapStats, SimHeap
+from .heap import HeapStats, SimHeap
 from .kernels import KERNEL_NAMES, KernelSpec, default_spec
 from .profiler import FloatProfile, fmt_magnitude, render_table
 from .runtime import Runtime
 from .schemes import (
     ALL_VARIANTS,
     EXPONENT_PRESETS,
+    GENERIC_TAG,
     PRESETS,
     SELF_TAG_PRESETS,
     CoverageInterval,

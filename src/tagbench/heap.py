@@ -5,12 +5,14 @@ cell, a float behind a generic pointer costs two (header + payload). There
 is no collector: handles are arena indices shifted left 3 with the handle
 tag in the low bits, and they stay valid for the life of the heap.
 
-The arena stores float payloads only. A float's type lives in its handle
+The arena stores whatever float payloads its allocator is given. Each
+st2zeros Runtime stores its own +0.0 and -0.0 cells through it: the cells
+belong to the runtime, not the heap. A float's type lives in its handle
 word: the tagged-pointer tag, or GENERIC_TAG for the generic-pointer
-layout, whose header cell is charged but not stored; no cell carries a
-tag of its own. Ballast (preload), which stands in for the program's
-other objects, is counted against capacity, cells_used and the other_*
-counters but never stored, so no handle can reach it.
+layout, whose header cell is charged but not stored. Ballast (preload),
+which stands in for the program's other objects, is counted against
+capacity, cells_used and the other_* counters but never stored, so no
+handle can reach it.
 
 The float counters are not kept but derived from the arena when read:
 float_allocs is the growth of the payload array since the last counter
@@ -24,13 +26,9 @@ counted by the Runtime over the heap, so SimHeap.stats() reports them as
 from array import array
 from dataclasses import asdict, dataclass
 
-from .words import bits_to_float
-
-GENERIC_TAG = 1  # handle tag shared by every generic-pointer object
+from .schemes import GENERIC_TAG
 
 DEFAULT_CAPACITY = 1 << 24  # cells
-
-NEG_ZERO_BITS = 0x8000000000000000
 
 
 @dataclass(frozen=True)
@@ -61,30 +59,18 @@ class SimHeap:
         self._other_allocs = 0
         self._other_bytes = 0
         self._base = (0, 0)  # _float_totals() at the last counter reset
-        self._zero_handles = None
 
     @property
     def cells_used(self):
         return self._cells
 
-    @property
-    def zero_handles(self):
-        """(+0.0 handle, -0.0 handle) after preallocate_zeros, else None."""
-        return self._zero_handles
-
-    def alloc_float(self, bits, tag=None):
-        """Store a float cell and return its handle word. tag is the
-        tagged-pointer tag, or None for the generic-pointer layout
-        (handle tagged GENERIC_TAG, one extra header word of cost)."""
-        if tag is not None and not 0 <= tag <= 7:
-            raise ValueError("tag out of [0, 7]: %r" % (tag,))
-        return self.float_allocator(tag)(bits_to_float(bits))
-
     def float_allocator(self, tag=None):
-        """The float-cell allocation of alloc_float as a closure over this
-        heap's arena, taking the payload as a float and returning the
-        handle word; tag as in alloc_float, not validated. The runtime's
-        compiled closures allocate through it."""
+        """The heap's one allocation path: a closure that stores a float
+        payload in a new cell and returns its handle word, the cell index
+        shifted left 3 with tag in the low bits. tag is 0-7 (checked by
+        SchemeConfig, not here), or None for the generic-pointer layout:
+        the handle is tagged GENERIC_TAG and the header costs one more
+        cell. Raises MemoryError past capacity."""
         generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
         cost = 2 if generic else 1
@@ -100,15 +86,6 @@ class SimHeap:
             return (i << 3) | handle_tag
 
         return alloc
-
-    def preallocate_zeros(self, tag=None):
-        """Allocate the +-0.0 cells once; returns their handle words."""
-        if self._zero_handles is not None:
-            raise RuntimeError("zeros already preallocated")
-        pos = self.alloc_float(0, tag)
-        neg = self.alloc_float(NEG_ZERO_BITS, tag)
-        self._zero_handles = (pos, neg)
-        return self._zero_handles
 
     def preload(self, nbytes):
         """Count one ballast vector of at least nbytes (rounded up to whole

@@ -68,9 +68,10 @@ a store into the buffer and the load that reads it back.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
-    word (value << 3) retagged with fxt, the first low-bit tag the scheme
-    leaves free (tag 000 everywhere except the mantissa scheme, which
-    claims 000 and 100 for floats and pushes fixnums to 001);
+    word (value << 3) retagged with fxt = schemes.fixnum_tag, the first
+    low-bit tag the scheme leaves free (tag 000 everywhere except the
+    mantissa scheme, which claims 000 and 100 for floats and pushes
+    fixnums to 001);
   - NaN payload: NaN boxing carries fixnums as non-float payloads (payload
     tag 001), so the value range narrows to 48 bits;
   - NuN prefix: NuN boxing keeps the 000-tagged word but only where the top
@@ -86,7 +87,7 @@ from functools import cache
 from operator import add, floordiv, mul, sub
 from textwrap import indent
 
-from .heap import GENERIC_TAG, NEG_ZERO_BITS, SimHeap
+from .heap import SimHeap
 from .schemes import (
     BOXED,
     FOUR_TAG,
@@ -98,15 +99,16 @@ from .schemes import (
     NUN_CANON_MIN,
     NUNBOX,
     ONE_TAG,
-    SELF_TAG_VARIANTS,
     THREE_TAG,
     TWO_TAG_BIASED,
     TWO_TAG_ZEROS,
+    fixnum_tag,
+    handle_tag,
     self_tag_set,
     st_transform,
     st_untransform,
 )
-from .words import FIXNUM_MAX, FIXNUM_MIN, M64, SIGN_64, ieee_div
+from .words import FIXNUM_MAX, FIXNUM_MIN, M64, NEG_ZERO_BITS, SIGN_64, ieee_div
 
 M60 = (1 << 60) - 1
 
@@ -438,10 +440,11 @@ class Runtime:
     immediate float under an exponent-based self-tagging scheme (st1,
     st2biased, st2zeros, st3, st4) still decodes and computes.
 
-    A Runtime owns its heap. Heap handles are checked by tag and arena
-    bound under both the tagged-pointer and the generic-pointer layout,
-    not by what the cell holds: the arena stores float cells only (ballast
-    is counted, never stored), so no handle reaches ballast.
+    A Runtime owns its heap. Each st2zeros Runtime allocates its own +0.0
+    and -0.0 cells in it when it is built. Heap handles are checked by tag
+    and arena bound under both the tagged-pointer and the generic-pointer
+    layout, not by what the cell holds: the arena stores float cells only
+    (ballast is counted, never stored), so no handle reaches ballast.
 
     The float and fixnum operations (box_float, unbox_float,
     is_float_value, box_fixnum, unbox_fixnum, is_fixnum_value and the
@@ -464,25 +467,7 @@ class Runtime:
         buf = bytearray(8)
         self._mq = memoryview(buf).cast("Q")
         self._md = memoryview(buf).cast("d")
-        self.fixnum_tag = self._derive_fixnum_tag()
-        if scheme.variant == TWO_TAG_ZEROS and self.heap.zero_handles is None:
-            self.heap.preallocate_zeros(scheme.heap_float_tag)
         self._compile()
-
-    def _derive_fixnum_tag(self):
-        scheme = self.scheme
-        if scheme.variant == NANBOX:
-            return None  # fixnums live in payload space, not low bits
-        if scheme.variant == NUNBOX:
-            return 0
-        hft = scheme.heap_float_tag
-        used = 1 << (GENERIC_TAG if hft is None else hft)
-        if scheme.variant in SELF_TAG_VARIANTS:
-            used |= self_tag_set(scheme)
-        for t in range(8):
-            if not (used >> t) & 1:
-                return t
-        raise ValueError("no low-bit tag left for fixnums")
 
     # -- counters ---------------------------------------------------------
 
@@ -519,20 +504,21 @@ class Runtime:
         family = _VARIANT_FAMILY[variant]
         heap = self.heap
         tables = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None, None)
-        hft = scheme.heap_float_tag
-        ht = GENERIC_TAG if hft is None else hft
+        alloc = heap.float_allocator(scheme.heap_float_tag)
+        ht = handle_tag(scheme)
         if _FAMILIES[family]["HIT"] == "True":
             ht = -1  # never misses: no word is a heap handle
         lo, hi = _FIXNUM_RANGE.get(family, (FIXNUM_MIN, FIXNUM_MAX))
         zeros = variant == TWO_TAG_ZEROS
-        pz_pos, pz_neg = heap.zero_handles if zeros else (None, None)
+        # st2zeros stores its own +0.0 and -0.0 cells, before anything it boxes
+        pz_pos, pz_neg = (alloc(0.0), alloc(-0.0)) if zeros else (None, None)
         (
             self.box_float, self.unbox_float, self.is_float_value,
             self.box_fixnum, self.unbox_fixnum, self.is_fixnum_value,
             make_arith, self.generic_less, self._counts, self._reset,
         ) = _builder(family, hook is not None)(
-            *tables, scheme.offset, ht, self.fixnum_tag, lo, hi, zeros, pz_pos, pz_neg,
-            hook, heap._payload, self._mq, self._md, heap.float_allocator(hft),
+            *tables, scheme.offset, ht, fixnum_tag(scheme), lo, hi, zeros, pz_pos, pz_neg,
+            hook, heap._payload, self._mq, self._md, alloc,
         )
         self.generic_add = make_arith(add, add)
         self.generic_sub = make_arith(sub, sub)

@@ -15,7 +15,6 @@ also exposed analytically as prefix-class intervals."""
 import math
 from dataclasses import dataclass
 
-from .heap import GENERIC_TAG
 from .words import M64, exponent_prefix5, rotl64, rotr64, tag_set_mask
 
 BOXED = "boxed"
@@ -31,6 +30,8 @@ MANTISSA = "mantissa_low_bits"
 ROT4_VARIANTS = frozenset((TWO_TAG_ZEROS, THREE_TAG, FOUR_TAG))
 SELF_TAG_VARIANTS = ROT4_VARIANTS | {ONE_TAG, TWO_TAG_BIASED, MANTISSA}
 ALL_VARIANTS = SELF_TAG_VARIANTS | {BOXED, NANBOX, NUNBOX}
+
+GENERIC_TAG = 1  # handle tag shared by every generic-pointer object
 
 # exponent-top-3-bit classes kept immediate by the 4-bit-rotation family;
 # the rotation moves those 3 bits into the tag, so they plus the offset
@@ -68,11 +69,10 @@ class SchemeConfig:
             raise ValueError("heap float tag out of [0, 7]: %r" % (self.heap_float_tag,))
         if self.variant in SELF_TAG_VARIANTS:
             mask = self_tag_set(self)
-            handle_tag = GENERIC_TAG if self.heap_float_tag is None else self.heap_float_tag
-            if (mask >> handle_tag) & 1:
+            ht = handle_tag(self)
+            if (mask >> ht) & 1:
                 raise ValueError(
-                    "heap handle tag %d collides with the self-tag set 0x%02x"
-                    % (handle_tag, mask)
+                    "heap handle tag %d collides with the self-tag set 0x%02x" % (ht, mask)
                 )
 
 
@@ -88,6 +88,26 @@ def self_tag_set(config):
     if v == MANTISSA:
         return tag_set_mask((0, 4))
     raise ValueError("not a self-tagging variant: %r" % (v,))
+
+
+def handle_tag(config):
+    """The low tag of a heap-float handle: heap_float_tag, or GENERIC_TAG
+    for the generic-pointer layout."""
+    return GENERIC_TAG if config.heap_float_tag is None else config.heap_float_tag
+
+
+def fixnum_tag(config):
+    """The low tag of fixnum words: None under NaN boxing (payload space),
+    0 under NuN boxing, else the first tag free of the heap handles and of
+    the self-tag set, which hold five tags at most between them."""
+    if config.variant == NANBOX:
+        return None
+    if config.variant == NUNBOX:
+        return 0
+    used = 1 << handle_tag(config)
+    if config.variant in SELF_TAG_VARIANTS:
+        used |= self_tag_set(config)
+    return next(t for t in range(8) if not (used >> t) & 1)
 
 
 def st_transform(bits, config):

@@ -9,6 +9,7 @@ M32 = (1 << 32) - 1
 
 SIGN_64 = 1 << 63
 QNAN_64 = 0x7FF8000000000000       # canonical quiet NaN
+NEG_ZERO_BITS = 0x8000000000000000  # -0.0
 
 FIXNUM_MIN = -(1 << 60)
 FIXNUM_MAX = (1 << 60) - 1

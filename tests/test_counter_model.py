@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tagbench.heap import HeapStats, SimHeap
 from tagbench.profiler import FloatProfile
-from tagbench.words import M64
+from tagbench.words import M64, bits_to_float
 
 BITS = st.integers(0, M64)
 
@@ -53,7 +53,9 @@ class HeapModel:
 def test_derived_counters_match_a_counting_model(capacity, zeros, events):
     heap, model = SimHeap(capacity), HeapModel(capacity)
     if zeros and capacity >= 2:  # st2zeros' two cells, before any reset
-        heap.preallocate_zeros(3)
+        alloc = heap.float_allocator(3)
+        alloc(0.0)
+        alloc(-0.0)
         model.alloc(1)
         model.alloc(1)
     profiles = [FloatProfile("a"), FloatProfile("b")]
@@ -76,7 +78,7 @@ def test_derived_counters_match_a_counting_model(capacity, zeros, events):
             ncells = 2 if tag is None else 1
             fits = model.fits(ncells)
             try:
-                heap.alloc_float(bits, tag)
+                heap.float_allocator(tag)(bits_to_float(bits))
             except MemoryError:
                 assert not fits
             else:

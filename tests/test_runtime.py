@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagbench.heap import GENERIC_TAG, NEG_ZERO_BITS, HeapStats, SimHeap
+from tagbench.heap import HeapStats, SimHeap
 from tagbench.prng import splitmix64
 from tagbench.runtime import (
     NAN_FIXNUM_MAX,
@@ -20,6 +20,7 @@ from tagbench.runtime import (
 from tagbench.schemes import (
     ALL_VARIANTS,
     BOXED,
+    GENERIC_TAG,
     NAN_CANON,
     NAN_PAYLOAD_MASK,
     NANBOX,
@@ -32,6 +33,8 @@ from tagbench.schemes import (
     TWO_TAG_ZEROS,
     SchemeConfig,
     covers,
+    fixnum_tag,
+    handle_tag,
     nan_box_float,
     nan_box_nonfloat,
     nun_box_float,
@@ -42,6 +45,7 @@ from tagbench.words import (
     FIXNUM_MAX,
     FIXNUM_MIN,
     M64,
+    NEG_ZERO_BITS,
     QNAN_64,
     bits_to_float,
     float_to_bits,
@@ -153,20 +157,19 @@ def test_st4_covered_class_31_is_immediate():
 def test_two_tag_zeros_preallocation():
     heap = SimHeap()
     rt = Runtime(PRESETS["st2zeros"], heap)
-    assert heap.zero_handles is not None
     assert rt.stats().float_allocs == 2  # the two preallocated cells
     rt.reset_kernel_counters()
     pos = rt.box_float(0)
     neg = rt.box_float(NEG_ZERO_BITS)
-    assert (pos, neg) == heap.zero_handles
+    assert (pos, neg) == ((0 << 3) | 1, (1 << 3) | 1)  # cells 0 and 1, the preset's tag 1
     s = rt.stats()
     assert s.float_allocs == 0  # zeros reuse the preallocated cells
     assert s.slow_path_encodes == 2
     assert rt.unbox_float(pos) == 0
     assert rt.unbox_float(neg) == NEG_ZERO_BITS
-    # a second runtime over the same heap reuses the cells
+    # a second runtime over the same heap allocates cells of its own
     rt2 = Runtime(PRESETS["st2zeros"], heap)
-    assert rt2.box_float(0) == pos
+    assert rt2.box_float(0) == (2 << 3) | 1
 
 
 def test_flip_counting():
@@ -211,7 +214,7 @@ EXPECTED_FIXNUM_TAG = {
 
 @pytest.mark.parametrize("name", ALL)
 def test_fixnum_tag_choice(name):
-    assert fresh(name).fixnum_tag == EXPECTED_FIXNUM_TAG[name]
+    assert fixnum_tag(PRESETS[name]) == EXPECTED_FIXNUM_TAG[name]
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -221,8 +224,9 @@ def test_fixnum_add_five_seven(name):
     w = rt.generic_add(rt.box_fixnum(5), rt.box_fixnum(7))
     assert rt.is_fixnum_value(w)
     assert rt.unbox_fixnum(w) == 12
-    if rt.fixnum_tag is not None:
-        assert w == (12 << 3) | rt.fixnum_tag
+    fxt = fixnum_tag(PRESETS[name])
+    if fxt is not None:
+        assert w == (12 << 3) | fxt
     assert rt.stats().float_allocs == 0  # fixnum path never boxes
 
 
@@ -250,7 +254,7 @@ def test_fixnum_range_limits(name):
 @pytest.mark.parametrize("name", ALL)
 def test_out_of_range_fixnum_words_are_not_fixnums(name):
     rt = fresh(name)
-    fxt = rt.fixnum_tag or 0  # nanbox has none: its fixnums sit in the payload
+    fxt = fixnum_tag(PRESETS[name]) or 0  # nanbox has none: its fixnums sit in the payload
     n = rt.box_fixnum(1)
     for bad in (fxt - 8, (1 << 64) + fxt, (1 << 64) + (1 << 48)):
         assert not rt.is_fixnum_value(bad)
@@ -465,16 +469,15 @@ def test_ballast_addresses_are_not_floats(name):
     heap = SimHeap()
     heap.preload(64)  # eight cells of ballast, no float boxed yet
     rt = Runtime(PRESETS[name], heap)
-    hft = PRESETS[name].heap_float_tag
-    ht = GENERIC_TAG if hft is None else hft
+    ht = handle_tag(PRESETS[name])
     partners = [rt.box_fixnum(1)]
     if name != "boxed":
         partners.append(rt.box_float(ONE))  # an immediate float
         assert rt.stats().float_allocs == (2 if name == "st2zeros" else 0)
     for i in range(8):
+        if name == "st2zeros" and i < 2:
+            continue  # the runtime's own +0.0 and -0.0 cells
         w = (i << 3) | ht
-        if w in (heap.zero_handles or ()):
-            continue
         assert not rt.is_float_value(w), hex(w)
         with pytest.raises(TypeError, match="not a float word"):
             rt.unbox_float(w)
@@ -651,7 +654,7 @@ def test_every_config_fixnums_match_int_arithmetic():
         box, unbox = rt.box_fixnum, rt.unbox_fixnum
         for v in (lo, hi, -1, 0):
             w = box(v)
-            assert w == expected_fixnum_word(cfg, rt.fixnum_tag, v), (cfg, v)
+            assert w == expected_fixnum_word(cfg, fixnum_tag(cfg), v), (cfg, v)
             assert unbox(w) == v, (cfg, v)
             assert rt.is_fixnum_value(w) and not rt.is_float_value(w), (cfg, v)
         for v in (hi + 1, lo - 1):

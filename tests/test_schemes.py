@@ -191,6 +191,8 @@ def test_config_validation():
         SchemeConfig("x", "half_tag")
     with pytest.raises(ValueError, match="tag out of"):
         SchemeConfig("x", ONE_TAG, tag=8)
+    with pytest.raises(ValueError, match="heap float tag out of"):
+        SchemeConfig("x", ONE_TAG, heap_float_tag=8)
     with pytest.raises(ValueError, match="collides"):
         # st1 with tag 1 marks immediates with tag 1; a heap handle tag
         # of 1 would be indistinguishable

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tagbench.runtime import Runtime
-from tagbench.schemes import PRESETS
+from tagbench.schemes import PRESETS, fixnum_tag
 from tagbench.words import (
     FIXNUM_MAX,
     FIXNUM_MIN,
@@ -100,7 +100,7 @@ TAG0_RUNTIMES = {name: Runtime(PRESETS[name]) for name in ("st1", "st3", "boxed"
 
 def test_fixnum_known_words():
     for name, rt in TAG0_RUNTIMES.items():
-        assert rt.fixnum_tag == 0, name
+        assert fixnum_tag(rt.scheme) == 0, name
         assert rt.box_fixnum(5) == ST_EXAMPLES["fixnum_enc_5"], name
         assert rt.box_fixnum(-1) == ST_EXAMPLES["fixnum_enc_neg1"], name
         assert rt.unbox_fixnum(ST_EXAMPLES["fixnum_enc_5"]) == 5, name
