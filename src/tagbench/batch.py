@@ -3,18 +3,21 @@
 The generator is the same splitmix stream the rest of the package uses,
 computed in closed form (the k-th state is seed + (k+1)*step), so a block
 here is bit-identical to k calls of the scalar generator, and the words
-and mismatch totals do not depend on the block size.
+and mismatch totals do not depend on the block size. A driver makes the
+steps 1*step .. BLOCK*step once; each block's states are then one add of
+the state before it, and the mixing rounds run in place in one reused
+buffer.
 
-Every driver walks its words in blocks of BLOCK words. A roundtrip makes
-about twenty numpy temporaries the size of its block, so the block is
-sized to keep them cache-resident: at 2^14 words each uint64 array is
-128 KiB and a block's working set fits in a 2 MiB L2 cache, while at
-2^20 words each temporary is an 8 MiB array streamed through memory.
-Ten 2^22-word roundtrips (six self-tagging presets, nan, nun, two 32-bit
-variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB of L2 per core,
-BENCH_7.json) took 0.80 s at 2^12 words per block, 0.51 s at 2^13,
-0.45 s at 2^14, 0.54 s at 2^15, 0.70 s at 2^16, 0.93 s at 2^18 and
-1.28 s at 2^20.
+Every driver walks its words in blocks of BLOCK words. The transforms of
+a roundtrip make about ten numpy temporaries the size of its block, so
+the block is sized to keep them cache-resident: at 2^14 words each
+uint64 array is 128 KiB and a block's working set fits in a 2 MiB L2
+cache. Ten 2^22-word roundtrips (six self-tagging presets, nan, nun, two
+32-bit variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB of L2 per
+core) took 0.69 s at 2^12 words per block, 0.44 s at 2^13, 0.34 s at
+2^14, 0.38 s at 2^15 and 0.58 s at 2^16. The generator that made an
+arange and eleven temporaries per block took 0.78, 0.54, 0.42, 0.46 and
+0.76 s in the same run (BENCH_7.json has its sweep up to 2^20).
 
 Every roundtrip driver spot-checks lanes against its scalar reference
 (schemes.st_transform, nan_box_float, nun_box_float, st32.st32_transform)
@@ -35,14 +38,38 @@ from .words import M64
 _u = np.uint64
 
 
+def _steps(count):
+    """(j + 1) * GOLDEN for j in 0 .. count-1: the states of a block less
+    the state before its first word."""
+    return np.arange(1, count + 1, dtype=np.uint64) * _u(GOLDEN)
+
+
+def _fill(out, steps, seed, start):
+    """The states of outputs start .. start+len(out)-1 into out."""
+    np.add(steps, _u((seed + start * GOLDEN) & M64), out=out)
+
+
+def _mix(z, t):
+    """prng.mix64 of every word of the array z, in place, with t a scratch
+    array of z's shape; returns z. Integer arrays wrap without a warning
+    (only numpy scalars warn), so no errstate is needed."""
+    np.right_shift(z, _u(30), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _u(MIX1), out=z)
+    np.right_shift(z, _u(27), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _u(MIX2), out=z)
+    np.right_shift(z, _u(31), out=t)
+    np.bitwise_xor(z, t, out=z)
+    return z
+
+
 def splitmix64_block(seed, start, count):
-    """Outputs start .. start+count-1 of the stream for this seed."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _u(seed & M64) + idx * _u(GOLDEN)
-        z = (z ^ (z >> _u(30))) * _u(MIX1)
-        z = (z ^ (z >> _u(27))) * _u(MIX2)
-        return z ^ (z >> _u(31))
+    """Outputs start .. start+count-1 of the stream for this seed, in a new
+    array."""
+    z = _steps(count)
+    _fill(z, z, seed, start)
+    return _mix(z, np.empty_like(z))
 
 
 def st_transform_block(bits, config):
@@ -85,9 +112,17 @@ SPOT_SPAN = 1 << 20
 
 def _blocks(seed, n):
     """(start, outputs start .. start+count-1) over outputs 0 .. n-1 of the
-    stream for this seed, in blocks of at most BLOCK words."""
+    stream for this seed, in blocks of at most BLOCK words. Every block is
+    the same buffer, refilled: a block is valid only until the next one is
+    yielded, so a caller that keeps one must copy it."""
+    steps = _steps(min(BLOCK, n))
+    z, t = np.empty_like(steps), np.empty_like(steps)
     for start in range(0, n, BLOCK):
-        yield start, splitmix64_block(seed, start, min(BLOCK, n - start))
+        count = min(BLOCK, n - start)
+        if count < len(steps):
+            steps, z, t = steps[:count], z[:count], t[:count]
+        _fill(z, steps, seed, start)
+        yield start, _mix(z, t)
 
 
 def _spot_lanes(n, span):

@@ -67,10 +67,13 @@ class SimHeap:
     def float_allocator(self, tag=None):
         """The heap's one allocation path: a closure that stores a float
         payload in a new cell and returns its handle word, the cell index
-        shifted left 3 with tag in the low bits. tag is 0-7 (checked by
-        SchemeConfig, not here), or None for the generic-pointer layout:
-        the handle is tagged GENERIC_TAG and the header costs one more
-        cell. Raises MemoryError past capacity."""
+        shifted left 3 with tag in the low bits. tag is 0-7, or None for
+        the generic-pointer layout: the handle is tagged GENERIC_TAG and the
+        header costs one more cell. Raises ValueError here for any other
+        tag, whose handles would collide, and MemoryError from the closure
+        past capacity."""
+        if tag is not None and not 0 <= tag <= 7:
+            raise ValueError("tag out of [0, 7]: %r" % (tag,))
         generic = tag is None
         handle_tag = GENERIC_TAG if generic else tag
         cost = 2 if generic else 1

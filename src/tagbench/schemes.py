@@ -15,7 +15,7 @@ also exposed analytically as prefix-class intervals."""
 import math
 from dataclasses import dataclass
 
-from .words import M64, exponent_prefix5, rotl64, rotr64, tag_set_mask
+from .words import M64, tag_set_mask
 
 BOXED = "boxed"
 NANBOX = "nanbox"
@@ -110,32 +110,43 @@ def fixnum_tag(config):
     return next(t for t in range(8) if not (used >> t) & 1)
 
 
+# st_transform and st_untransform write their fixed rotations out, as
+# words.rotl64/rotr64 compute them, to save the calls and the shift check
+# on the fuzz path.
+
+
 def st_transform(bits, config):
     """The unconditional invertible transform (no tag test)."""
     v = config.variant
     if v in ROT4_VARIANTS:
-        return (rotl64(bits, 4) + config.offset) & M64
+        # rotl64(bits, 4) + offset
+        return ((((bits << 4) | (bits >> 60)) & M64) + config.offset) & M64
     if v == ONE_TAG:
-        return rotl64((bits + ((1 + 2 * config.tag) << 58)) & M64, 5)
-    if v == TWO_TAG_BIASED:
-        return rotl64((bits + ((2 * config.tag) << 58)) & M64, 5)
-    if v == MANTISSA:
+        s = (bits + ((1 + 2 * config.tag) << 58)) & M64
+    elif v == TWO_TAG_BIASED:
+        s = (bits + ((2 * config.tag) << 58)) & M64
+    elif v == MANTISSA:
         return bits
-    raise ValueError("not a self-tagging variant: %r" % (v,))
+    else:
+        raise ValueError("not a self-tagging variant: %r" % (v,))
+    return ((s << 5) | (s >> 59)) & M64  # rotl64(s, 5)
 
 
 def st_untransform(w, config):
     """Exact inverse of st_transform over the full 64-bit space."""
     v = config.variant
     if v in ROT4_VARIANTS:
-        return rotr64((w - config.offset) & M64, 4)
+        r = (w - config.offset) & M64
+        return ((r >> 4) | (r << 60)) & M64  # rotr64(r, 4)
     if v == ONE_TAG:
-        return (rotr64(w, 5) - ((1 + 2 * config.tag) << 58)) & M64
-    if v == TWO_TAG_BIASED:
-        return (rotr64(w, 5) - ((2 * config.tag) << 58)) & M64
-    if v == MANTISSA:
+        bias = (1 + 2 * config.tag) << 58
+    elif v == TWO_TAG_BIASED:
+        bias = (2 * config.tag) << 58
+    elif v == MANTISSA:
         return w
-    raise ValueError("not a self-tagging variant: %r" % (v,))
+    else:
+        raise ValueError("not a self-tagging variant: %r" % (v,))
+    return ((((w >> 5) | (w << 59)) & M64) - bias) & M64  # rotr64(w, 5) - bias
 
 
 def _class_covered(config, p):
@@ -158,7 +169,7 @@ def covers(config, bits):
     the two can be cross-checked against each other."""
     if config.variant == MANTISSA:
         return bits & 3 == 0
-    return _class_covered(config, exponent_prefix5(bits))
+    return _class_covered(config, (bits >> 58) & 0x1F)  # exponent_prefix5(bits)
 
 
 def covered_prefix_classes(config):

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .schemes import CoverageInterval, class_runs
-from .words import M32, rotl32, rotr32
+from .words import M32
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,17 @@ def st32_tag_set(variant):
     raise TypeError("not a 32-bit variant: %r" % (variant,))
 
 
+# The fixed rotations are written out, as words.rotl32/rotr32 compute them,
+# to save the calls and the shift check on the fuzz path.
+
+
 def st32_transform(bits, variant):
-    return rotl32((bits + _bias(variant)) & M32, 4)
+    r = (bits + _bias(variant)) & M32
+    return ((r << 4) | (r >> 28)) & M32  # rotl32(r, 4)
 
 
 def st32_untransform(w, variant):
-    return (rotr32(w, 4) - _bias(variant)) & M32
+    return ((((w >> 4) | (w << 28)) & M32) - _bias(variant)) & M32  # rotr32(w, 4) - bias
 
 
 def st32_covers(bits, variant):

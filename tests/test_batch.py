@@ -47,6 +47,32 @@ def test_splitmix_block_matches_scalar_stream():
     assert [int(x) for x in tail] == want[600:]
 
 
+@pytest.mark.parametrize("n", [1, batch.BLOCK - 1, batch.BLOCK, 2 * batch.BLOCK + 123])
+def test_blocks_concatenate_to_the_stream(n):
+    # each block is refilled in place by the next, so keep copies
+    blocks = [(start, b.copy()) for start, b in batch._blocks(7, n)]
+    assert [start for start, _ in blocks] == list(range(0, n, batch.BLOCK))
+    assert np.array_equal(np.concatenate([b for _, b in blocks]), splitmix64_block(7, 0, n))
+
+
+def test_splitmix_blocks_are_fresh_arrays():
+    first = splitmix64_block(7, 0, 100)
+    want = first.copy()
+    first[:] = 0
+    assert np.array_equal(splitmix64_block(7, 0, 100), want)
+
+
+def test_mismatch_total_does_not_depend_on_block(monkeypatch):
+    # a backward mirror that clears bit 0 loses exactly the odd words
+    n = (1 << 17) + 5
+    odd = int(np.count_nonzero(splitmix64_block(9, 0, n) & np.uint64(1)))
+    back = batch.st_untransform_block
+    monkeypatch.setattr(batch, "st_untransform_block", lambda w, c: back(w, c) & ~np.uint64(1))
+    for block in (1 << 10, 1 << 14, 1 << 16):
+        monkeypatch.setattr(batch, "BLOCK", block)
+        assert st_roundtrip_mismatches(PRESETS["st1"], n, seed=9) == odd > 0
+
+
 @pytest.mark.parametrize("name", TRANSFORM_CONFIGS)
 def test_transform_block_matches_scalar(name):
     cfg = TRANSFORM_CONFIGS[name]

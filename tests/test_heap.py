@@ -48,6 +48,15 @@ def test_generic_alloc_costs_two_cells():
     assert h.cells_used == 2
 
 
+@pytest.mark.parametrize("tag", [8, -1, 9])
+def test_float_allocator_validates_tag(tag):
+    # (i << 3) | 9 sets bit 3, so tag 9 would give cells 0 and 1 one handle
+    h = SimHeap()
+    with pytest.raises(ValueError, match=r"tag out of \[0, 7\]: %d$" % tag):
+        h.float_allocator(tag)
+    assert h.cells_used == 0
+
+
 @given(st.integers(min_value=0, max_value=M64))
 def test_payload_is_bit_exact(bits):
     # NaN payloads and -0.0 must survive storage unchanged
