@@ -41,8 +41,6 @@ from .words import (
     bits_to_float,
     float_to_bits,
     ieee_div,
-    rotl64,
-    rotr64,
     tag_set_mask,
 )
 

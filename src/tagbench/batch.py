@@ -8,13 +8,22 @@ steps 1*step .. BLOCK*step once; each block's states are then one add of
 the state before it, and the mixing rounds run in place in one reused
 buffer.
 
+One mirror pair, st_transform_block and st_untransform_block, serves
+every self-tagging transform at both word widths: it reads the
+transform_terms triple (bias, r, offset) of a SchemeConfig or a 32-bit
+variant and computes rotl(bits + bias, r) + offset at the width of the
+array's dtype, uint64 or uint32. st32_transform_block and
+st32_untransform_block are the same two functions. A zero bias or offset
+is not added, which saves a pass over the block, and r == 0 (the
+mantissa variant) returns a copy.
+
 Every driver walks its words in blocks of BLOCK words. The transforms of
-a roundtrip make about ten numpy temporaries the size of its block, so
-the block is sized to keep them cache-resident: at 2^14 words each
-uint64 array is 128 KiB and a block's working set fits in a 2 MiB L2
-cache. Ten 2^22-word roundtrips (six self-tagging presets, nan, nun, two
-32-bit variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB of L2 per
-core) took 0.69 s at 2^12 words per block, 0.44 s at 2^13, 0.34 s at
+a roundtrip and its compare make about six numpy temporaries the size of
+its block, so the block is sized to keep them cache-resident: at 2^14
+words each uint64 array is 128 KiB and a block's working set fits in a
+2 MiB L2 cache. Ten 2^22-word roundtrips (six self-tagging presets, nan,
+nun, two 32-bit variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB
+of L2 per core, before the mirrors were merged) took 0.69 s at 2^12 words per block, 0.44 s at 2^13, 0.34 s at
 2^14, 0.38 s at 2^15 and 0.58 s at 2^16. The generator that made an
 arange and eleven temporaries per block took 0.78, 0.54, 0.42, 0.46 and
 0.76 s in the same run (BENCH_7.json has its sweep up to 2^20).
@@ -73,29 +82,33 @@ def splitmix64_block(seed, start, count):
 
 
 def st_transform_block(bits, config):
-    v = config.variant
-    with np.errstate(over="ignore"):
-        if v == schemes.MANTISSA:
-            return bits.copy()
-        if v in schemes.ROT4_VARIANTS:
-            r = (bits << _u(4)) | (bits >> _u(60))
-            return r + _u(config.offset)
-        step = 1 + 2 * config.tag if v == schemes.ONE_TAG else 2 * config.tag
-        s = bits + _u((step << 58) & M64)
-        return (s << _u(5)) | (s >> _u(59))
+    """st_transform (st32_transform for a uint32 array) of every word, in a
+    new array of bits' dtype: rotl(bits + bias, r) + offset over
+    config.transform_terms, at the array's word width."""
+    bias, r, offset = config.transform_terms
+    if r == 0:
+        return bits.copy()
+    u = bits.dtype.type
+    s = bits + u(bias) if bias else bits
+    w = s << u(r)
+    w |= s >> u(8 * bits.itemsize - r)
+    if offset:
+        w += u(offset)
+    return w
 
 
 def st_untransform_block(words, config):
-    v = config.variant
-    with np.errstate(over="ignore"):
-        if v == schemes.MANTISSA:
-            return words.copy()
-        if v in schemes.ROT4_VARIANTS:
-            r = words - _u(config.offset)
-            return (r >> _u(4)) | (r << _u(60))
-        step = 1 + 2 * config.tag if v == schemes.ONE_TAG else 2 * config.tag
-        s = (words >> _u(5)) | (words << _u(59))
-        return s - _u((step << 58) & M64)
+    """The inverse of st_transform_block, in a new array."""
+    bias, r, offset = config.transform_terms
+    if r == 0:
+        return words.copy()
+    u = words.dtype.type
+    s = words - u(offset) if offset else words
+    b = s >> u(r)
+    b |= s << u(8 * words.itemsize - r)
+    if bias:
+        b -= u(bias)
+    return b
 
 
 def covers_block(bits, config):
@@ -194,21 +207,10 @@ def nun_roundtrip_mismatches(n, seed=DEFAULT_SEED):
                                  nun_unbox_block, schemes.nun_box_float, bound=schemes.NUN_CANON_MIN)
 
 
-_u32 = np.uint32
-
-
-def st32_transform_block(bits, variant):
-    bias = st32._bias(variant)
-    with np.errstate(over="ignore"):
-        r = bits + _u32(bias)
-        return (r << _u32(4)) | (r >> _u32(28))
-
-
-def st32_untransform_block(words, variant):
-    bias = st32._bias(variant)
-    with np.errstate(over="ignore"):
-        r = (words >> _u32(4)) | (words << _u32(28))
-        return r - _u32(bias)
+# st32 variants carry the same transform_terms, and the pair above takes
+# the word width from the array's dtype
+st32_transform_block = st_transform_block
+st32_untransform_block = st_untransform_block
 
 
 def st32_roundtrip_mismatches(variant, n, seed=DEFAULT_SEED):

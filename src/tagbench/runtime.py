@@ -108,7 +108,7 @@ from .schemes import (
     st_transform,
     st_untransform,
 )
-from .words import FIXNUM_MAX, FIXNUM_MIN, M64, NEG_ZERO_BITS, SIGN_64, ieee_div
+from .words import FIXNUM_MAX, FIXNUM_MIN, M64, SIGN_64, ieee_div
 
 M60 = (1 << 60) - 1
 
@@ -272,12 +272,13 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
 
 # A miss: event n went to the slow path. When event n - 1 was not a miss,
 # the outcome flipped from hits to this miss, and, if an earlier miss
-# exists, from that miss to the hits in between.
+# exists, from that miss to the hits in between. SIGN_64 alone is the
+# -0.0 word.
 _MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
 last = n
-if zeros and (bits == 0 or bits == NEG_ZERO_BITS):
+if zeros and (bits == 0 or bits == SIGN_64):
     zhits += 1
     return pz_pos if bits == 0 else pz_neg"""
 
@@ -342,7 +343,6 @@ _LITERALS = {
     "M64": M64,
     "M60": M60,
     "SIGN_64": SIGN_64,
-    "NEG_ZERO_BITS": NEG_ZERO_BITS,
     "NAN_CANON": NAN_CANON,
     "NAN_PAYLOAD_MASK": NAN_PAYLOAD_MASK,
     "NAN_FIXNUM_TAG": NAN_FIXNUM_TAG,

@@ -14,6 +14,7 @@ also exposed analytically as prefix-class intervals."""
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .words import M64, tag_set_mask
 
@@ -75,6 +76,22 @@ class SchemeConfig:
                     "heap handle tag %d collides with the self-tag set 0x%02x" % (ht, mask)
                 )
 
+    @cached_property
+    def transform_terms(self):
+        """(bias, r, offset): st_transform is rotl64(bits + bias, r) + offset.
+        The one place a variant's transform arithmetic is decided;
+        _class_covered checks it independently."""
+        v = self.variant
+        if v == ONE_TAG:
+            return (1 + 2 * self.tag) << 58, 5, 0
+        if v == TWO_TAG_BIASED:
+            return (2 * self.tag) << 58, 5, 0
+        if v in ROT4_VARIANTS:
+            return 0, 4, self.offset
+        if v == MANTISSA:
+            return 0, 0, 0
+        raise ValueError("not a self-tagging variant: %r" % (v,))
+
 
 def self_tag_set(config):
     """8-bit membership mask of the tags that mark immediate floats."""
@@ -110,43 +127,27 @@ def fixnum_tag(config):
     return next(t for t in range(8) if not (used >> t) & 1)
 
 
-# st_transform and st_untransform write their fixed rotations out, as
-# words.rotl64/rotr64 compute them, to save the calls and the shift check
-# on the fuzz path.
-
-
 def st_transform(bits, config):
-    """The unconditional invertible transform (no tag test)."""
-    v = config.variant
-    if v in ROT4_VARIANTS:
-        # rotl64(bits, 4) + offset
-        return ((((bits << 4) | (bits >> 60)) & M64) + config.offset) & M64
-    if v == ONE_TAG:
-        s = (bits + ((1 + 2 * config.tag) << 58)) & M64
-    elif v == TWO_TAG_BIASED:
-        s = (bits + ((2 * config.tag) << 58)) & M64
-    elif v == MANTISSA:
+    """The unconditional invertible transform (no tag test) of a 64-bit
+    word over config.transform_terms; zero terms are skipped."""
+    bias, r, offset = config.transform_terms
+    if r == 0:
         return bits
-    else:
-        raise ValueError("not a self-tagging variant: %r" % (v,))
-    return ((s << 5) | (s >> 59)) & M64  # rotl64(s, 5)
+    if bias:
+        bits = (bits + bias) & M64
+    w = ((bits << r) | (bits >> (64 - r))) & M64
+    return (w + offset) & M64 if offset else w
 
 
 def st_untransform(w, config):
     """Exact inverse of st_transform over the full 64-bit space."""
-    v = config.variant
-    if v in ROT4_VARIANTS:
-        r = (w - config.offset) & M64
-        return ((r >> 4) | (r << 60)) & M64  # rotr64(r, 4)
-    if v == ONE_TAG:
-        bias = (1 + 2 * config.tag) << 58
-    elif v == TWO_TAG_BIASED:
-        bias = (2 * config.tag) << 58
-    elif v == MANTISSA:
+    bias, r, offset = config.transform_terms
+    if r == 0:
         return w
-    else:
-        raise ValueError("not a self-tagging variant: %r" % (v,))
-    return ((((w >> 5) | (w << 59)) & M64) - bias) & M64  # rotr64(w, 5) - bias
+    if offset:
+        w = (w - offset) & M64
+    bits = ((w >> r) | (w << (64 - r))) & M64
+    return (bits - bias) & M64 if bias else bits
 
 
 def _class_covered(config, p):
@@ -169,7 +170,7 @@ def covers(config, bits):
     the two can be cross-checked against each other."""
     if config.variant == MANTISSA:
         return bits & 3 == 0
-    return _class_covered(config, (bits >> 58) & 0x1F)  # exponent_prefix5(bits)
+    return _class_covered(config, (bits >> 58) & 0x1F)
 
 
 def covered_prefix_classes(config):

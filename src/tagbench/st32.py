@@ -1,14 +1,16 @@
 """Self-tagging on 32-bit words (binary32 floats, 2-bit tags).
 
-The transform mirrors the 64-bit rotate-and-bias construction scaled to
-the narrower word: the bias steps sit at bit 27 (under the 4-bit prefix of
-sign and top exponent bits) and the rotation is by 4, leaving a 2-bit tag
-plus two spare low bits on immediates. There is no 32-bit heap, runtime
-or fixnum; this module only answers representation questions: transform
-and coverage."""
+The transform is the 64-bit rotate-and-bias construction scaled to the
+narrower word: each variant's transform_terms triple (bias, r, offset)
+puts the bias steps at bit 27 (under the 4-bit prefix of sign and top
+exponent bits) and rotates by 4, leaving a 2-bit tag plus two spare low
+bits on immediates. The triple is the only place a variant's transform
+arithmetic is decided. There is no 32-bit heap, runtime or fixnum; this
+module only answers representation questions: transform and coverage."""
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .schemes import CoverageInterval, class_runs
 from .words import M32
@@ -22,6 +24,11 @@ class OneTag:
         if not 0 <= self.tag <= 3:
             raise ValueError("tag out of [0, 3]: %r" % (self.tag,))
 
+    @cached_property
+    def transform_terms(self):
+        """(bias, r, offset): st32_transform is rotl32(bits + bias, r) + offset."""
+        return (1 + 2 * self.tag) << 27, 4, 0
+
 
 @dataclass(frozen=True)
 class TwoTag:
@@ -31,13 +38,10 @@ class TwoTag:
         if not 0 <= self.tag1 <= 3:
             raise ValueError("tag1 out of [0, 3]: %r" % (self.tag1,))
 
-
-def _bias(variant):
-    if isinstance(variant, OneTag):
-        return ((1 + 2 * variant.tag) << 27) & M32
-    if isinstance(variant, TwoTag):
-        return ((2 * variant.tag1) << 27) & M32
-    raise TypeError("not a 32-bit variant: %r" % (variant,))
+    @cached_property
+    def transform_terms(self):
+        """(bias, r, offset): st32_transform is rotl32(bits + bias, r) + offset."""
+        return (2 * self.tag1) << 27, 4, 0
 
 
 def st32_tag_set(variant):
@@ -49,17 +53,17 @@ def st32_tag_set(variant):
     raise TypeError("not a 32-bit variant: %r" % (variant,))
 
 
-# The fixed rotations are written out, as words.rotl32/rotr32 compute them,
-# to save the calls and the shift check on the fuzz path.
-
-
 def st32_transform(bits, variant):
-    r = (bits + _bias(variant)) & M32
-    return ((r << 4) | (r >> 28)) & M32  # rotl32(r, 4)
+    """rotl32(bits + bias, r) + offset over variant.transform_terms."""
+    bias, r, offset = variant.transform_terms
+    s = (bits + bias) & M32
+    return ((((s << r) | (s >> (32 - r))) & M32) + offset) & M32
 
 
 def st32_untransform(w, variant):
-    return ((((w >> 4) | (w << 28)) & M32) - _bias(variant)) & M32  # rotr32(w, 4) - bias
+    bias, r, offset = variant.transform_terms
+    s = (w - offset) & M32
+    return ((((s >> r) | (s << (32 - r))) & M32) - bias) & M32
 
 
 def st32_covers(bits, variant):

@@ -175,6 +175,17 @@ ST_EXAMPLES = {
     "nun_canon_out": 0xFFF9000000000000,
 }
 
+# sha256 over exact transformed words, each little-endian (8 bytes, or 4
+# for 32-bit): st_transform of boundary_words64() (tests/_words.py) and
+# the first 64 splitmix64 words of seed 1, under each of PARAM_CONFIGS
+# (tests/test_schemes.py, in order) and then the mantissa preset; then
+# st32_transform of boundary_words32() under OneTag(0..3), TwoTag(0..3).
+# Taken from the per-variant transforms before they shared one
+# (bias, r, offset) triple, and equal to an independent big-int
+# computation of rotl(bits + bias, r) + offset with each variant's terms
+# written out.
+TRANSFORM_WORDS_SHA256 = "2d74632cd0ca39b8cc969b5bf17222ddba882b436adeb923a9ba50107f56adde"
+
 # Expected `coverage` CLI lines, compared numerically at 2 significant
 # digits after parsing (lo "0" means from zero, hi "Inf/NaN" open-ended).
 COVERAGE_LINES_64 = {

@@ -73,14 +73,25 @@ def test_mismatch_total_does_not_depend_on_block(monkeypatch):
         assert st_roundtrip_mismatches(PRESETS["st1"], n, seed=9) == odd > 0
 
 
+def _fresh(mirror, words, config):
+    """mirror(words, config), checked to be a new array of words' dtype
+    that leaves words unchanged."""
+    kept = words.copy()
+    out = mirror(words, config)
+    assert out.dtype == words.dtype
+    assert not np.shares_memory(out, words)
+    assert np.array_equal(words, kept)
+    return out
+
+
 @pytest.mark.parametrize("name", TRANSFORM_CONFIGS)
 def test_transform_block_matches_scalar(name):
     cfg = TRANSFORM_CONFIGS[name]
     words = splitmix64_block(5, 0, 4096)
-    tr = st_transform_block(words, cfg)
+    tr = _fresh(st_transform_block, words, cfg)
     for i in (0, 1, 17, 4095):
         assert int(tr[i]) == st_transform(int(words[i]), cfg)
-    back = st_untransform_block(tr, cfg)
+    back = _fresh(st_untransform_block, tr, cfg)
     assert np.array_equal(back, words)
 
 
@@ -132,10 +143,10 @@ def test_st32_blocks_match_scalar():
     words = splitmix64_block(3, 0, 4096).astype(np.uint64) & np.uint64(0xFFFFFFFF)
     words = words.astype(np.uint32)
     for v in [*map(OneTag, range(4)), *map(TwoTag, range(4))]:
-        tr = st32_transform_block(words, v)
+        tr = _fresh(st32_transform_block, words, v)
         for i in (0, 9, 4095):
             assert int(tr[i]) == st32_transform(int(words[i]), v)
-        assert np.array_equal(st32_untransform_block(tr, v), words)
+        assert np.array_equal(_fresh(st32_untransform_block, tr, v), words)
 
 
 def test_st32_roundtrip_fuzz_small():

@@ -45,8 +45,8 @@ from tagbench.words import (
     FIXNUM_MAX,
     FIXNUM_MIN,
     M64,
-    NEG_ZERO_BITS,
     QNAN_64,
+    SIGN_64,
     bits_to_float,
     float_to_bits,
     ieee_div,
@@ -101,7 +101,7 @@ def test_allocation_follows_coverage(name):
     for bits in islice(splitmix64(7), 2000):
         rt.box_float(bits)
         if not covers(cfg, bits) and not (
-            name == "st2zeros" and bits in (0, NEG_ZERO_BITS)
+            name == "st2zeros" and bits in (0, SIGN_64)
         ):
             allocs += 1
         assert rt.stats().float_allocs == allocs
@@ -160,13 +160,13 @@ def test_two_tag_zeros_preallocation():
     assert rt.stats().float_allocs == 2  # the two preallocated cells
     rt.reset_kernel_counters()
     pos = rt.box_float(0)
-    neg = rt.box_float(NEG_ZERO_BITS)
+    neg = rt.box_float(SIGN_64)
     assert (pos, neg) == ((0 << 3) | 1, (1 << 3) | 1)  # cells 0 and 1, the preset's tag 1
     s = rt.stats()
     assert s.float_allocs == 0  # zeros reuse the preallocated cells
     assert s.slow_path_encodes == 2
     assert rt.unbox_float(pos) == 0
-    assert rt.unbox_float(neg) == NEG_ZERO_BITS
+    assert rt.unbox_float(neg) == SIGN_64
     # a second runtime over the same heap allocates cells of its own
     rt2 = Runtime(PRESETS["st2zeros"], heap)
     assert rt2.box_float(0) == (2 << 3) | 1
@@ -621,7 +621,7 @@ def test_every_config_roundtrips_and_encodes_like_schemes():
                 assert w == nun_box_float(bits), (cfg, hex(bits))
             if not tagged:
                 continue
-            zero = cfg.variant == TWO_TAG_ZEROS and bits in (0, NEG_ZERO_BITS)
+            zero = cfg.variant == TWO_TAG_ZEROS and bits in (0, SIGN_64)
             if covers(cfg, bits) and not zero:
                 assert w == st_transform(bits, cfg), (cfg, hex(bits))
                 assert (mask >> (w & 7)) & 1, (cfg, hex(bits))
@@ -682,7 +682,7 @@ def test_every_config_fixnums_match_int_arithmetic():
 # -- counters against an independent replay --------------------------------
 
 MIXED_SPECIALS = (
-    0, NEG_ZERO_BITS, QNAN_64, QNAN_64 | 1, 0x7FF0000000000001, 0xFFF8000000000001, M64,
+    0, SIGN_64, QNAN_64, QNAN_64 | 1, 0x7FF0000000000001, 0xFFF8000000000001, M64,
     ONE, HALF15, TINY, BIG,
 )
 
@@ -751,7 +751,7 @@ class CounterReplay:
         v = self.cfg.variant
         if v in (NANBOX, NUNBOX):
             return  # no miss path: nothing is counted
-        zero = v == TWO_TAG_ZEROS and bits in (0, NEG_ZERO_BITS)
+        zero = v == TWO_TAG_ZEROS and bits in (0, SIGN_64)
         hit = v != BOXED and covers(self.cfg, bits) and not zero
         self.events += 1
         if self.prev is not None and hit != self.prev:

@@ -1,9 +1,12 @@
+import hashlib
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tagbench.prng import splitmix64
 from tagbench.runtime import Runtime
 from tagbench.schemes import (
     EXPONENT_PRESETS,
@@ -30,9 +33,11 @@ from tagbench.schemes import (
     st_transform,
     st_untransform,
 )
-from tagbench.words import M64, QNAN_64, exponent_prefix5, float_to_bits
+from tagbench.st32 import OneTag, TwoTag, st32_transform
+from tagbench.words import M64, QNAN_64, float_to_bits
 
-from _frozen import COVERED_64, INTERVALS_64, ONE_BITS, ST_EXAMPLES
+from _frozen import COVERED_64, INTERVALS_64, ONE_BITS, PI_BITS, ST_EXAMPLES, TRANSFORM_WORDS_SHA256
+from _words import boundary_words32, boundary_words64
 
 u64 = st.integers(min_value=0, max_value=M64)
 
@@ -42,6 +47,7 @@ ST1_TAG0 = SchemeConfig("st1t0", ONE_TAG, tag=0, heap_float_tag=2)
 
 def test_transform_known_words():
     assert st_transform(ONE_BITS, ST3_OFF0) == ST_EXAMPLES["rot4_one"]
+    assert st_transform(PI_BITS, ST3_OFF0) == ST_EXAMPLES["rot4_pi"]
     assert st_transform(0, ST3_OFF0) == ST_EXAMPLES["st3_off0_zero"]
     assert st_transform(float_to_bits(2.0), ST3_OFF0) == ST_EXAMPLES["st3_off0_two"]
     assert st_transform(ONE_BITS, ST1_TAG0) == ST_EXAMPLES["st1_tag0_one"]
@@ -79,6 +85,27 @@ def _all_param_configs():
 
 
 PARAM_CONFIGS = _all_param_configs()
+
+
+def test_transformed_words_are_pinned():
+    # every bias, rotation and offset, by its exact words: a wrong term
+    # still inverts, so bijectivity alone would not catch it
+    h = hashlib.sha256()
+    words64 = [int(w) for w in boundary_words64()] + list(islice(splitmix64(1), 64))
+    for cfg in [*PARAM_CONFIGS, PRESETS["mantissa"]]:
+        h.update(b"".join(st_transform(w, cfg).to_bytes(8, "little") for w in words64))
+    words32 = [int(w) for w in boundary_words32()]
+    for v in [*map(OneTag, range(4)), *map(TwoTag, range(4))]:
+        h.update(b"".join(st32_transform(w, v).to_bytes(4, "little") for w in words32))
+    assert h.hexdigest() == TRANSFORM_WORDS_SHA256
+
+
+def test_transform_needs_a_self_tagging_variant():
+    for name in ("boxed", "nanbox", "nunbox"):
+        with pytest.raises(ValueError, match="not a self-tagging variant"):
+            st_transform(0, PRESETS[name])
+        with pytest.raises(ValueError, match="not a self-tagging variant"):
+            st_untransform(0, PRESETS[name])
 
 
 @given(u64)
@@ -266,4 +293,4 @@ def test_interval_type():
     iv = coverage_intervals(PRESETS["st3"])[0]
     assert isinstance(iv, CoverageInterval)
     assert covers(PRESETS["mantissa"], 4) is True
-    assert exponent_prefix5(float_to_bits(2.0)) == 16
+    assert (float_to_bits(2.0) >> 58) & 31 == 16

@@ -12,46 +12,14 @@ from tagbench.words import (
     M64,
     QNAN_64,
     bits_to_float,
-    exponent_prefix5,
     float_to_bits,
     ieee_div,
-    rotl32,
-    rotl64,
-    rotr32,
-    rotr64,
     tag_set_mask,
 )
 
-from _frozen import ONE_BITS, PI_BITS, ST_EXAMPLES
+from _frozen import ONE_BITS, ST_EXAMPLES
 
 u64 = st.integers(min_value=0, max_value=M64)
-u32 = st.integers(min_value=0, max_value=(1 << 32) - 1)
-
-
-def test_rotl64_known_words():
-    assert rotl64(ONE_BITS, 4) == ST_EXAMPLES["rot4_one"]
-    assert rotl64(PI_BITS, 4) == ST_EXAMPLES["rot4_pi"]
-    assert rotl64(0, 17) == 0
-    assert rotl64(M64, 33) == M64
-
-
-@given(u64, st.integers(min_value=0, max_value=63))
-def test_rot64_inverse(w, s):
-    assert rotr64(rotl64(w, s), s) == w
-    assert rotl64(rotr64(w, s), s) == w
-
-
-@given(u32, st.integers(min_value=0, max_value=31))
-def test_rot32_inverse(w, s):
-    assert rotr32(rotl32(w, s), s) == w
-    assert rotl32(rotr32(w, s), s) == w
-
-
-def test_rot_rejects_bad_shift():
-    with pytest.raises(ValueError):
-        rotl64(1, 64)
-    with pytest.raises(ValueError):
-        rotr32(1, 32)
 
 
 @given(st.floats(allow_nan=False))
@@ -75,15 +43,6 @@ def test_bits_float_bits_roundtrip_nonnan(b):
     x = bits_to_float(b)
     if not math.isnan(x):
         assert float_to_bits(x) == b
-
-
-def test_exponent_prefix5_classes():
-    assert exponent_prefix5(float_to_bits(1.0)) == 15
-    assert exponent_prefix5(float_to_bits(2.0)) == 16
-    assert exponent_prefix5(float_to_bits(-1.0)) == 15  # sign ignored
-    assert exponent_prefix5(0) == 0
-    assert exponent_prefix5(float_to_bits(float("inf"))) == 31
-    assert exponent_prefix5(QNAN_64) == 31
 
 
 def test_tag_helpers():
