@@ -20,6 +20,8 @@ False, has no immediate path; NaN and NuN boxing, HIT True, have no miss
 path, so they never reach the heap and count nothing), and HOOKED,
 whether the Runtime has a profile hook, folds the hook calls away when it
 has none. Module constants (M64 and the like) go in as literals. Each
+float operand of the generic operations is fetched by one chain of tests,
+FLOAT (see the operand slots below), expanded with the forms. Each
 (family, HOOKED) source is compiled once per process and cached
 (_builder). A Runtime calls the compiled builder with its scheme
 constants and heap internals, so the per-operation cost is flat: the
@@ -65,6 +67,31 @@ is shared state, so it relies on two conditions: a Runtime has a single
 owner and is not shared between threads, like the SimHeap under it; and
 nothing (profile hook, float operation, heap allocation) is called between
 a store into the buffer and the load that reads it back.
+
+Operand slots. The families with both an immediate and a miss path (rot5,
+rot4, mantissa) keep the last two immediate words a Runtime built, with
+their floats, in closure cells: (w1, x1), the newer, and (w2, x2). A
+box_float hit stores its word and the float read back from the buffer
+right after its bits were stored; a generic re-box hit stores its word
+and the result float. Each store first moves slot 1 into slot 2. The
+generic operations compare each operand with w1 and w2 before IMM and, on
+a match, take the slot's float without decoding the word. That is exact
+because DEC(ENC(bits)) == bits on every hit of these families. It is not
+for NaN and NuN boxing, whose ENC collapses the NaNs at and above
+NAN_CANON (NuN: NUN_CANON_MIN) into one word: a slot float would keep a
+payload that decoding loses. The result word would not change, since a
+NaN result collapses again, but the bits a profile hook sees would. So
+NaN and NuN boxing keep no slots, and neither does boxed, which has no
+immediates. The slots start at a fresh object(), which no operand equals
+(an int start such as -1 would pass that invalid word off as a float
+until two hits), and survive reset(), since a word's float depends only
+on the word. A slot
+holds a float object, not a view of the buffer, so the buffer rule holds.
+
+The table families' DEC maps any int to float bits, so they reject a
+decoded operand outside [0, 2**64) before decoding it (_WIDE); a slot word
+is in range and needs no test. The other families reject such a word in
+IMM or in the buffer store.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
@@ -136,6 +163,11 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # whose HIT is the constant True, so box_float and the re-box return
 # ENC(bits) before the box counter, and those runtimes count nothing;
 # HOOKED is whether the Runtime has a profile hook.
+# (w1, x1) and (w2, x2) are the operand slots: the last two immediate words
+# built by a box_float hit or a generic re-box hit, newest first, and their
+# floats; they start at an object() that no operand equals. Those hit
+# branches are reachable only in the families with both paths (HAS_IMM
+# and HAS_MISS), the only ones whose FLOAT reads the slots.
 # A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
 # negative word has bit 64 set and fails, where w & 7 would let it index
 # the arena from its end; a word of 2**65 or more indexes past the arena,
@@ -149,6 +181,8 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 _SOURCE = """
 def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc):
     n = slow = flips = last = zhits = 0
+    w1 = w2 = object()
+    x1 = x2 = 0.0
 
     def counts():
         return n, slow, flips + (0 < last < n), slow - zhits
@@ -158,7 +192,7 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
         n = slow = flips = last = zhits = 0
 
     def box(bits):
-        nonlocal n, slow, flips, last, zhits
+        nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
         if HOOKED:
@@ -167,7 +201,12 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
             return ENC(bits)
         n += 1
         if HIT(bits):
-            return ENC(bits)
+            mq[0] = bits
+            w2 = w1
+            x2 = x1
+            w1 = ENC(bits)
+            x1 = md[0]
+            return w1
         MISS
         mq[0] = bits
         return alloc(md[0])
@@ -203,13 +242,9 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
 
     def make_arith(fop, iop):
         def arith(aw, bw):
-            nonlocal n, slow, flips, last, zhits
+            nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
             try:
-                if IMM(aw):
-                    mq[0] = DEC(aw)
-                    xa = md[0]
-                elif aw & ((1 << 64) | 7) == ht:
-                    xa = payload[aw >> 3]
+                FLOAT(xa, aw)
                 else:
                     if not (FIX(aw) and FIX(bw)):
                         raise TypeError(_TYPE_ERR)
@@ -217,11 +252,7 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
                     if not lo <= v <= hi:
                         raise OverflowError("fixnum overflow: %d" % v)
                     return FENC(v)
-                if IMM(bw):
-                    mq[0] = DEC(bw)
-                    xb = md[0]
-                elif bw & ((1 << 64) | 7) == ht:
-                    xb = payload[bw >> 3]
+                FLOAT(xb, bw)
                 else:
                     raise TypeError(_TYPE_ERR)
             except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
@@ -236,7 +267,11 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
                 return ENC(bits)
             n += 1
             if HIT(bits):
-                return ENC(bits)
+                w2 = w1
+                x2 = x1
+                w1 = ENC(bits)
+                x1 = r
+                return w1
             MISS
             return alloc(r)
 
@@ -244,20 +279,12 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
 
     def less(aw, bw):
         try:
-            if IMM(aw):
-                mq[0] = DEC(aw)
-                xa = md[0]
-            elif aw & ((1 << 64) | 7) == ht:
-                xa = payload[aw >> 3]
+            FLOAT(xa, aw)
             else:
                 if not (FIX(aw) and FIX(bw)):
                     raise TypeError(_TYPE_ERR)
                 return FDEC(aw) < FDEC(bw)
-            if IMM(bw):
-                mq[0] = DEC(bw)
-                xb = md[0]
-            elif bw & ((1 << 64) | 7) == ht:
-                xb = payload[bw >> 3]
+            FLOAT(xb, bw)
             else:
                 raise TypeError(_TYPE_ERR)
             return xa < xb
@@ -268,6 +295,27 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
         box, unbox, is_float, box_fixnum, unbox_fixnum, is_fixnum, make_arith, less,
         counts, reset,
     )
+"""
+
+# FLOAT(x, w) expands to the tests that bind x to the float of the generic
+# operand w when w is a float word. It ends in an elif, so the else after
+# it in the source takes every other word. {head} opens the chain: in a
+# family with slots, the two slot tests (_SLOTS), which take a slot's float
+# without decoding; in the others, a plain if. {wide} is _WIDE in the table
+# families, whose DEC would turn a word outside [0, 2**64) into float bits;
+# the other families' IMM or buffer store rejects such a word.
+_FLOAT = """{head}IMM({w}):
+{wide}    mq[0] = DEC({w})
+    {x} = md[0]
+elif {w} & ((1 << 64) | 7) == ht:
+    {x} = payload[{w} >> 3]"""
+_SLOTS = """if {w} == w1:
+    {x} = x1
+elif {w} == w2:
+    {x} = x2
+elif """
+_WIDE = """    if {w} >> 64:
+        raise TypeError(_TYPE_ERR)
 """
 
 # A miss: event n went to the slow path. When event n - 1 was not a miss,
@@ -373,9 +421,11 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 @cache
 def _builder(family, hooked):
-    """The family's closure builder: the source with MISS expanded, the
-    family's forms, the three derived constants and the module constants
-    substituted, compiled once per family and hooked flag in a process.
+    """The family's closure builder: the source with MISS and FLOAT
+    expanded (FLOAT with the slot tests when the family has both paths,
+    and with the range test in the table families), the family's forms,
+    the three derived constants and the module constants substituted,
+    compiled once per family and hooked flag in a process.
     The source runs in this module's globals, which supply its error
     messages."""
     forms = _FAMILIES[family]
@@ -389,7 +439,16 @@ def _builder(family, hooked):
         HAS_MISS=forms["HIT"] != "True",
         HOOKED=hooked,
     )
+    slots = consts["HAS_IMM"] and consts["HAS_MISS"]
+    chain = _FLOAT.replace("{head}", _SLOTS if slots else "if ")
+    chain = chain.replace("{wide}", _WIDE if family in _CLASS_SHIFT else "")
     text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
+    text = re.sub(
+        r"^( *)FLOAT\((\w+), (\w+)\)$",
+        lambda mo: indent(chain.format(x=mo[2], w=mo[3]), mo[1]),
+        text,
+        flags=re.M,
+    )
     text = _FORM.sub(expand, text)
     text = re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
     ns = {}
@@ -435,10 +494,8 @@ class Runtime:
     fixnums, out-of-range words with the fixnum tag included, make
     is_fixnum_value return False and unbox_fixnum raise TypeError. The
     generic operations raise TypeError for all of them, negative words with
-    the heap-handle tag included, except in one case that would cost a
-    check on every operand: an out-of-range word whose low tag marks an
-    immediate float under an exponent-based self-tagging scheme (st1,
-    st2biased, st2zeros, st3, st4) still decodes and computes.
+    the heap-handle tag and out-of-range words with an immediate tag
+    included.
 
     A Runtime owns its heap. Each st2zeros Runtime allocates its own +0.0
     and -0.0 cells in it when it is built. Heap handles are checked by tag
@@ -458,7 +515,13 @@ class Runtime:
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
-    has a single owner and must not be shared between threads."""
+    has a single owner and must not be shared between threads.
+
+    Under st1, st2biased, st2zeros, st3, st4 and mantissa, the generic
+    operations take the float of an operand that is one of the last two
+    immediate words the Runtime built from that word's slot instead of
+    decoding it (see the module docstring). No word, counter or hook call
+    depends on whether an operand came from a slot."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme

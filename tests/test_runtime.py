@@ -531,24 +531,34 @@ def succeeds(fn, w):
 @given(st.lists(WORD_SPECS, min_size=1, max_size=5))
 def test_word_validity_contract(specs):
     # the type tests agree with the unboxers on every word, and the
-    # generic operations fail only with the errors of the contract; an
-    # out-of-range word with an immediate tag may still compute under the
-    # exponent presets, so the operations are not asserted to reject it
+    # generic operations fail only with the errors of the contract, with
+    # TypeError whenever an operand lies outside [0, 2**64): an immediate
+    # float's word moved out of range by 2**64 keeps its low tag, and is
+    # rejected both while the float sits in the runtime's slots and after
     for name in ALL:
         rt = fresh(name)
+        f = rt.box_float(ONE)
         for bits in (TINY | 1, BIG | 1, HALF15):
             rt.box_float(bits)  # heap cells under every heap-using preset
         words = [make_word(rt, spec) for spec in specs]
         for w in words:
             assert rt.is_float_value(w) == succeeds(rt.unbox_float, w), (name, w)
             assert rt.is_fixnum_value(w) == succeeds(rt.unbox_fixnum, w), (name, w)
-        for a in words:
-            for b in words:
-                for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+            for w in (f + (1 << 64), f - (1 << 64)):
+                for a, b in ((w, f), (f, w), (w, w)):
+                    with pytest.raises(TypeError, match="mixed or non-numeric"):
+                        op(a, b)
+                    rt.box_float(ONE)  # f back in a slot
+            for a in words:
+                for b in words:
                     try:
                         op(a, b)
-                    except GENERIC_ERRORS:
-                        pass
+                    except GENERIC_ERRORS as e:
+                        if not (0 <= a <= M64 and 0 <= b <= M64):
+                            assert type(e) is TypeError, (name, a, b)
+                    else:
+                        assert 0 <= a <= M64 and 0 <= b <= M64, (name, a, b)
 
 
 # operator's functions, not inline x + y: with two NaN operands, which
@@ -805,18 +815,137 @@ def test_hooked_and_unhooked_runtimes_agree(name):
     assert seen == boxed_bits
 
 
-# box_float, generic_add, generic_less, unbox_float on a fresh runtime,
-# operands 1.5 and 2.25 (both immediate except under boxed)
+# -- operand slots -----------------------------------------------------------
+
+# The self-tagging variants are the ones whose runtimes keep the floats of
+# their last two immediate words. The slot tests draw operands from these
+# float bits: boundary words of every class, +-0, subnormals, +-Inf, quiet
+# and signalling NaNs of both signs with payloads (at and above NAN_CANON
+# and NUN_CANON_MIN too), and splitmix64 words.
+INF_64 = 0x7FF0000000000000
+SLOT_OPERANDS = sorted({
+    *(int(b) for b in boundary_words64()),
+    0, SIGN_64, 1, SIGN_64 | 1, 0xFFFFFFFFFFFFF, SIGN_64 | 0xFFFFFFFFFFFFF,
+    INF_64, SIGN_64 | INF_64, QNAN_64, QNAN_64 | 0x5A5A, INF_64 | 1, INF_64 | 0x3C3C3,
+    NAN_CANON, NAN_CANON | 9, SIGN_64 | INF_64 | 7, NUN_CANON_MIN, NUN_CANON_MIN | 3, M64,
+    *islice(splitmix64(16), 64),
+})
+
+
+def slot_pairs(cfg, k=0, n=None):
+    """n + 1 operand pairs for the k-th config: n - 2 operands the config
+    keeps immediate and two it boxes on the heap (windows of SLOT_OPERANDS
+    that move with k), paired across the window and once with itself. With
+    n None, every operand the config keeps immediate and two it does not."""
+    if cfg.variant in SELF_TAG_VARIANTS:
+        hits = [b for b in SLOT_OPERANDS if covers(cfg, b)]
+        misses = [b for b in SLOT_OPERANDS if not covers(cfg, b)]
+    else:
+        hits = misses = SLOT_OPERANDS
+    m = len(hits) if n is None else n - 2
+    seq = [hits[(k * 7 + i) % len(hits)] for i in range(m)]
+    seq += [misses[(k * 5 + i) % len(misses)] for i in range(2)]
+    return [(a, seq[(i * 5 + 1) % len(seq)]) for i, a in enumerate(seq)] + [(seq[0], seq[0])]
+
+
+def op_outcome(rt, op, aw, bw):
+    """The word op returns with its float bits (generic_less: the bool),
+    or the type and message of what it raises."""
+    try:
+        w = op(aw, bw)
+    except GENERIC_ERRORS as e:
+        return type(e), str(e)
+    return w if op is rt.generic_less else (w, rt.unbox_float(w))
+
+
+def check_reuse(cfg, pairs, hooked):
+    """Every generic operation gives the same word, exception, counters
+    and hook bits whether its float operands come from the runtime's two
+    slots or are decoded. x boxes a and b, then a ^ 4 and b ^ 4, which
+    evict them; y boxes a ^ 4 and b ^ 4 first, so a and b sit in its
+    slots. Flipping bit 2 keeps a float's class and its low two bits, so
+    both runtimes see the same box outcomes in the same order."""
+    hx, hy = [], []
+    x = Runtime(cfg, SimHeap(), profile_hook=hx.append if hooked else None)
+    y = Runtime(cfg, SimHeap(), profile_hook=hy.append if hooked else None)
+    for a, b in pairs:
+        for name in ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less"):
+            wa, wb = x.box_float(a), x.box_float(b)
+            for bits in (a ^ 4, b ^ 4):
+                x.box_float(bits)
+                y.box_float(bits)
+            va, vb = y.box_float(a), y.box_float(b)
+            hx.clear()
+            hy.clear()
+            got = op_outcome(x, getattr(x, name), wa, wb)
+            assert op_outcome(y, getattr(y, name), va, vb) == got, (cfg, name, hex(a), hex(b))
+            assert hy == hx, (cfg, name, hex(a), hex(b))
+            assert (y.stats(), y.boxes_total, y.hit_ratio()) == (x.stats(), x.boxes_total, x.hit_ratio())
+
+
+def test_reused_operands_match_decoded_ones():
+    # every self-tagging config, a few pairs each
+    configs = [cfg for cfg in valid_configs() if cfg.variant in SELF_TAG_VARIANTS]
+    for k, cfg in enumerate(configs):
+        check_reuse(cfg, slot_pairs(cfg, k, 6), hooked=False)
+    assert len(configs) == 2464
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", ALL)
+def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
+    # the presets, with and without a hook, over every operand; the three
+    # presets without slots must agree too, so a slot that changed a word
+    # or the bits a hook sees under them would show here
+    cfg = PRESETS[name]
+    check_reuse(cfg, slot_pairs(cfg), hooked)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_unfilled_slots_match_no_word(name):
+    # before a runtime's second immediate hit, its slots hold no word yet:
+    # -1 and a negative word with 1.0's tag still raise TypeError, on a
+    # fresh runtime and on one that has boxed a single immediate
+    g = fresh(name).box_float(ONE)
+    for filled in (0, 1):
+        rt = fresh(name)
+        operands = [rt.box_float(ONE)] if filled else []
+        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
+            for w in (-1, g - (1 << 64)):
+                for a, b in [(w, w), *((w, f) for f in operands), *((f, w) for f in operands)]:
+                    with pytest.raises(TypeError, match="mixed or non-numeric"):
+                        op(a, b)
+
+
+# box_float, generic_add, generic_less, unbox_float with operands 1.5 and
+# 2.25 (both immediate except under boxed), boxed just before each call.
+# Reused: the operands are the runtime's last two immediate words, so their
+# floats come from its slots. Decoded: two more immediates (0.75 and 3.5)
+# were boxed after them, so both are decoded. Boxed, nanbox and nunbox keep
+# no slots, and their two rows are equal.
 HOT_PATH_OPCODES = {
-    "boxed": (73, 95, 33, 38),
-    "nanbox": (18, 53, 31, 16),
-    "nunbox": (20, 71, 47, 24),
-    "st1": (29, 84, 51, 26),
-    "st2biased": (29, 84, 51, 26),
-    "st2zeros": (31, 90, 55, 28),
-    "st3": (31, 90, 55, 28),
-    "st4": (31, 90, 55, 28),
-    "mantissa": (23, 62, 35, 18),
+    "reused": {
+        "boxed": (73, 95, 33, 38),
+        "nanbox": (18, 53, 31, 16),
+        "nunbox": (20, 71, 47, 24),
+        "st1": (43, 64, 23, 26),
+        "st2biased": (43, 64, 23, 26),
+        "st2zeros": (45, 66, 23, 28),
+        "st3": (45, 66, 23, 28),
+        "st4": (45, 66, 23, 28),
+        "mantissa": (37, 58, 23, 18),
+    },
+    "decoded": {
+        "boxed": (73, 95, 33, 38),
+        "nanbox": (18, 53, 31, 16),
+        "nunbox": (20, 71, 47, 24),
+        "st1": (43, 116, 75, 26),
+        "st2biased": (43, 116, 75, 26),
+        "st2zeros": (45, 122, 79, 28),
+        "st3": (45, 122, 79, 28),
+        "st4": (45, 122, 79, 28),
+        "mantissa": (37, 86, 51, 18),
+    },
 }
 
 
@@ -826,12 +955,12 @@ FIXNUM_PATH_OPCODES = {
     "boxed": (80, 60, 17, 26),
     "nanbox": (81, 63, 15, 26),
     "nunbox": (73, 55, 15, 20),
-    "st1": (87, 67, 17, 26),
-    "st2biased": (87, 67, 17, 26),
-    "st2zeros": (87, 67, 17, 26),
-    "st3": (87, 67, 17, 26),
-    "st4": (87, 67, 17, 26),
-    "mantissa": (85, 65, 17, 26),
+    "st1": (95, 75, 17, 26),
+    "st2biased": (95, 75, 17, 26),
+    "st2zeros": (95, 75, 17, 26),
+    "st3": (95, 75, 17, 26),
+    "st4": (95, 75, 17, 26),
+    "mantissa": (93, 73, 17, 26),
 }
 
 
@@ -861,17 +990,23 @@ def count_opcodes(fn, *args):
     reason="bytecode counts are specific to CPython 3.11",
 )
 def test_hot_path_opcode_counts():
-    got = {}
-    for name in ALL:
-        rt = fresh(name)
-        a, b = float_to_bits(1.5), float_to_bits(2.25)
-        wa, wb = rt.box_float(a), rt.box_float(b)
-        got[name] = (
-            count_opcodes(rt.box_float, a),
-            count_opcodes(rt.generic_add, wa, wb),
-            count_opcodes(rt.generic_less, wa, wb),
-            count_opcodes(rt.unbox_float, wa),
-        )
+    a, b = float_to_bits(1.5), float_to_bits(2.25)
+    evict = (float_to_bits(0.75), float_to_bits(3.5))
+    got = {"reused": {}, "decoded": {}}
+    for row, counts in got.items():
+        for name in ALL:
+            rt = fresh(name)
+
+            def operands():
+                wa, wb = rt.box_float(a), rt.box_float(b)
+                for bits in evict if row == "decoded" else ():
+                    rt.box_float(bits)
+                return wa, wb
+
+            box = count_opcodes(rt.box_float, a)
+            add = count_opcodes(rt.generic_add, *operands())
+            less = count_opcodes(rt.generic_less, *operands())
+            counts[name] = (box, add, less, count_opcodes(rt.unbox_float, operands()[0]))
     assert got == HOT_PATH_OPCODES
 
 
