@@ -14,19 +14,20 @@ HIT(bits), true when float bits stay immediate; IMM(w), true when word w
 is an immediate float; DEC(w), the float bits of an immediate word;
 ENC(bits), the immediate word for float bits; FIX(w), true when word w is
 a fixnum; FDEC(w), the value of a fixnum word; FENC(v), the fixnum word
-for value v. Three constants are substituted with them: HAS_IMM and
+for value v. Four constants are substituted with them: HAS_IMM and
 HAS_MISS, derived from a constant HIT, fold a path away (boxed, HIT
 False, has no immediate path; NaN and NuN boxing, HIT True, have no miss
-path, so they never reach the heap and count nothing), and HOOKED,
-whether the Runtime has a profile hook, folds the hook calls away when it
-has none. Module constants (M64 and the like) go in as literals. Each
-float operand of the generic operations is fetched by one chain of tests,
-FLOAT (see the operand slots below), expanded with the forms. Each
-(family, HOOKED) source is compiled once per process and cached
-(_builder). A Runtime calls the compiled builder with its scheme
-constants and heap internals, so the per-operation cost is flat: the
-forms are inline, with no per-operation call, and nothing is looked up
-that could have been bound once.
+path, so they never reach the heap and count nothing); HOOKED, whether
+the Runtime has a profile hook, folds the hook calls away when it has
+none; and ZEROS, true only for st2zeros, folds away the other families'
++-0 test on a miss. Module constants (M64 and the like) go in as
+literals. Each float operand of the generic operations is fetched by one
+chain of tests, FLOAT (see the operand slots below), expanded with the
+forms. Each (family, HOOKED, ZEROS) source is compiled once per process
+and cached (_builder). A Runtime calls the compiled builder with its
+scheme constants and heap internals, so the per-operation cost is flat:
+the forms are inline, with no per-operation call, and nothing is looked
+up that could have been bound once.
 
 The counters belong to the Runtime: they are closure cells of the
 builder (n, the box events; slow, the slow-path encodes; flips; last,
@@ -68,30 +69,31 @@ owner and is not shared between threads, like the SimHeap under it; and
 nothing (profile hook, float operation, heap allocation) is called between
 a store into the buffer and the load that reads it back.
 
-Operand slots. The families with both an immediate and a miss path (rot5,
-rot4, mantissa) keep the last two immediate words a Runtime built, with
-their floats, in closure cells: (w1, x1), the newer, and (w2, x2). A
-box_float hit stores its word and the float read back from the buffer
-right after its bits were stored; a generic re-box hit stores its word
-and the result float. Each store first moves slot 1 into slot 2. The
-generic operations compare each operand with w1 and w2 before IMM and, on
-a match, take the slot's float without decoding the word. That is exact
-because DEC(ENC(bits)) == bits on every hit of these families. It is not
-for NaN and NuN boxing, whose ENC collapses the NaNs at and above
-NAN_CANON (NuN: NUN_CANON_MIN) into one word: a slot float would keep a
-payload that decoding loses. The result word would not change, since a
-NaN result collapses again, but the bits a profile hook sees would. So
-NaN and NuN boxing keep no slots, and neither does boxed, which has no
-immediates. The slots start at a fresh object(), which no operand equals
-(an int start such as -1 would pass that invalid word off as a float
-until two hits), and survive reset(), since a word's float depends only
-on the word. A slot
-holds a float object, not a view of the buffer, so the buffer rule holds.
+Operand slots and the decode memo. The families with both an immediate
+and a miss path (rot5, rot4, mantissa) keep the last two immediate words
+a Runtime built, with their floats, in closure cells: (w1, x1), the
+newer, and (w2, x2). A box_float hit stores its word and the float read
+back from the buffer; a generic re-box hit stores its word and the result
+float. Each store first moves slot 1 into slot 2. FLOAT tests each
+operand for identity with w1 and w2 before IMM: a kernel passes back the
+very int a box returned, and no float can pass for a word (1.0 == 1, but
+1.0 is not 1). The table families, whose decode costs most, also keep a
+memo, a dict from word to float. FLOAT reads it only after IMM, so a word
+has passed the tag test first; a decode stores its word there, and the
+dict is cleared once it holds MEMO_BOUND words.
+Slots and memo hold DEC(w) for word w, so they change no word, counter or
+hook call, and they survive reset(). Mantissa's DEC is the word itself,
+so it keeps no memo. NaN and NuN boxing keep neither: their ENC collapses
+the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN) into one word, so a
+slot float would keep a payload that decoding loses, and the bits a
+profile hook sees would change. Boxed has no immediates. The slots start
+at a fresh object(). A slot holds a float object, not a view of the
+buffer, so the buffer rule holds.
 
 The table families' DEC maps any int to float bits, so they reject a
-decoded operand outside [0, 2**64) before decoding it (_WIDE); a slot word
-is in range and needs no test. The other families reject such a word in
-IMM or in the buffer store.
+decoded operand outside [0, 2**64) before decoding it (_MEMO); a slot or
+memo word is in range. The other families reject such a word in IMM or
+in the buffer store.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
@@ -145,6 +147,8 @@ NAN_FIXNUM_MAX = (1 << 47) - 1
 NUN_FIXNUM_MIN = -(1 << 45)
 NUN_FIXNUM_MAX = (1 << 45) - 1
 
+MEMO_BOUND = 256  # words a rot5 or rot4 Runtime keeps decoded
+
 _TYPE_ERR = "mixed or non-numeric operands"
 _RANGE_ERR = "float bits out of [0, 2**64): %r"
 
@@ -156,18 +160,20 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # pending flip back to hits added and the misses that went to the heap
 # derived, and reset() zeroes them. MISS marks the bookkeeping of a miss,
 # written once in _MISS and expanded inline in box and the re-box.
-# Three constants are derived, never set: HAS_IMM is False only for the
+# Four constants are derived, never set: HAS_IMM is False only for the
 # boxed family, whose HIT and IMM are the constant False, so the compiler
 # drops every immediate branch and a boxed re-box converts its result to
 # bits only for the hook; HAS_MISS is False only for nanbox and nunbox,
 # whose HIT is the constant True, so box_float and the re-box return
 # ENC(bits) before the box counter, and those runtimes count nothing;
-# HOOKED is whether the Runtime has a profile hook.
+# HOOKED is whether the Runtime has a profile hook; ZEROS is whether it is
+# st2zeros, the only family whose miss may be a preallocated zero cell.
 # (w1, x1) and (w2, x2) are the operand slots: the last two immediate words
 # built by a box_float hit or a generic re-box hit, newest first, and their
-# floats; they start at an object() that no operand equals. Those hit
+# floats; they start at an object() that no operand is. Those hit
 # branches are reachable only in the families with both paths (HAS_IMM
-# and HAS_MISS), the only ones whose FLOAT reads the slots.
+# and HAS_MISS), the only ones whose FLOAT reads the slots. memo is the
+# Runtime's decode memo, read and filled only by the table families' FLOAT.
 # A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
 # negative word has bit 64 set and fails, where w & 7 would let it index
 # the arena from its end; a word of 2**65 or more indexes past the arena,
@@ -176,10 +182,10 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # operand that is neither an immediate float nor a handle must be a
 # fixnum, and so must the second; the fixnum result must lie in [lo, hi].
 # Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
-# them on the slow path, where bits is always bound when zeros is true.
+# them on the slow path, where bits is always bound when ZEROS is true.
 
 _SOURCE = """
-def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, md, alloc):
+def build(dt, et, k, ht, fxt, lo, hi, pz_pos, pz_neg, hook, payload, mq, md, memo, alloc):
     n = slow = flips = last = zhits = 0
     w1 = w2 = object()
     x1 = x2 = 0.0
@@ -301,22 +307,31 @@ def build(dt, et, k, ht, fxt, lo, hi, zeros, pz_pos, pz_neg, hook, payload, mq, 
 # operand w when w is a float word. It ends in an elif, so the else after
 # it in the source takes every other word. {head} opens the chain: in a
 # family with slots, the two slot tests (_SLOTS), which take a slot's float
-# without decoding; in the others, a plain if. {wide} is _WIDE in the table
-# families, whose DEC would turn a word outside [0, 2**64) into float bits;
-# the other families' IMM or buffer store rejects such a word.
+# without decoding; in the others, a plain if. {decode} is _DECODE, or in
+# the table families _MEMO: the memo lookup, then a decode that is stored
+# in the memo, after the range test, since their DEC would turn a word
+# outside [0, 2**64) into float bits. The other families' IMM or buffer
+# store rejects such a word.
 _FLOAT = """{head}IMM({w}):
-{wide}    mq[0] = DEC({w})
-    {x} = md[0]
+{decode}
 elif {w} & ((1 << 64) | 7) == ht:
     {x} = payload[{w} >> 3]"""
-_SLOTS = """if {w} == w1:
+_SLOTS = """if {w} is w1:
     {x} = x1
-elif {w} == w2:
+elif {w} is w2:
     {x} = x2
 elif """
-_WIDE = """    if {w} >> 64:
-        raise TypeError(_TYPE_ERR)
-"""
+_DECODE = """    mq[0] = DEC({w})
+    {x} = md[0]"""
+_MEMO = """    {x} = memo.get({w})
+    if {x} is None:
+        if {w} >> 64:
+            raise TypeError(_TYPE_ERR)
+        mq[0] = DEC({w})
+        {x} = md[0]
+        if len(memo) == MEMO_BOUND:
+            memo.clear()
+        memo[{w}] = {x}"""
 
 # A miss: event n went to the slow path. When event n - 1 was not a miss,
 # the outcome flipped from hits to this miss, and, if an earlier miss
@@ -326,7 +341,7 @@ _MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
 last = n
-if zeros and (bits == 0 or bits == SIGN_64):
+if ZEROS and (bits == 0 or bits == SIGN_64):
     zhits += 1
     return pz_pos if bits == 0 else pz_neg"""
 
@@ -396,6 +411,7 @@ _LITERALS = {
     "NAN_FIXNUM_TAG": NAN_FIXNUM_TAG,
     "NUN_BIAS": NUN_BIAS,
     "NUN_CANON_MIN": NUN_CANON_MIN,
+    "MEMO_BOUND": MEMO_BOUND,
 }
 
 # per table family: the shift that takes float bits to their class (sign
@@ -420,12 +436,13 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 
 @cache
-def _builder(family, hooked):
+def _builder(family, hooked, zeros):
     """The family's closure builder: the source with MISS and FLOAT
     expanded (FLOAT with the slot tests when the family has both paths,
-    and with the range test in the table families), the family's forms,
-    the three derived constants and the module constants substituted,
-    compiled once per family and hooked flag in a process.
+    and with the memo and range test in the table families), the family's
+    forms, the four derived constants and the module constants
+    substituted, compiled once per family, hooked and zeros flag in a
+    process.
     The source runs in this module's globals, which supply its error
     messages."""
     forms = _FAMILIES[family]
@@ -438,10 +455,11 @@ def _builder(family, hooked):
         HAS_IMM=forms["HIT"] != "False",
         HAS_MISS=forms["HIT"] != "True",
         HOOKED=hooked,
+        ZEROS=zeros,
     )
     slots = consts["HAS_IMM"] and consts["HAS_MISS"]
     chain = _FLOAT.replace("{head}", _SLOTS if slots else "if ")
-    chain = chain.replace("{wide}", _WIDE if family in _CLASS_SHIFT else "")
+    chain = chain.replace("{decode}", _MEMO if family in _CLASS_SHIFT else _DECODE)
     text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
     text = re.sub(
         r"^( *)FLOAT\((\w+), (\w+)\)$",
@@ -518,10 +536,14 @@ class Runtime:
     has a single owner and must not be shared between threads.
 
     Under st1, st2biased, st2zeros, st3, st4 and mantissa, the generic
-    operations take the float of an operand that is one of the last two
-    immediate words the Runtime built from that word's slot instead of
-    decoding it (see the module docstring). No word, counter or hook call
-    depends on whether an operand came from a slot."""
+    operations take the float of an operand that is (by identity) one of
+    the last two immediate words the Runtime built from that word's slot.
+    Under the five table presets (st*), a decoded operand's float is also
+    kept in a memo (_memo) of at most MEMO_BOUND words, and read from it
+    after the tag test; their decode costs most, while mantissa's is the
+    word itself. No word, counter or hook call depends on whether an
+    operand came from a slot, the memo or a decode (see the module
+    docstring)."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme
@@ -530,6 +552,7 @@ class Runtime:
         buf = bytearray(8)
         self._mq = memoryview(buf).cast("Q")
         self._md = memoryview(buf).cast("d")
+        self._memo = {}
         self._compile()
 
     # -- counters ---------------------------------------------------------
@@ -579,9 +602,9 @@ class Runtime:
             self.box_float, self.unbox_float, self.is_float_value,
             self.box_fixnum, self.unbox_fixnum, self.is_fixnum_value,
             make_arith, self.generic_less, self._counts, self._reset,
-        ) = _builder(family, hook is not None)(
-            *tables, scheme.offset, ht, fixnum_tag(scheme), lo, hi, zeros, pz_pos, pz_neg,
-            hook, heap._payload, self._mq, self._md, alloc,
+        ) = _builder(family, hook is not None, zeros)(
+            *tables, scheme.offset, ht, fixnum_tag(scheme), lo, hi, pz_pos, pz_neg,
+            hook, heap._payload, self._mq, self._md, self._memo, alloc,
         )
         self.generic_add = make_arith(add, add)
         self.generic_sub = make_arith(sub, sub)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tagbench.heap import HeapStats, SimHeap
 from tagbench.prng import splitmix64
 from tagbench.runtime import (
+    MEMO_BOUND,
     NAN_FIXNUM_MAX,
     NAN_FIXNUM_MIN,
     NAN_FIXNUM_TAG,
@@ -20,6 +21,7 @@ from tagbench.runtime import (
 from tagbench.schemes import (
     ALL_VARIANTS,
     BOXED,
+    EXPONENT_PRESETS,
     GENERIC_TAG,
     NAN_CANON,
     NAN_PAYLOAD_MASK,
@@ -858,29 +860,40 @@ def op_outcome(rt, op, aw, bw):
     return w if op is rt.generic_less else (w, rt.unbox_float(w))
 
 
+GENERIC_OPS = ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less")
+
+
 def check_reuse(cfg, pairs, hooked):
     """Every generic operation gives the same word, exception, counters
     and hook bits whether its float operands come from the runtime's two
-    slots or are decoded. x boxes a and b, then a ^ 4 and b ^ 4, which
-    evict them; y boxes a ^ 4 and b ^ 4 first, so a and b sit in its
-    slots. Flipping bit 2 keeps a float's class and its low two bits, so
-    both runtimes see the same box outcomes in the same order."""
-    hx, hy = [], []
-    x = Runtime(cfg, SimHeap(), profile_hook=hx.append if hooked else None)
-    y = Runtime(cfg, SimHeap(), profile_hook=hy.append if hooked else None)
+    slots, from its decode memo or from a first decode. s boxes a ^ 4 and
+    b ^ 4, then a and b, which sit in its slots; m and d box a and b, then
+    a ^ 4 and b ^ 4, which evict them. m has decoded a and b once, with
+    generic_less, which boxes nothing; d's memo is emptied, so d decodes
+    them afresh. Flipping bit 2 keeps a float's class and its low two
+    bits, so all three runtimes see the same box outcomes in the same
+    order."""
+    hooks = [], [], []
+    rts = s, m, d = [
+        Runtime(cfg, SimHeap(), profile_hook=h.append if hooked else None) for h in hooks
+    ]
     for a, b in pairs:
-        for name in ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less"):
-            wa, wb = x.box_float(a), x.box_float(b)
-            for bits in (a ^ 4, b ^ 4):
-                x.box_float(bits)
-                y.box_float(bits)
-            va, vb = y.box_float(a), y.box_float(b)
-            hx.clear()
-            hy.clear()
-            got = op_outcome(x, getattr(x, name), wa, wb)
-            assert op_outcome(y, getattr(y, name), va, vb) == got, (cfg, name, hex(a), hex(b))
-            assert hy == hx, (cfg, name, hex(a), hex(b))
-            assert (y.stats(), y.boxes_total, y.hit_ratio()) == (x.stats(), x.boxes_total, x.hit_ratio())
+        for name in GENERIC_OPS:
+            s.box_float(a ^ 4)
+            s.box_float(b ^ 4)
+            operands = [(s.box_float(a), s.box_float(b))]
+            for rt in (m, d):
+                operands.append((rt.box_float(a), rt.box_float(b)))
+                rt.box_float(a ^ 4)
+                rt.box_float(b ^ 4)
+            m.generic_less(*operands[1])
+            d._memo.clear()
+            for h in hooks:
+                h.clear()
+            got = [op_outcome(rt, getattr(rt, name), *ws) for rt, ws in zip(rts, operands)]
+            assert got[1:] == got[:1] * 2, (cfg, name, hex(a), hex(b))
+            assert hooks[1:] == hooks[:1] * 2, (cfg, name, hex(a), hex(b))
+            assert len({(rt.stats(), rt.boxes_total, rt.hit_ratio()) for rt in rts}) == 1
 
 
 def test_reused_operands_match_decoded_ones():
@@ -894,9 +907,10 @@ def test_reused_operands_match_decoded_ones():
 @pytest.mark.parametrize("hooked", (False, True))
 @pytest.mark.parametrize("name", ALL)
 def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
-    # the presets, with and without a hook, over every operand; the three
-    # presets without slots must agree too, so a slot that changed a word
-    # or the bits a hook sees under them would show here
+    # the presets, with and without a hook, over every operand; the four
+    # presets without a memo and the three without slots must agree too,
+    # so a slot or memo that changed a word or the bits a hook sees under
+    # them would show here
     cfg = PRESETS[name]
     check_reuse(cfg, slot_pairs(cfg), hooked)
 
@@ -917,15 +931,68 @@ def test_unfilled_slots_match_no_word(name):
                         op(a, b)
 
 
+def least_immediate_bits(name):
+    """The float bits of the preset's least immediate word: the least word
+    below 16 that a fresh runtime reads as a float, heap handles aside.
+    nunbox's immediates start at NUN_BIAS and boxed has none, so those two
+    take +0.0 (boxed: its first handle)."""
+    rt = fresh(name)
+    ht = handle_tag(PRESETS[name])
+    small = [w for w in range(16) if rt.is_float_value(w) and w & 7 != ht]
+    return rt.unbox_float((small or [rt.box_float(0)])[0])
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_floats_equal_to_known_words_are_not_words(name):
+    # float(w) is no word, even where it equals a word whose float the
+    # runtime keeps: either operand raises TypeError on a fresh runtime,
+    # while w sits in a slot, and while w sits in the decode memo
+    bits = least_immediate_bits(name)
+    for state in ("fresh", "slot", "memo"):
+        rt = fresh(name)
+        w = (fresh(name) if state == "fresh" else rt).box_float(bits)
+        if state == "memo":
+            rt.box_float(ONE)
+            rt.box_float(HALF15)
+            rt.generic_less(w, w)
+            assert (w in rt._memo) == (name in EXPONENT_PRESETS)
+        f = float(w)
+        for op in GENERIC_OPS:
+            for a, b in ((f, w), (w, f), (f, f)):
+                with pytest.raises(TypeError):
+                    getattr(rt, op)(a, b)
+
+
+@pytest.mark.parametrize("name", EXPONENT_PRESETS)
+def test_decode_memo_stays_bounded(name):
+    # more distinct decodes than the bound: the memo never holds more than
+    # MEMO_BOUND words, it fills up before it is cleared, and every word
+    # decoded earlier still gives its own float
+    rt = fresh(name)
+    one = rt.box_float(ONE)
+    words = [rt.box_float(ONE + i) for i in range(1, 2 * MEMO_BOUND + 10)]
+    sizes = []
+    for w in words:
+        rt.generic_less(w, w)
+        sizes.append(len(rt._memo))
+    for w in words:
+        assert rt.generic_mul(w, one) == w
+        sizes.append(len(rt._memo))
+    assert max(sizes) == MEMO_BOUND
+    assert all(float_to_bits(x) == rt.unbox_float(w) for w, x in rt._memo.items())
+
+
 # box_float, generic_add, generic_less, unbox_float with operands 1.5 and
 # 2.25 (both immediate except under boxed), boxed just before each call.
 # Reused: the operands are the runtime's last two immediate words, so their
-# floats come from its slots. Decoded: two more immediates (0.75 and 3.5)
-# were boxed after them, so both are decoded. Boxed, nanbox and nunbox keep
-# no slots, and their two rows are equal.
+# floats come from its slots. Memoized: two more immediates (0.75 and 3.5)
+# were boxed after them, and generic_less had decoded them once, so their
+# floats come from the decode memo. Decoded: the same eviction, with the
+# memo emptied, so both are decoded for the first time. Boxed, nanbox and
+# nunbox keep no slots and mantissa no memo, so their rows repeat.
 HOT_PATH_OPCODES = {
     "reused": {
-        "boxed": (73, 95, 33, 38),
+        "boxed": (72, 94, 33, 38),
         "nanbox": (18, 53, 31, 16),
         "nunbox": (20, 71, 47, 24),
         "st1": (43, 64, 23, 26),
@@ -935,15 +1002,26 @@ HOT_PATH_OPCODES = {
         "st4": (45, 66, 23, 28),
         "mantissa": (37, 58, 23, 18),
     },
-    "decoded": {
-        "boxed": (73, 95, 33, 38),
+    "memoized": {
+        "boxed": (72, 94, 33, 38),
         "nanbox": (18, 53, 31, 16),
         "nunbox": (20, 71, 47, 24),
-        "st1": (43, 116, 75, 26),
-        "st2biased": (43, 116, 75, 26),
-        "st2zeros": (45, 122, 79, 28),
-        "st3": (45, 122, 79, 28),
-        "st4": (45, 122, 79, 28),
+        "st1": (43, 96, 55, 26),
+        "st2biased": (43, 96, 55, 26),
+        "st2zeros": (45, 98, 55, 28),
+        "st3": (45, 98, 55, 28),
+        "st4": (45, 98, 55, 28),
+        "mantissa": (37, 86, 51, 18),
+    },
+    "decoded": {
+        "boxed": (72, 94, 33, 38),
+        "nanbox": (18, 53, 31, 16),
+        "nunbox": (20, 71, 47, 24),
+        "st1": (43, 154, 113, 26),
+        "st2biased": (43, 154, 113, 26),
+        "st2zeros": (45, 160, 117, 28),
+        "st3": (45, 160, 117, 28),
+        "st4": (45, 160, 117, 28),
         "mantissa": (37, 86, 51, 18),
     },
 }
@@ -992,15 +1070,19 @@ def count_opcodes(fn, *args):
 def test_hot_path_opcode_counts():
     a, b = float_to_bits(1.5), float_to_bits(2.25)
     evict = (float_to_bits(0.75), float_to_bits(3.5))
-    got = {"reused": {}, "decoded": {}}
+    got = {"reused": {}, "memoized": {}, "decoded": {}}
     for row, counts in got.items():
         for name in ALL:
             rt = fresh(name)
 
             def operands():
                 wa, wb = rt.box_float(a), rt.box_float(b)
-                for bits in evict if row == "decoded" else ():
-                    rt.box_float(bits)
+                if row != "reused":
+                    for bits in evict:
+                        rt.box_float(bits)
+                    rt._memo.clear()
+                if row == "memoized":
+                    rt.generic_less(wa, wb)
                 return wa, wb
 
             box = count_opcodes(rt.box_float, a)
