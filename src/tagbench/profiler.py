@@ -4,9 +4,12 @@ Values are bucketed by their 5-bit exponent prefix into 32 magnitude
 ranges; exact zeros and Inf/NaN get rows of their own in the rendered
 table. A FloatProfile's add method is shaped to be a Runtime profile_hook,
 so a workload can be profiled by running it once under any scheme.
-A profile keeps only those counts: its total is the histogram's sum, and
-the share a self-tagging scheme keeps immediate is
-class_mass(covered_prefix_classes(scheme)).
+A profile counts two things: a histogram of the sign and exponent field
+(bits >> 52, 4096 entries) and the exact zeros, which add tests for only
+when the exponent field is 0. Everything else is derived when read: the
+32 prefix counts and the total are sums over the histogram, and Inf/NaN
+are its two all-ones exponent entries. The share a self-tagging scheme
+keeps immediate is class_mass(covered_prefix_classes(scheme)).
 
 The magnitude boundary labels are two-significant-digit decimal strings,
 with the first and last bounds pinned to the smallest subnormal and the
@@ -43,27 +46,26 @@ def bound_labels():
 
 
 class FloatProfile:
-    """Histogram over the 32 exponent-prefix classes plus zero and
-    Inf/NaN sub-counts (subsets of classes 0 and 31)."""
+    """Histogram over the sign and exponent field, read as the 32
+    exponent-prefix classes, plus zero and Inf/NaN sub-counts (subsets of
+    classes 0 and 31)."""
 
-    __slots__ = ("name", "_prefix", "_zeros", "_inf_nan")
+    __slots__ = ("name", "_hist", "_zeros")
 
     def __init__(self, name="boxes"):
         self.name = name
-        self._prefix = [0] * 32
+        self._hist = [0] * 4096
         self._zeros = 0
-        self._inf_nan = 0
 
     def add(self, bits):
-        self._prefix[(bits >> 58) & 31] += 1
-        if not bits & 0x7FFFFFFFFFFFFFFF:
+        e = bits >> 52
+        self._hist[e] += 1
+        if not e & 0x7FF and not bits & 0xFFFFFFFFFFFFF:
             self._zeros += 1
-        elif bits & 0x7FF0000000000000 == 0x7FF0000000000000:
-            self._inf_nan += 1
 
     @property
     def total(self):
-        return sum(self._prefix)
+        return sum(self._hist)
 
     @property
     def zeros(self):
@@ -71,19 +73,22 @@ class FloatProfile:
 
     @property
     def inf_nan(self):
-        return self._inf_nan
+        return self._hist[0x7FF] + self._hist[0xFFF]
 
     @property
     def prefix_counts(self):
-        return tuple(self._prefix)
+        """Per class, the 64 exponent entries of each sign that share its
+        top five exponent bits, summed."""
+        h = self._hist
+        return tuple(sum(h[i : i + 64]) + sum(h[i + 2048 : i + 2112]) for i in range(0, 2048, 64))
 
     def range_count(self, p):
         """Count for magnitude row p, zeros and Inf/NaN excluded."""
-        c = self._prefix[p]
+        c = self.prefix_counts[p]
         if p == 0:
             c -= self._zeros
         if p == 31:
-            c -= self._inf_nan
+            c -= self.inf_nan
         return c
 
     def class_mass(self, classes):
@@ -92,7 +97,8 @@ class FloatProfile:
         total = self.total
         if total == 0:
             return 0.0
-        return sum(self._prefix[p] for p in classes) / total
+        counts = self.prefix_counts
+        return sum(counts[p] for p in classes) / total
 
 
 def _pct(count, total):

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from tagbench.profiler import (
@@ -6,7 +8,8 @@ from tagbench.profiler import (
     fmt_magnitude,
     render_table,
 )
-from tagbench.words import float_to_bits
+from tagbench.prng import splitmix64
+from tagbench.words import M64, QNAN_64, SIGN_64, float_to_bits
 
 from _frozen import BOUND_LABELS
 
@@ -38,6 +41,25 @@ def test_classify():
         p.add(bits)
         assert p.prefix_counts == tuple(int(i == prefix) for i in range(32)), hex(bits)
         assert (p.zeros, p.inf_nan) == (int(zero), int(inf_nan)), hex(bits)
+
+
+def test_derived_counts_match_per_word_classes():
+    # prefix counts, total and Inf/NaN are derived from the sign and
+    # exponent histogram; each must equal a count of the words' own classes
+    words = [
+        0, SIGN_64, 1, SIGN_64 | 1, QNAN_64, M64, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x7FF0000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000, *islice(splitmix64(3), 500),
+    ]
+    p = FloatProfile()
+    for w in words:
+        p.add(w)
+    assert p.total == len(words)
+    assert p.prefix_counts == tuple(sum((w >> 58) & 31 == c for w in words) for c in range(32))
+    assert p.zeros == sum(not w & ~SIGN_64 for w in words)
+    assert p.inf_nan == sum((w >> 52) & 0x7FF == 0x7FF for w in words)
+    for c in range(32):
+        base = sum((w >> 58) & 31 == c for w in words)
+        assert p.range_count(c) == base - (c == 0) * p.zeros - (c == 31) * p.inf_nan
 
 
 def sample_profile():

@@ -1,3 +1,4 @@
+import gc
 import math
 import operator
 import sys
@@ -819,11 +820,12 @@ def test_hooked_and_unhooked_runtimes_agree(name):
 
 # -- operand slots -----------------------------------------------------------
 
-# The self-tagging variants are the ones whose runtimes keep the floats of
-# their last two immediate words. The slot tests draw operands from these
-# float bits: boundary words of every class, +-0, subnormals, +-Inf, quiet
-# and signalling NaNs of both signs with payloads (at and above NAN_CANON
-# and NUN_CANON_MIN too), and splitmix64 words.
+# Every scheme with immediates keeps the floats of the last two immediate
+# words its runtime built (NaN and NuN boxing: only the words that decode
+# back to the same bits); boxed keeps none. The slot tests draw operands
+# from these float bits: boundary words of every class, +-0, subnormals,
+# +-Inf, quiet and signalling NaNs of both signs with payloads (at and above
+# NAN_CANON and NUN_CANON_MIN too), and splitmix64 words.
 INF_64 = 0x7FF0000000000000
 SLOT_OPERANDS = sorted({
     *(int(b) for b in boundary_words64()),
@@ -908,7 +910,7 @@ def test_reused_operands_match_decoded_ones():
 @pytest.mark.parametrize("name", ALL)
 def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
     # the presets, with and without a hook, over every operand; the four
-    # presets without a memo and the three without slots must agree too,
+    # presets without a memo and boxed, which has no slots, must agree too,
     # so a slot or memo that changed a word or the bits a hook sees under
     # them would show here
     cfg = PRESETS[name]
@@ -982,19 +984,168 @@ def test_decode_memo_stays_bounded(name):
     assert all(float_to_bits(x) == rt.unbox_float(w) for w, x in rt._memo.items())
 
 
+# A NaN at or above NAN_CANON (NuN boxing: NUN_CANON_MIN) boxes to the one
+# collapsed word, which decodes to other bits, so it never fills a slot.
+# Each is made twice: boxed, and as the result of a generic operation on the
+# signalling NaN that the FPU quiets into it.
+COLLAPSED = {"nanbox": NAN_CANON | 9, "nunbox": NUN_CANON_MIN | 3}
+QUIET_BIT = 1 << 51
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", ("nanbox", "nunbox"))
+def test_collapsed_nans_fill_no_slot(name, hooked):
+    # the first runtime uses the collapsed word right after making it; the
+    # second boxes two more floats first, so it decodes every operand. Every
+    # operation must give the same word, exception and hook bits on both,
+    # and neither counts a box event
+    nan = COLLAPSED[name]
+    for source in ("box", "result"):
+        for op in GENERIC_OPS:
+            for pick in ((0, 0), (0, 1), (1, 0)):
+                hooks = [], []
+                rts = [fresh(name, profile_hook=h.append if hooked else None) for h in hooks]
+                got = []
+                for rt, h in zip(rts, hooks):
+                    if source == "box":
+                        one = rt.box_float(ONE)
+                        w = rt.box_float(nan)
+                    else:
+                        snan = rt.box_float(nan & ~QUIET_BIT)
+                        one = rt.box_float(ONE)
+                        w = rt.generic_add(snan, one)
+                    assert rt.unbox_float(w) == expected_unbox(name, nan)
+                    if hooked:
+                        assert h[-1] == nan  # the collapsed NaN was made
+                    if rt is rts[1]:
+                        rt.box_float(float_to_bits(0.75))
+                        rt.box_float(float_to_bits(3.5))
+                    h.clear()
+                    ws = (w, one)
+                    got.append(op_outcome(rt, getattr(rt, op), ws[pick[0]], ws[pick[1]]))
+                assert got[0] == got[1], (name, source, op, pick)
+                assert hooks[0] == hooks[1], (name, source, op, pick)
+                assert [rt.boxes_total for rt in rts] == [0, 0]
+                assert [rt.hit_ratio() for rt in rts] == [1.0, 1.0]
+
+
+RUNTIME_OPS = (
+    "box_float", "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum",
+    "is_fixnum_value", *GENERIC_OPS,
+)
+_SLOT_CELLS = ("w1", "w2", "x1", "x2")
+_ARITH_CELLS = ("flips", "fop", "iop", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits")
+# The closure cells each operation copies into its frame per call: only
+# what changes (the counters, the slots, and make_arith's fop and iop). What
+# a Runtime binds once (tables, ranges, heap, buffer, memo, hook, allocator)
+# is a global of its own namespace. Boxed has no slots for generic_less to
+# read.
+FREEVARS = {
+    "box_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
+    "unbox_float": (),
+    "is_float_value": (),
+    "box_fixnum": (),
+    "unbox_fixnum": (),
+    "is_fixnum_value": (),
+    "generic_add": _ARITH_CELLS,
+    "generic_sub": _ARITH_CELLS,
+    "generic_mul": _ARITH_CELLS,
+    "generic_div": _ARITH_CELLS,
+    "generic_less": _SLOT_CELLS,
+}
+
+
+def test_operations_close_over_mutable_state_only():
+    got = {}
+    for name in ALL:
+        for hook in (None, [].append):
+            rt = fresh(name, profile_hook=hook)
+            ops = {op: tuple(sorted(getattr(rt, op).__code__.co_freevars)) for op in RUNTIME_OPS}
+            got[name, hook is not None] = ops
+    want = {(name, hooked): FREEVARS for name in ALL for hooked in (False, True)}
+    for hooked in (False, True):
+        want["boxed", hooked] = dict(FREEVARS, generic_less=())
+    assert got == want
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", ALL)
+def test_dropped_runtime_leaves_no_cycle(name, hooked):
+    # the closures' namespace holds no function that refers back to it, so
+    # refcounting frees a dropped Runtime and its heap without a collection
+    gc.collect()
+    gc.disable()
+    try:
+        rt = fresh(name, profile_hook=[].append if hooked else None)
+        rt.generic_add(rt.box_float(ONE), rt.box_float(TINY))
+        del rt
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def interleaved_outcomes(runtimes, seeds):
+    """Per runtime, the words, the bits each step boxed and the counters
+    after each step of mixed_steps(seed=its seed), the steps of all
+    runtimes taken in turn."""
+    streams = [mixed_steps(seed=seed) for seed in seeds]
+    words = [[] for _ in runtimes]
+    out = [[] for _ in runtimes]
+    for k in range(max(map(len, streams))):
+        for rt, steps, ws, o in zip(runtimes, streams, words, out):
+            if k < len(steps):
+                bits = run_step(rt, ws, steps[k])
+                o.append((bits, ws[-1:], rt.stats(), rt.boxes_total, rt.hit_ratio()))
+    return out
+
+
+# Runtimes of one family share its compiled code, each over its own
+# globals: a rot5 pair over different tables, an unhooked nanbox beside two
+# hooked ones over different hooks, and two st2zeros runtimes, each with
+# its own heap and zero cells. (name, hooked) per runtime.
+SHARING_GROUPS = {
+    "rot5": (("st1", False), ("st2biased", False)),
+    "nanbox": (("nanbox", False), ("nanbox", True), ("nanbox", True)),
+    "st2zeros": (("st2zeros", False), ("st2zeros", False)),
+}
+
+
+@pytest.mark.parametrize("group", SHARING_GROUPS)
+def test_runtimes_sharing_code_keep_their_own_bindings(group):
+    # each runtime runs its own stream of steps, interleaved with the
+    # others, and makes the same words, counters and hook bits as alone
+    members = SHARING_GROUPS[group]
+    seeds = [5 + 2 * i for i in range(len(members))]
+
+    def make(i):
+        name, hooked = members[i]
+        seen = []
+        return fresh(name, profile_hook=seen.append if hooked else None), seen
+
+    made = [make(i) for i in range(len(members))]
+    rts = [rt for rt, _ in made]
+    assert len({rt.generic_add.__code__ for rt in rts}) == len({h for _, h in members})
+    together = interleaved_outcomes(rts, seeds)
+    for i, (_, seen) in enumerate(made):
+        solo, solo_seen = make(i)
+        assert interleaved_outcomes([solo], [seeds[i]])[0] == together[i], members[i]
+        assert solo_seen == seen, members[i]
+
+
 # box_float, generic_add, generic_less, unbox_float with operands 1.5 and
 # 2.25 (both immediate except under boxed), boxed just before each call.
 # Reused: the operands are the runtime's last two immediate words, so their
 # floats come from its slots. Memoized: two more immediates (0.75 and 3.5)
 # were boxed after them, and generic_less had decoded them once, so their
 # floats come from the decode memo. Decoded: the same eviction, with the
-# memo emptied, so both are decoded for the first time. Boxed, nanbox and
-# nunbox keep no slots and mantissa no memo, so their rows repeat.
+# memo emptied, so both are decoded for the first time. Boxed keeps no
+# slots, so its rows repeat; mantissa, nanbox and nunbox keep no memo, so
+# their memoized and decoded rows agree.
 HOT_PATH_OPCODES = {
     "reused": {
         "boxed": (72, 94, 33, 38),
-        "nanbox": (18, 53, 31, 16),
-        "nunbox": (20, 71, 47, 24),
+        "nanbox": (31, 52, 23, 16),
+        "nunbox": (33, 54, 23, 24),
         "st1": (43, 64, 23, 26),
         "st2biased": (43, 64, 23, 26),
         "st2zeros": (45, 66, 23, 28),
@@ -1004,8 +1155,8 @@ HOT_PATH_OPCODES = {
     },
     "memoized": {
         "boxed": (72, 94, 33, 38),
-        "nanbox": (18, 53, 31, 16),
-        "nunbox": (20, 71, 47, 24),
+        "nanbox": (31, 76, 47, 16),
+        "nunbox": (33, 94, 63, 24),
         "st1": (43, 96, 55, 26),
         "st2biased": (43, 96, 55, 26),
         "st2zeros": (45, 98, 55, 28),
@@ -1015,8 +1166,8 @@ HOT_PATH_OPCODES = {
     },
     "decoded": {
         "boxed": (72, 94, 33, 38),
-        "nanbox": (18, 53, 31, 16),
-        "nunbox": (20, 71, 47, 24),
+        "nanbox": (31, 76, 47, 16),
+        "nunbox": (33, 94, 63, 24),
         "st1": (43, 154, 113, 26),
         "st2biased": (43, 154, 113, 26),
         "st2zeros": (45, 160, 117, 28),
@@ -1028,11 +1179,12 @@ HOT_PATH_OPCODES = {
 
 
 # generic_add, generic_less, box_fixnum, unbox_fixnum on a fresh runtime,
-# fixnum operands 3 and -5
+# fixnum operands 3 and -5. The first operand passes the two slot tests
+# first, except under boxed.
 FIXNUM_PATH_OPCODES = {
     "boxed": (80, 60, 17, 26),
-    "nanbox": (81, 63, 15, 26),
-    "nunbox": (73, 55, 15, 20),
+    "nanbox": (89, 71, 15, 26),
+    "nunbox": (81, 63, 15, 20),
     "st1": (95, 75, 17, 26),
     "st2biased": (95, 75, 17, 26),
     "st2zeros": (95, 75, 17, 26),
