@@ -183,14 +183,12 @@ def nan_unbox_block(words):
 
 
 def nun_box_block(bits):
-    with np.errstate(over="ignore"):
-        kept = np.where(bits < _u(schemes.NUN_CANON_MIN), bits, _u(schemes.NAN_CANON))
-        return kept + _u(schemes.NUN_BIAS)
+    kept = np.where(bits < _u(schemes.NUN_CANON_MIN), bits, _u(schemes.NAN_CANON))
+    return kept + _u(schemes.NUN_BIAS)
 
 
 def nun_unbox_block(words):
-    with np.errstate(over="ignore"):
-        return words - _u(schemes.NUN_BIAS)
+    return words - _u(schemes.NUN_BIAS)
 
 
 def nan_roundtrip_mismatches(n, seed=DEFAULT_SEED):

@@ -27,9 +27,11 @@ and the like) go in as literals. Each float operand of the generic
 operations is fetched by one chain of tests, FLOAT (see the operand
 slots below), expanded with the forms. Each (family, HOOKED, ZEROS)
 source is compiled once per process and cached (_builder). Each Runtime
-runs that code in a namespace of its own, whose globals are its scheme
-constants and heap internals (dt, et, k, ht, fxt, lo, hi, pz_pos, pz_neg,
-hook, payload, mq, md, memo, alloc), and calls build() there. So the
+runs a copy of that code (_fresh) in a namespace of its own, whose
+globals are its scheme constants and heap internals (dt, et, k, ht, fxt,
+lo, hi, pz_pos, pz_neg, hook, payload, mq, md, memo, alloc), and calls
+build() there; the copy keeps the inline caches that CPython fills for
+one Runtime's globals away from every other Runtime's. So the
 per-operation cost is flat: the forms are inline, with no per-operation
 call, nothing is looked up that could have been bound once, and the
 closure cells, which a call copies into its frame, hold only what
@@ -81,27 +83,37 @@ Runtime built, with their floats, in closure cells: (w1, x1), the newer,
 and (w2, x2). A box_float hit stores its word and the float read back
 from the buffer; a generic re-box hit stores its word and the result
 float. Each store first moves slot 1 into slot 2. FLOAT tests each
-operand for identity with w1 and w2 before IMM: a kernel passes back the
-very int a box returned, and no float can pass for a word (1.0 == 1, but
-1.0 is not 1). The table families, whose decode costs most, also keep a
-memo, a dict from word to float. FLOAT reads it only after IMM, so a word
-has passed the tag test first; a decode stores its word there, and the
-dict is cleared once it holds MEMO_BOUND words.
-Slots and memo hold DEC(w) for word w, so they change no word, counter or
-hook call, and they survive reset(). Mantissa's and NaN boxing's DEC is
-the word itself and NuN boxing's one subtraction, so those three keep no
-memo. Their slots hold only words that HIT admits: NaN and NuN boxing
-collapse the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN) into the
-one word CANON, which never enters a slot, since its slot float would
-keep a payload that decoding loses, and the bits a profile hook sees
-would change. Filling a slot counts no box event under those two. Boxed
-has no immediates. The slots start at a fresh object(). A slot holds a
-float object, not a view of the buffer, so the buffer rule holds.
+operand for identity with w1 and w2 first: a kernel passes back the very
+int a box returned, and no float can pass for a word (1.0 == 1, but 1.0
+is not 1). The table families and NaN and NuN boxing also keep a memo, a
+dict from word to float, and FLOAT looks an operand up there next, before
+IMM. Most operands outside the slots are a kernel's constants, used again
+and again, so a hit skips the tag test and the decode, which under NaN
+and NuN boxing is also a store into the buffer and a load from it. A hit
+evaluates w >> 128, 0 for a word, so that a float equal to a memo word
+raises TypeError. A miss goes on to IMM, the range test and the decode,
+and stores the word in the memo, which is cleared once it holds
+MEMO_BOUND words. Mantissa keeps no memo: over half of its float operands
+in mbrot, fft and pnpoly are heap handles, which would pay the lookup for
+nothing, and a memo read before IMM or after it measured slower on those
+kernels (BENCH_19). Slots and memo hold DEC(w) for word w, so they change no
+word, counter or hook call, and they survive reset(). The slots hold
+only words that HIT admits: NaN and NuN boxing collapse the NaNs at and
+above NAN_CANON (NuN: NUN_CANON_MIN) into the one word CANON, which never
+enters a slot, since its slot float would keep a payload that decoding
+loses, and the bits a profile hook sees would change; the memo holds
+CANON's decoded float like any other word's. Filling a slot counts no box
+event under those two. Boxed has no immediates. The slots start at a
+fresh object(). A slot holds a float object, not a view of the buffer, so
+the buffer rule holds.
 
-The table families' DEC maps any int to float bits, so they reject a
-decoded operand outside [0, 2**64) before decoding it (_MEMO); a slot or
-memo word is in range. The other families reject such a word in IMM or
-in the buffer store.
+The memo families reject a decoded operand outside [0, 2**64) before
+decoding it (_MEMO), since the table families' DEC maps any int to float
+bits; a slot or memo word is in range. Mantissa rejects such a word in
+IMM or in the buffer store. Those are the operands FLOAT rejects as
+non-words: floats and ints outside [0, 2**64). A bool or a numpy integer
+equal to a word is taken for that word, by the memo lookup (both have >>)
+as by IMM and the decode.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
@@ -123,6 +135,7 @@ from dataclasses import replace
 from functools import cache
 from operator import add, floordiv, mul, sub
 from textwrap import indent
+from types import CodeType
 
 from .heap import SimHeap
 from .schemes import (
@@ -155,7 +168,7 @@ NAN_FIXNUM_MAX = (1 << 47) - 1
 NUN_FIXNUM_MIN = -(1 << 45)
 NUN_FIXNUM_MAX = (1 << 45) - 1
 
-MEMO_BOUND = 256  # words a rot5 or rot4 Runtime keeps decoded
+MEMO_BOUND = 256  # words a Runtime keeps in its decode memo
 
 _TYPE_ERR = "mixed or non-numeric operands"
 _RANGE_ERR = "float bits out of [0, 2**64): %r"
@@ -181,7 +194,8 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # built by a box_float hit or a generic re-box hit, newest first, and their
 # floats; they start at an object() that no operand is. Every family with
 # immediates (HAS_IMM) fills them and reads them in FLOAT. memo is the
-# Runtime's decode memo, read and filled only by the table families' FLOAT.
+# Runtime's decode memo, read and filled only by FLOAT in the families
+# that keep one (_MEMO_FAMILIES).
 # The counters, the slots and make_arith's fop and iop are the only
 # closure cells; every other name the closures read is a global of the
 # Runtime's own namespace (Runtime._compile).
@@ -320,11 +334,15 @@ def build():
 # operand w when w is a float word. It ends in an elif, so the else after
 # it in the source takes every other word. {head} opens the chain: in a
 # family with immediates, the two slot tests (_SLOTS), which take a slot's
-# float without decoding; in boxed, a plain if. {decode} is _DECODE, or in
-# the table families _MEMO: the memo lookup, then a decode that is stored
-# in the memo, after the range test, since their DEC would turn a word
-# outside [0, 2**64) into float bits. The other families' IMM or buffer
-# store rejects such a word.
+# float without decoding, then, in a family with a memo, the memo lookup
+# (_MEMO_HIT), ahead of the tag test; in boxed, a plain if. A memo hit
+# evaluates w >> 128, which raises TypeError for a float equal to a memo
+# word (floats have no >>); for an int word it is 0, which CPython returns
+# for a shift past every digit without computing one (~w, say, allocates).
+# {decode} is _DECODE, or in the memo families _MEMO: a decode that is
+# stored in the memo, after the range test, since the table families' DEC
+# would turn a word outside [0, 2**64) into float bits. Mantissa's IMM or
+# buffer store rejects such a word.
 _FLOAT = """{head}IMM({w}):
 {decode}
 elif {w} & ((1 << 64) | 7) == ht:
@@ -333,18 +351,19 @@ _SLOTS = """if {w} is w1:
     {x} = x1
 elif {w} is w2:
     {x} = x2
-elif """
+"""
+_MEMO_HIT = """elif ({x} := memo.get({w})) is not None:
+    {w} >> 128
+"""
 _DECODE = """    mq[0] = DEC({w})
     {x} = md[0]"""
-_MEMO = """    {x} = memo.get({w})
-    if {x} is None:
-        if {w} >> 64:
-            raise TypeError(_TYPE_ERR)
-        mq[0] = DEC({w})
-        {x} = md[0]
-        if len(memo) == MEMO_BOUND:
-            memo.clear()
-        memo[{w}] = {x}"""
+_MEMO = """    if {w} >> 64:
+        raise TypeError(_TYPE_ERR)
+    mq[0] = DEC({w})
+    {x} = md[0]
+    if len(memo) == MEMO_BOUND:
+        memo.clear()
+    memo[{w}] = {x}"""
 
 # A miss: event n went to the slow path. When event n - 1 was not a miss,
 # the outcome flipped from hits to this miss, and, if an earlier miss
@@ -438,6 +457,11 @@ _LITERALS = {
 # width of the low word field that the rotation brings back to the top
 _CLASS_SHIFT = {"rot5": (58, 5), "rot4": (60, 4)}
 
+# families whose FLOAT keeps a decode memo: every family with immediates but
+# mantissa, whose float operands are mostly heap handles wherever it
+# misses, and would pay the lookup for nothing (BENCH_19)
+_MEMO_FAMILIES = {"rot5", "rot4", "nanbox", "nunbox"}
+
 _VARIANT_FAMILY = {
     ONE_TAG: "rot5",
     TWO_TAG_BIASED: "rot5",
@@ -458,7 +482,7 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 def _builder(family, hooked, zeros):
     """The family's closure source as a code object: the source with MISS
     and FLOAT expanded (FLOAT with the slot tests when the family has
-    immediates, and with the memo and range test in the table families),
+    immediates, and with the memo and range test when it keeps a memo),
     the family's forms, CANON, the four derived constants and the module
     constants substituted, compiled once per family, hooked and zeros flag
     in a process. Running it defines build() in the namespace it runs in,
@@ -476,8 +500,9 @@ def _builder(family, hooked, zeros):
         HOOKED=hooked,
         ZEROS=zeros,
     )
-    chain = _FLOAT.replace("{head}", _SLOTS if consts["HAS_IMM"] else "if ")
-    chain = chain.replace("{decode}", _MEMO if family in _CLASS_SHIFT else _DECODE)
+    memo = family in _MEMO_FAMILIES
+    head = (_SLOTS + (_MEMO_HIT if memo else "") + "elif ") if consts["HAS_IMM"] else "if "
+    chain = _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if memo else _DECODE)
     text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
     text = re.sub(
         r"^( *)FLOAT\((\w+), (\w+)\)$",
@@ -488,6 +513,15 @@ def _builder(family, hooked, zeros):
     text = _FORM.sub(expand, text)
     text = re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
     return compile(text, "<runtime %s>" % family, "exec")
+
+
+def _fresh(code):
+    """A copy of code and of the code objects among its constants, with
+    inline caches of their own: CPython specialises a LOAD_GLOBAL for one
+    globals dict, so Runtimes that ran one shared code object, each over
+    its own globals, would keep undoing each other's specialisations."""
+    consts = tuple(_fresh(c) if isinstance(c, CodeType) else c for c in code.co_consts)
+    return code.replace(co_consts=consts)
 
 
 def _codec_tables(scheme, family):
@@ -557,13 +591,14 @@ class Runtime:
     an operand that is (by identity) one of the last two immediate words
     the Runtime built from that word's slot; under nanbox and nunbox those
     are the words that decode back to the bits they were built from, so a
-    NaN they collapse never fills a slot. Under the five table presets
-    (st*), a decoded operand's float is also kept in a memo (_memo) of at
-    most MEMO_BOUND words, and read from it after the tag test; their
-    decode costs most, while the other schemes' is a copy or one
-    subtraction. No word, counter or hook call depends on whether an
-    operand came from a slot, the memo or a decode (see the module
-    docstring)."""
+    NaN they collapse never fills a slot. Under every scheme but boxed
+    and mantissa, a decoded operand's float is also kept in a memo (_memo)
+    of at most MEMO_BOUND words, which an operand outside the slots is
+    looked up in before the tag test. No word, counter or hook call
+    depends on whether an operand came from a slot, the memo or a decode
+    (see the module docstring). The generic operations' TypeError covers
+    floats and words outside [0, 2**64), not every non-int: a bool or a
+    numpy integer is taken for the word it equals."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme
@@ -623,7 +658,7 @@ class Runtime:
             pz_pos=pz_pos, pz_neg=pz_neg, hook=hook, payload=heap._payload,
             mq=self._mq, md=self._md, memo=self._memo, alloc=alloc,
         )
-        exec(_builder(family, hook is not None, zeros), ns)
+        exec(_fresh(_builder(family, hook is not None, zeros)), ns)
         # popped, so that no cycle (build -> ns -> build) keeps the heap
         # alive once the Runtime is dropped
         (

@@ -1,3 +1,4 @@
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -121,6 +122,21 @@ def test_st_roundtrip_fuzz_small(name):
 def test_nan_nun_roundtrip_fuzz_small():
     assert nan_roundtrip_mismatches(100000, seed=9) == 0
     assert nun_roundtrip_mismatches(100000, seed=9) == 0
+
+
+def test_nun_blocks_wrap_without_warnings():
+    # uint64 array arithmetic wraps silently, so the NuN codec needs no
+    # errstate: no warning, even where the bias wraps a word around 2**64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert nun_roundtrip_mismatches(100000, seed=9) == 0
+        edges = np.array([0, 1, (1 << 64) - 1], dtype=np.uint64)
+        assert [int(w) for w in nun_unbox_block(edges)] == [
+            (int(w) - schemes.NUN_BIAS) % (1 << 64) for w in edges
+        ]
+        assert [int(w) for w in nun_box_block(edges)] == [
+            schemes.nun_box_float(int(w)) for w in edges
+        ]
 
 
 def test_nan_nun_blocks_match_references():

@@ -18,12 +18,14 @@ from tagbench.runtime import (
     NUN_FIXNUM_MAX,
     NUN_FIXNUM_MIN,
     Runtime,
+    _builder,
 )
 from tagbench.schemes import (
     ALL_VARIANTS,
     BOXED,
     EXPONENT_PRESETS,
     GENERIC_TAG,
+    MANTISSA,
     NAN_CANON,
     NAN_PAYLOAD_MASK,
     NANBOX,
@@ -58,6 +60,8 @@ from tagbench.words import (
 from _words import boundary_words64
 
 ALL = tuple(PRESETS)
+# the presets whose runtime keeps a decode memo
+MEMO_PRESETS = (*EXPONENT_PRESETS, "nanbox", "nunbox")
 
 ONE = float_to_bits(1.0)
 HALF15 = float_to_bits(1.5)
@@ -865,16 +869,25 @@ def op_outcome(rt, op, aw, bw):
 GENERIC_OPS = ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less")
 
 
+def slot_words(rt):
+    """The words in rt's two operand slots (none under boxed)."""
+    fn = rt.generic_less
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+    return [cells[n].cell_contents for n in ("w1", "w2") if n in cells]
+
+
 def check_reuse(cfg, pairs, hooked):
     """Every generic operation gives the same word, exception, counters
     and hook bits whether its float operands come from the runtime's two
     slots, from its decode memo or from a first decode. s boxes a ^ 4 and
     b ^ 4, then a and b, which sit in its slots; m and d box a and b, then
-    a ^ 4 and b ^ 4, which evict them. m has decoded a and b once, with
-    generic_less, which boxes nothing; d's memo is emptied, so d decodes
-    them afresh. Flipping bit 2 keeps a float's class and its low two
-    bits, so all three runtimes see the same box outcomes in the same
-    order."""
+    a ^ 4 and b ^ 4, which evict them. m has emptied its memo and decoded
+    a and b once, with generic_less, which boxes nothing, so under a
+    scheme with a memo each of its immediate operands is in the memo or,
+    where an eviction collapsed and filled no slot, still in a slot; d's
+    memo is emptied, so d decodes them afresh. Flipping bit 2 keeps a
+    float's class and its low two bits, so all three runtimes see the
+    same box outcomes in the same order."""
     hooks = [], [], []
     rts = s, m, d = [
         Runtime(cfg, SimHeap(), profile_hook=h.append if hooked else None) for h in hooks
@@ -888,7 +901,12 @@ def check_reuse(cfg, pairs, hooked):
                 operands.append((rt.box_float(a), rt.box_float(b)))
                 rt.box_float(a ^ 4)
                 rt.box_float(b ^ 4)
+            m._memo.clear()
             m.generic_less(*operands[1])
+            if cfg.variant not in (MANTISSA, BOXED):
+                for w, bits in zip(operands[1], (a, b)):
+                    if cfg.variant in (NANBOX, NUNBOX) or covers(cfg, bits):
+                        assert w in m._memo or any(w is v for v in slot_words(m))
             d._memo.clear()
             for h in hooks:
                 h.clear()
@@ -909,10 +927,11 @@ def test_reused_operands_match_decoded_ones():
 @pytest.mark.parametrize("hooked", (False, True))
 @pytest.mark.parametrize("name", ALL)
 def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
-    # the presets, with and without a hook, over every operand; the four
-    # presets without a memo and boxed, which has no slots, must agree too,
-    # so a slot or memo that changed a word or the bits a hook sees under
-    # them would show here
+    # the presets, with and without a hook, over every operand (NaN payloads,
+    # and under nanbox and nunbox the collapsed word CANON, included);
+    # mantissa, which has no memo, and boxed, which has no slots, must agree
+    # too, so a slot or memo that changed a word or the bits a hook sees
+    # would show here
     cfg = PRESETS[name]
     check_reuse(cfg, slot_pairs(cfg), hooked)
 
@@ -957,7 +976,7 @@ def test_floats_equal_to_known_words_are_not_words(name):
             rt.box_float(ONE)
             rt.box_float(HALF15)
             rt.generic_less(w, w)
-            assert (w in rt._memo) == (name in EXPONENT_PRESETS)
+            assert (w in rt._memo) == (name in MEMO_PRESETS)
         f = float(w)
         for op in GENERIC_OPS:
             for a, b in ((f, w), (w, f), (f, f)):
@@ -965,7 +984,7 @@ def test_floats_equal_to_known_words_are_not_words(name):
                     getattr(rt, op)(a, b)
 
 
-@pytest.mark.parametrize("name", EXPONENT_PRESETS)
+@pytest.mark.parametrize("name", MEMO_PRESETS)
 def test_decode_memo_stays_bounded(name):
     # more distinct decodes than the bound: the memo never holds more than
     # MEMO_BOUND words, it fills up before it is cleared, and every word
@@ -982,6 +1001,35 @@ def test_decode_memo_stays_bounded(name):
         sizes.append(len(rt._memo))
     assert max(sizes) == MEMO_BOUND
     assert all(float_to_bits(x) == rt.unbox_float(w) for w, x in rt._memo.items())
+
+
+@pytest.mark.parametrize("name", MEMO_PRESETS)
+def test_fixnums_and_handles_pass_the_memo_lookup(name):
+    # the memo is read before the tag test, so fixnum and heap-handle
+    # operands look it up too: with decoded words in the memo and the
+    # slots, they still give the words and exceptions of their own paths,
+    # and never enter the memo
+    rt = fresh(name)
+    words = [rt.box_float(ONE + i) for i in range(8)]
+    for w in words:
+        rt.generic_less(w, w)
+    memo = dict(rt._memo)
+    assert len(memo) == 6
+    a, b = rt.box_fixnum(3), rt.box_fixnum(-5)
+    for op, iop in FIXNUM_OPS:
+        assert getattr(rt, op)(a, b) == rt.box_fixnum(iop(3, -5))
+    assert rt.generic_less(a, b) is False
+    for op in GENERIC_OPS:
+        for w in (words[0], words[-1]):
+            for x, y in ((a, w), (w, a)):
+                with pytest.raises(TypeError, match="mixed or non-numeric"):
+                    getattr(rt, op)(x, y)
+    if name in HEAP_PRESETS:
+        h = rt.box_float(TINY)
+        assert rt.unbox_float(rt.generic_mul(h, words[0])) == TINY
+        assert rt.generic_less(h, words[1]) is True
+        assert rt.generic_less(words[1], h) is False
+    assert rt._memo == memo
 
 
 # A NaN at or above NAN_CANON (NuN boxing: NUN_CANON_MIN) boxes to the one
@@ -1132,6 +1180,23 @@ def test_runtimes_sharing_code_keep_their_own_bindings(group):
         assert solo_seen == seen, members[i]
 
 
+def test_runtimes_of_one_key_share_no_code_object():
+    # each Runtime runs its own copy of the code compiled for its (family,
+    # HOOKED, ZEROS) key, so what CPython caches in one runtime's bytecode
+    # for its globals never meets another's; the key is still compiled
+    # once per process
+    for name in ALL:
+        for hooked in (False, True):
+            hook = [].append if hooked else None
+            rt = fresh(name, profile_hook=hook)
+            misses = _builder.cache_info().misses
+            other = fresh(name, profile_hook=hook)
+            assert _builder.cache_info().misses == misses
+            for op in RUNTIME_OPS:
+                mine, theirs = getattr(rt, op).__code__, getattr(other, op).__code__
+                assert mine is not theirs and mine == theirs, (name, hooked, op)
+
+
 # box_float, generic_add, generic_less, unbox_float with operands 1.5 and
 # 2.25 (both immediate except under boxed), boxed just before each call.
 # Reused: the operands are the runtime's last two immediate words, so their
@@ -1139,8 +1204,8 @@ def test_runtimes_sharing_code_keep_their_own_bindings(group):
 # were boxed after them, and generic_less had decoded them once, so their
 # floats come from the decode memo. Decoded: the same eviction, with the
 # memo emptied, so both are decoded for the first time. Boxed keeps no
-# slots, so its rows repeat; mantissa, nanbox and nunbox keep no memo, so
-# their memoized and decoded rows agree.
+# slots, so its rows repeat; mantissa keeps no memo, so its memoized and
+# decoded rows agree.
 HOT_PATH_OPCODES = {
     "reused": {
         "boxed": (72, 94, 33, 38),
@@ -1156,18 +1221,18 @@ HOT_PATH_OPCODES = {
     "memoized": {
         "boxed": (72, 94, 33, 38),
         "nanbox": (31, 76, 47, 16),
-        "nunbox": (33, 94, 63, 24),
-        "st1": (43, 96, 55, 26),
-        "st2biased": (43, 96, 55, 26),
-        "st2zeros": (45, 98, 55, 28),
-        "st3": (45, 98, 55, 28),
-        "st4": (45, 98, 55, 28),
+        "nunbox": (33, 78, 47, 24),
+        "st1": (43, 88, 47, 26),
+        "st2biased": (43, 88, 47, 26),
+        "st2zeros": (45, 90, 47, 28),
+        "st3": (45, 90, 47, 28),
+        "st4": (45, 90, 47, 28),
         "mantissa": (37, 86, 51, 18),
     },
     "decoded": {
         "boxed": (72, 94, 33, 38),
-        "nanbox": (31, 76, 47, 16),
-        "nunbox": (33, 94, 63, 24),
+        "nanbox": (31, 122, 93, 16),
+        "nunbox": (33, 140, 109, 24),
         "st1": (43, 154, 113, 26),
         "st2biased": (43, 154, 113, 26),
         "st2zeros": (45, 160, 117, 28),
@@ -1180,16 +1245,17 @@ HOT_PATH_OPCODES = {
 
 # generic_add, generic_less, box_fixnum, unbox_fixnum on a fresh runtime,
 # fixnum operands 3 and -5. The first operand passes the two slot tests
-# first, except under boxed.
+# and the memo lookup first, except under boxed (neither) and mantissa (no
+# memo).
 FIXNUM_PATH_OPCODES = {
     "boxed": (80, 60, 17, 26),
-    "nanbox": (89, 71, 15, 26),
-    "nunbox": (81, 63, 15, 20),
-    "st1": (95, 75, 17, 26),
-    "st2biased": (95, 75, 17, 26),
-    "st2zeros": (95, 75, 17, 26),
-    "st3": (95, 75, 17, 26),
-    "st4": (95, 75, 17, 26),
+    "nanbox": (97, 79, 15, 26),
+    "nunbox": (89, 71, 15, 20),
+    "st1": (103, 83, 17, 26),
+    "st2biased": (103, 83, 17, 26),
+    "st2zeros": (103, 83, 17, 26),
+    "st3": (103, 83, 17, 26),
+    "st4": (103, 83, 17, 26),
     "mantissa": (93, 73, 17, 26),
 }
 
