@@ -25,11 +25,13 @@ it has none; and ZEROS, true only for st2zeros, folds away the other
 families' +-0 test on a miss. Module constants (M64, the error messages
 and the like) go in as literals. Each float operand of the generic
 operations is fetched by one chain of tests, FLOAT (see the operand
-slots below), expanded with the forms. Each (family, HOOKED, ZEROS)
-source is compiled once per process and cached (_builder). Each Runtime
-runs a copy of that code (_fresh) in a namespace of its own, whose
-globals are its scheme constants and heap internals (dt, et, k, ht, fxt,
-lo, hi, pz_pos, pz_neg, hook, payload, mq, md, memo, alloc), and calls
+slots below), expanded with the forms. A miss ends in the heap's
+allocation step, the source form heap.ALLOC, expanded inline. Each
+(family, HOOKED, ZEROS) source is compiled once per process and cached
+(_builder). Each Runtime runs a copy of that code (_fresh) in a namespace
+of its own, whose globals are its scheme constants (dt, et, k, ht, fxt,
+lo, hi, pz_pos, pz_neg, hook, mq, md, memo) and the names ALLOC reads
+(heap, payload, capacity, cost, tag; SimHeap.alloc_names), and calls
 build() there; the copy keeps the inline caches that CPython fills for
 one Runtime's globals away from every other Runtime's. So the
 per-operation cost is flat: the forms are inline, with no per-operation
@@ -77,33 +79,38 @@ owner and is not shared between threads, like the SimHeap under it; and
 nothing (profile hook, float operation, heap allocation) is called between
 a store into the buffer and the load that reads it back.
 
-Operand slots and the decode memo. Every family with immediates (rot5,
-rot4, mantissa, nanbox, nunbox) keeps the last two immediate words a
-Runtime built, with their floats, in closure cells: (w1, x1), the newer,
-and (w2, x2). A box_float hit stores its word and the float read back
-from the buffer; a generic re-box hit stores its word and the result
-float. Each store first moves slot 1 into slot 2. FLOAT tests each
-operand for identity with w1 and w2 first: a kernel passes back the very
-int a box returned, and no float can pass for a word (1.0 == 1, but 1.0
-is not 1). The table families and NaN and NuN boxing also keep a memo, a
-dict from word to float, and FLOAT looks an operand up there next, before
-IMM. Most operands outside the slots are a kernel's constants, used again
-and again, so a hit skips the tag test and the decode, which under NaN
-and NuN boxing is also a store into the buffer and a load from it. A hit
-evaluates w >> 128, 0 for a word, so that a float equal to a memo word
-raises TypeError. A miss goes on to IMM, the range test and the decode,
-and stores the word in the memo, which is cleared once it holds
-MEMO_BOUND words. Mantissa keeps no memo: over half of its float operands
-in mbrot, fft and pnpoly are heap handles, which would pay the lookup for
-nothing, and a memo read before IMM or after it measured slower on those
-kernels (BENCH_19). Slots and memo hold DEC(w) for word w, so they change no
-word, counter or hook call, and they survive reset(). The slots hold
-only words that HIT admits: NaN and NuN boxing collapse the NaNs at and
-above NAN_CANON (NuN: NUN_CANON_MIN) into the one word CANON, which never
-enters a slot, since its slot float would keep a payload that decoding
-loses, and the bits a profile hook sees would change; the memo holds
-CANON's decoded float like any other word's. Filling a slot counts no box
-event under those two. Boxed has no immediates. The slots start at a
+Operand slots and the decode memo. Every family keeps the last two float
+words a Runtime returned, with their floats, in closure cells: (w1, x1),
+the newer, and (w2, x2). Those are the words of box_float and of the
+generic re-box, immediates, heap handles and st2zeros' zero cells alike:
+box_float stores its word and the float read back from the buffer, the
+re-box its word and the result float. Each store first moves slot 1 into
+slot 2. A handle's slot float is the float just stored in its cell, so it
+equals payload[w >> 3] bit for bit; an allocation that raises MemoryError
+fills no slot. FLOAT tests each operand for identity with w1 and w2
+first: a kernel passes back the very int a box returned, and no float can
+pass for a word (1.0 == 1, but 1.0 is not 1). Under boxed every float
+operand is a handle, and under mantissa over half are in mbrot, fft and
+pnpoly; a slot spares them the handle test and the arena read, which
+makes a new float. The table families and NaN and NuN boxing also keep a
+memo, a dict from word to float, and FLOAT looks an operand up there
+next, before IMM. Most operands outside the slots are a kernel's
+constants, used again and again, so a hit skips the tag test and the
+decode, which under NaN and NuN boxing is also a store into the buffer
+and a load from it. A hit evaluates w >> 128, 0 for a word, so that a
+float equal to a memo word raises TypeError. A miss goes on to IMM, the
+range test and the decode, and stores the word in the memo, which is
+cleared once it holds MEMO_BOUND words. Mantissa keeps no memo: over half
+of its float operands in mbrot, fft and pnpoly are heap handles, which
+would pay the lookup for nothing, and a memo read before IMM or after it
+measured slower on those kernels (BENCH_19). Slots and memo hold the
+float a decode or the arena gives for word w, so they change no word,
+counter or hook call, and they survive reset(). NaN and NuN boxing
+collapse the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN) into the
+one word CANON, which never enters a slot, since its slot float would
+keep a payload that decoding loses, and the bits a profile hook sees
+would change; the memo holds CANON's decoded float like any other word's.
+Filling a slot counts no box event under those two. The slots start at a
 fresh object(). A slot holds a float object, not a view of the buffer, so
 the buffer rule holds.
 
@@ -111,9 +118,13 @@ The memo families reject a decoded operand outside [0, 2**64) before
 decoding it (_MEMO), since the table families' DEC maps any int to float
 bits; a slot or memo word is in range. Mantissa rejects such a word in
 IMM or in the buffer store. Those are the operands FLOAT rejects as
-non-words: floats and ints outside [0, 2**64). A bool or a numpy integer
-equal to a word is taken for that word, by the memo lookup (both have >>)
-as by IMM and the decode.
+non-words: floats and ints outside [0, 2**64). No operand type is checked,
+which every operation would pay for: a bool is taken for its int; a numpy
+integer is taken for the float word it equals, or raises OverflowError
+where numpy will not combine it with a Python int of 64 bits or more (the
+handle test's mask 2**64 | 7, the range bound M64), and as a fixnum it is
+computed in numpy's fixed-width arithmetic, which wraps and divides by
+zero without raising.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
@@ -137,7 +148,7 @@ from operator import add, floordiv, mul, sub
 from textwrap import indent
 from types import CodeType
 
-from .heap import SimHeap
+from .heap import ALLOC, SimHeap
 from .schemes import (
     BOXED,
     FOUR_TAG,
@@ -179,8 +190,10 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # of the last miss), and zhits counts the slow-path encodes that st2zeros
 # served from its preallocated zero cells; counts() reads them, with the
 # pending flip back to hits added and the misses that went to the heap
-# derived, and reset() zeroes them. MISS marks the bookkeeping of a miss,
-# written once in _MISS and expanded inline in box and the re-box.
+# derived, and reset() zeroes them. MISS marks a miss: its bookkeeping,
+# the heap cell or zero cell it returns and the slot store, written once in
+# _MISS and expanded inline in box and the re-box, with the heap's
+# allocation step (heap.ALLOC) expanded inline in it.
 # Four constants are derived, never set: HAS_IMM is False only for the
 # boxed family, whose HIT and IMM are the constant False, so the compiler
 # drops every immediate branch and a boxed re-box converts its result to
@@ -190,10 +203,10 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # runtimes count nothing; HOOKED is whether the Runtime has a profile
 # hook; ZEROS is whether it is st2zeros, the only family whose miss may be
 # a preallocated zero cell.
-# (w1, x1) and (w2, x2) are the operand slots: the last two immediate words
-# built by a box_float hit or a generic re-box hit, newest first, and their
-# floats; they start at an object() that no operand is. Every family with
-# immediates (HAS_IMM) fills them and reads them in FLOAT. memo is the
+# (w1, x1) and (w2, x2) are the operand slots: the last two float words
+# that box_float or a generic re-box returned, newest first, and their
+# floats; they start at an object() that no operand is. Every family fills
+# them, with every word but CANON, and reads them in FLOAT. memo is the
 # Runtime's decode memo, read and filled only by FLOAT in the families
 # that keep one (_MEMO_FAMILIES).
 # The counters, the slots and make_arith's fop and iop are the only
@@ -239,9 +252,9 @@ def build():
             return w1
         if not HAS_MISS:
             return CANON
-        MISS
         mq[0] = bits
-        return alloc(md[0])
+        r = md[0]
+        MISS
 
     def is_float(w):
         if not 0 <= w <= M64:
@@ -306,7 +319,6 @@ def build():
             if not HAS_MISS:
                 return CANON
             MISS
-            return alloc(r)
 
         return arith
 
@@ -332,13 +344,13 @@ def build():
 
 # FLOAT(x, w) expands to the tests that bind x to the float of the generic
 # operand w when w is a float word. It ends in an elif, so the else after
-# it in the source takes every other word. {head} opens the chain: in a
-# family with immediates, the two slot tests (_SLOTS), which take a slot's
-# float without decoding, then, in a family with a memo, the memo lookup
-# (_MEMO_HIT), ahead of the tag test; in boxed, a plain if. A memo hit
-# evaluates w >> 128, which raises TypeError for a float equal to a memo
-# word (floats have no >>); for an int word it is 0, which CPython returns
-# for a shift past every digit without computing one (~w, say, allocates).
+# it in the source takes every other word. {head} opens the chain: the two
+# slot tests (_SLOTS), which take a slot's float without decoding or
+# reading the arena, then, in a family with a memo, the memo lookup
+# (_MEMO_HIT), ahead of the tag test. A memo hit evaluates w >> 128, which
+# raises TypeError for a float equal to a memo word (floats have no >>);
+# for an int word it is 0, which CPython returns for a shift past every
+# digit without computing one (~w, say, allocates).
 # {decode} is _DECODE, or in the memo families _MEMO: a decode that is
 # stored in the memo, after the range test, since the table families' DEC
 # would turn a word outside [0, 2**64) into float bits. Mantissa's IMM or
@@ -365,17 +377,26 @@ _MEMO = """    if {w} >> 64:
         memo.clear()
     memo[{w}] = {x}"""
 
-# A miss: event n went to the slow path. When event n - 1 was not a miss,
-# the outcome flipped from hits to this miss, and, if an earlier miss
-# exists, from that miss to the hits in between. SIGN_64 alone is the
-# -0.0 word.
+# A miss of float r: event n went to the slow path. When event n - 1 was
+# not a miss, the outcome flipped from hits to this miss, and, if an
+# earlier miss exists, from that miss to the hits in between. SIGN_64
+# alone is the -0.0 word. The word returned, a zero cell or a new heap
+# cell, fills slot 1; an allocation that raises MemoryError, after the
+# miss is counted, leaves the slots as they were.
 _MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
 last = n
 if ZEROS and (bits == 0 or bits == SIGN_64):
     zhits += 1
-    return pz_pos if bits == 0 else pz_neg"""
+    w = pz_pos if bits == 0 else pz_neg
+else:
+    ALLOC(w, r)
+w2 = w1
+x2 = x1
+w1 = w
+x1 = r
+return w"""
 
 # family: its forms. The rot5 and rot4 forms read the tables that
 # _codec_tables builds per Runtime; IMM binds d and HIT binds e for the
@@ -480,13 +501,13 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 @cache
 def _builder(family, hooked, zeros):
-    """The family's closure source as a code object: the source with MISS
-    and FLOAT expanded (FLOAT with the slot tests when the family has
-    immediates, and with the memo and range test when it keeps a memo),
-    the family's forms, CANON, the four derived constants and the module
-    constants substituted, compiled once per family, hooked and zeros flag
-    in a process. Running it defines build() in the namespace it runs in,
-    whose globals are the names a Runtime binds (Runtime._compile)."""
+    """The family's closure source as a code object: the source with MISS,
+    the heap's ALLOC in it, and FLOAT expanded (FLOAT with the memo and
+    range test when the family keeps a memo), the family's forms, CANON,
+    the four derived constants and the module constants substituted,
+    compiled once per family, hooked and zeros flag in a process. Running
+    it defines build() in the namespace it runs in, whose globals are the
+    names a Runtime binds (Runtime._compile)."""
     forms = _FAMILIES[family]
 
     def expand(mo):
@@ -501,9 +522,15 @@ def _builder(family, hooked, zeros):
         ZEROS=zeros,
     )
     memo = family in _MEMO_FAMILIES
-    head = (_SLOTS + (_MEMO_HIT if memo else "") + "elif ") if consts["HAS_IMM"] else "if "
+    head = _SLOTS + (_MEMO_HIT if memo else "") + "elif "
     chain = _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if memo else _DECODE)
     text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
+    text = re.sub(
+        r"^( *)ALLOC\((\w+), (\w+)\)$",
+        lambda mo: indent(ALLOC.format(w=mo[2], x=mo[3]), mo[1]),
+        text,
+        flags=re.M,
+    )
     text = re.sub(
         r"^( *)FLOAT\((\w+), (\w+)\)$",
         lambda mo: indent(chain.format(x=mo[2], w=mo[3]), mo[1]),
@@ -587,18 +614,21 @@ class Runtime:
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
     has a single owner and must not be shared between threads.
 
-    Under every scheme but boxed, the generic operations take the float of
-    an operand that is (by identity) one of the last two immediate words
-    the Runtime built from that word's slot; under nanbox and nunbox those
-    are the words that decode back to the bits they were built from, so a
-    NaN they collapse never fills a slot. Under every scheme but boxed
-    and mantissa, a decoded operand's float is also kept in a memo (_memo)
-    of at most MEMO_BOUND words, which an operand outside the slots is
-    looked up in before the tag test. No word, counter or hook call
-    depends on whether an operand came from a slot, the memo or a decode
-    (see the module docstring). The generic operations' TypeError covers
-    floats and words outside [0, 2**64), not every non-int: a bool or a
-    numpy integer is taken for the word it equals."""
+    Under every scheme, the generic operations take the float of an
+    operand that is (by identity) one of the last two float words the
+    Runtime returned from that word's slot, heap handles included; an
+    allocation that raises MemoryError fills no slot, and under nanbox and
+    nunbox a NaN they collapse never fills one. Under every scheme but
+    boxed and mantissa, a decoded operand's float is also kept in a memo
+    (_memo) of at most MEMO_BOUND words, which an operand outside the
+    slots is looked up in before the tag test. No word, counter or hook
+    call depends on whether an operand came from a slot, the memo, a
+    decode or the arena (see the module docstring). The generic
+    operations' TypeError covers floats and words outside [0, 2**64), not
+    every non-int, since no operand type is checked: a bool is taken for
+    its int, and a numpy integer is either taken for the float word it
+    equals or raises OverflowError; as a fixnum, it follows numpy's
+    fixed-width arithmetic."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme
@@ -645,18 +675,21 @@ class Runtime:
         family = _VARIANT_FAMILY[variant]
         heap = self.heap
         dt, et = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None, None)
-        alloc = heap.float_allocator(scheme.heap_float_tag)
         ht = handle_tag(scheme)
         if family in _CANON:
             ht = -1  # never misses: no word is a heap handle
         lo, hi = _FIXNUM_RANGE.get(family, (FIXNUM_MIN, FIXNUM_MAX))
         zeros = variant == TWO_TAG_ZEROS
         # st2zeros stores its own +0.0 and -0.0 cells, before anything it boxes
-        pz_pos, pz_neg = (alloc(0.0), alloc(-0.0)) if zeros else (None, None)
+        if zeros:
+            alloc = heap.float_allocator(scheme.heap_float_tag)
+            pz_pos, pz_neg = alloc(0.0), alloc(-0.0)
+        else:
+            pz_pos = pz_neg = None
         ns = dict(
             dt=dt, et=et, k=scheme.offset, ht=ht, fxt=fixnum_tag(scheme), lo=lo, hi=hi,
-            pz_pos=pz_pos, pz_neg=pz_neg, hook=hook, payload=heap._payload,
-            mq=self._mq, md=self._md, memo=self._memo, alloc=alloc,
+            pz_pos=pz_pos, pz_neg=pz_neg, hook=hook, mq=self._mq, md=self._md,
+            memo=self._memo, **heap.alloc_names(scheme.heap_float_tag),
         )
         exec(_fresh(_builder(family, hook is not None, zeros)), ns)
         # popped, so that no cycle (build -> ns -> build) keeps the heap

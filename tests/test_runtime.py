@@ -4,6 +4,7 @@ import operator
 import sys
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +68,10 @@ ONE = float_to_bits(1.0)
 HALF15 = float_to_bits(1.5)
 TINY = float_to_bits(1e-100)  # class 10: missed by every exponent preset
 BIG = float_to_bits(1e300)    # class 31: missed by st3 and st2zeros only
+# heap-bound under boxed, mantissa and every exponent preset, as are their
+# sum and product
+HEAP_A = float_to_bits(7e-101)
+HEAP_B = float_to_bits(2.9e-100)
 
 
 def fresh(name, **kw):
@@ -824,12 +829,13 @@ def test_hooked_and_unhooked_runtimes_agree(name):
 
 # -- operand slots -----------------------------------------------------------
 
-# Every scheme with immediates keeps the floats of the last two immediate
-# words its runtime built (NaN and NuN boxing: only the words that decode
-# back to the same bits); boxed keeps none. The slot tests draw operands
-# from these float bits: boundary words of every class, +-0, subnormals,
-# +-Inf, quiet and signalling NaNs of both signs with payloads (at and above
-# NAN_CANON and NUN_CANON_MIN too), and splitmix64 words.
+# Every scheme keeps the floats of the last two float words its runtime
+# returned, immediates, heap handles and st2zeros' zero cells alike (NaN and
+# NuN boxing: only the words that decode back to the same bits). The slot
+# tests draw operands from these float bits: boundary words of every class,
+# +-0, subnormals, +-Inf, quiet and signalling NaNs of both signs with
+# payloads (at and above NAN_CANON and NUN_CANON_MIN too), and splitmix64
+# words.
 INF_64 = 0x7FF0000000000000
 SLOT_OPERANDS = sorted({
     *(int(b) for b in boundary_words64()),
@@ -844,7 +850,9 @@ def slot_pairs(cfg, k=0, n=None):
     """n + 1 operand pairs for the k-th config: n - 2 operands the config
     keeps immediate and two it boxes on the heap (windows of SLOT_OPERANDS
     that move with k), paired across the window and once with itself. With
-    n None, every operand the config keeps immediate and two it does not."""
+    n None, every operand the config keeps immediate and two it does not.
+    A scheme that is not self-tagging draws both from all of
+    SLOT_OPERANDS: under boxed every operand is a heap handle."""
     if cfg.variant in SELF_TAG_VARIANTS:
         hits = [b for b in SLOT_OPERANDS if covers(cfg, b)]
         misses = [b for b in SLOT_OPERANDS if not covers(cfg, b)]
@@ -869,25 +877,36 @@ def op_outcome(rt, op, aw, bw):
 GENERIC_OPS = ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less")
 
 
-def slot_words(rt):
-    """The words in rt's two operand slots (none under boxed)."""
+def slot_cells(rt):
+    """What rt's two operand slots hold: w1, x1 (the newer), w2, x2."""
     fn = rt.generic_less
-    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
-    return [cells[n].cell_contents for n in ("w1", "w2") if n in cells]
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
+    return [cells[n].cell_contents for n in ("w1", "x1", "w2", "x2")]
+
+
+def slot_words(rt):
+    """The words in rt's two operand slots, the newer first."""
+    return slot_cells(rt)[::2]
+
+
+def in_slot(rt, w):
+    return any(w is v for v in slot_words(rt))
 
 
 def check_reuse(cfg, pairs, hooked):
     """Every generic operation gives the same word, exception, counters
     and hook bits whether its float operands come from the runtime's two
     slots, from its decode memo or from a first decode. s boxes a ^ 4 and
-    b ^ 4, then a and b, which sit in its slots; m and d box a and b, then
-    a ^ 4 and b ^ 4, which evict them. m has emptied its memo and decoded
-    a and b once, with generic_less, which boxes nothing, so under a
-    scheme with a memo each of its immediate operands is in the memo or,
-    where an eviction collapsed and filled no slot, still in a slot; d's
-    memo is emptied, so d decodes them afresh. Flipping bit 2 keeps a
-    float's class and its low two bits, so all three runtimes see the
-    same box outcomes in the same order."""
+    b ^ 4, then a and b, which sit in its slots, heap handles included;
+    only a NaN that NaN or NuN boxing collapses fills none. m and d box a
+    and b, then a ^ 4 and b ^ 4, which evict them. m has emptied its memo
+    and decoded a and b once, with generic_less, which boxes nothing, so
+    under a scheme with a memo each of its immediate operands is in the
+    memo or, where an eviction collapsed and filled no slot, still in a
+    slot; d's memo is emptied, so d decodes them afresh, and reads its
+    heap operands from the arena. Flipping bit 2 keeps a float's class and
+    its low two bits, so all three runtimes see the same box outcomes in
+    the same order."""
     hooks = [], [], []
     rts = s, m, d = [
         Runtime(cfg, SimHeap(), profile_hook=h.append if hooked else None) for h in hooks
@@ -897,6 +916,9 @@ def check_reuse(cfg, pairs, hooked):
             s.box_float(a ^ 4)
             s.box_float(b ^ 4)
             operands = [(s.box_float(a), s.box_float(b))]
+            for w, bits in zip(operands[0], (a, b)):
+                collapsed = cfg.variant in (NANBOX, NUNBOX) and s.unbox_float(w) == NAN_CANON
+                assert collapsed or in_slot(s, w), (cfg, hex(bits))
             for rt in (m, d):
                 operands.append((rt.box_float(a), rt.box_float(b)))
                 rt.box_float(a ^ 4)
@@ -906,7 +928,7 @@ def check_reuse(cfg, pairs, hooked):
             if cfg.variant not in (MANTISSA, BOXED):
                 for w, bits in zip(operands[1], (a, b)):
                     if cfg.variant in (NANBOX, NUNBOX) or covers(cfg, bits):
-                        assert w in m._memo or any(w is v for v in slot_words(m))
+                        assert w in m._memo or in_slot(m, w)
             d._memo.clear()
             for h in hooks:
                 h.clear()
@@ -929,11 +951,48 @@ def test_reused_operands_match_decoded_ones():
 def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
     # the presets, with and without a hook, over every operand (NaN payloads,
     # and under nanbox and nunbox the collapsed word CANON, included);
-    # mantissa, which has no memo, and boxed, which has no slots, must agree
-    # too, so a slot or memo that changed a word or the bits a hook sees
-    # would show here
+    # mantissa and boxed, which have no memo, must agree too, heap handles
+    # taken from a slot or read from the arena, so a slot or memo that
+    # changed a word or the bits a hook sees would show here
     cfg = PRESETS[name]
     check_reuse(cfg, slot_pairs(cfg), hooked)
+
+
+def outcome(rt, op, a, b):
+    """What op(a, b) returns (for a float word, its float bits, since each
+    heap-bound result is a new handle), or the type and message of what it
+    raises. A numpy result is taken for the int or bool it equals."""
+    try:
+        r = op(a, b)
+    except GENERIC_ERRORS as e:
+        return type(e), str(e)
+    if op is rt.generic_less:
+        return bool(r)
+    return ("float", rt.unbox_float(int(r))) if rt.is_float_value(int(r)) else int(r)
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_bool_and_numpy_integer_operands(name):
+    # the generic operations check no operand type: a bool gives what its
+    # int gives, and a numpy integer equal to a float word or to a positive
+    # fixnum word gives what that word gives, or raises OverflowError where
+    # numpy will not combine it with a Python int of 64 bits or more. As a
+    # negative fixnum or a zero divisor it follows numpy's fixed-width
+    # arithmetic instead, which these pairs leave out
+    rt = fresh(name)
+    words = [rt.box_float(HALF15), rt.box_float(HEAP_A), rt.box_fixnum(3)]
+    with np.errstate(all="ignore"):
+        for op in (getattr(rt, op) for op in GENERIC_OPS):
+            for v in (False, True):
+                for w in (*words, int(v), int(not v)):
+                    assert outcome(rt, op, v, w) == outcome(rt, op, int(v), w)
+                    assert outcome(rt, op, w, v) == outcome(rt, op, w, int(v))
+            for w in words:
+                for v in (np.uint64(w), np.int64(w)) if w < SIGN_64 else (np.uint64(w),):
+                    for x in words:
+                        for pair, ints in (((v, x), (w, x)), ((x, v), (x, w)), ((v, v), (w, w))):
+                            got, want = outcome(rt, op, *pair), outcome(rt, op, *ints)
+                            assert got == want or got[0] is OverflowError, (op, pair, got, want)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -967,11 +1026,14 @@ def least_immediate_bits(name):
 def test_floats_equal_to_known_words_are_not_words(name):
     # float(w) is no word, even where it equals a word whose float the
     # runtime keeps: either operand raises TypeError on a fresh runtime,
-    # while w sits in a slot, and while w sits in the decode memo
+    # while w sits in a slot (boxed's heap handle too), and while w sits in
+    # the decode memo
     bits = least_immediate_bits(name)
     for state in ("fresh", "slot", "memo"):
         rt = fresh(name)
         w = (fresh(name) if state == "fresh" else rt).box_float(bits)
+        if state == "slot":
+            assert in_slot(rt, w)
         if state == "memo":
             rt.box_float(ONE)
             rt.box_float(HALF15)
@@ -1077,6 +1139,54 @@ def test_collapsed_nans_fill_no_slot(name, hooked):
                 assert [rt.hit_ratio() for rt in rts] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("name", HEAP_PRESETS)
+def test_failed_allocation_fills_no_slot(name):
+    # a miss whose allocation raises MemoryError, in box_float and in a
+    # generic re-box, leaves both slots as they were, and stores nothing;
+    # it still counts as a box event and as a miss that went to the heap
+    cfg = PRESETS[name]
+    cost = 1 if cfg.heap_float_tag is not None else 2
+    zero_cells = 2 if cfg.variant == TWO_TAG_ZEROS else 0
+    rt = Runtime(cfg, SimHeap(capacity=zero_cells + 2 * cost))
+    rt.reset_kernel_counters()
+    hits = 0 if name == "boxed" else 1
+    if hits:
+        rt.box_float(ONE)
+    a, b = rt.box_float(HEAP_A), rt.box_float(HEAP_B)  # the heap is full
+    before = slot_cells(rt)
+    assert before[0] is b and before[2] is a
+    for fail in (lambda: rt.box_float(HEAP_A), lambda: rt.generic_add(a, b)):
+        with pytest.raises(MemoryError, match="capacity exhausted"):
+            fail()
+        assert all(x is y for x, y in zip(slot_cells(rt), before))
+    assert rt.boxes_total == hits + 4
+    assert rt.stats() == HeapStats(
+        float_allocs=2, float_bytes=16 * cost, other_allocs=0, other_bytes=0,
+        slow_path_encodes=4, representation_flips=hits,
+    )
+    assert rt.hit_ratio() == 1 - 4 / (hits + 4)
+    assert (rt.unbox_float(a), rt.unbox_float(b)) == (HEAP_A, HEAP_B)
+
+
+def test_zero_cells_fill_a_slot():
+    # st2zeros returns a generic result of +-0.0 as one of its zero cells,
+    # which fills slot 1 like any other word and, taken from its slot,
+    # gives the bits of its own zero: 1 / +0.0 is +Inf, 1 / -0.0 is -Inf
+    rt = fresh("st2zeros")
+    one, minus = rt.box_float(ONE), rt.box_float(ONE | SIGN_64)
+    pos = rt.generic_add(one, minus)
+    assert slot_words(rt)[0] is pos
+    neg = rt.generic_mul(pos, minus)
+    assert (pos, neg) == ((0 << 3) | 1, (1 << 3) | 1)  # the preallocated cells
+    assert rt.stats().float_allocs == 2  # those two, and nothing since
+    w1, x1, w2, x2 = slot_cells(rt)
+    assert w1 is neg and w2 is pos
+    assert (float_to_bits(x1), float_to_bits(x2)) == (SIGN_64, 0)
+    assert rt.unbox_float(rt.generic_div(one, pos)) == INF_64
+    assert in_slot(rt, neg)
+    assert rt.unbox_float(rt.generic_div(one, neg)) == SIGN_64 | INF_64
+
+
 RUNTIME_OPS = (
     "box_float", "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum",
     "is_fixnum_value", *GENERIC_OPS,
@@ -1085,9 +1195,8 @@ _SLOT_CELLS = ("w1", "w2", "x1", "x2")
 _ARITH_CELLS = ("flips", "fop", "iop", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits")
 # The closure cells each operation copies into its frame per call: only
 # what changes (the counters, the slots, and make_arith's fop and iop). What
-# a Runtime binds once (tables, ranges, heap, buffer, memo, hook, allocator)
-# is a global of its own namespace. Boxed has no slots for generic_less to
-# read.
+# a Runtime binds once (tables, ranges, buffer, memo, hook, and the heap
+# names of the allocation step) is a global of its own namespace.
 FREEVARS = {
     "box_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
     "unbox_float": (),
@@ -1110,10 +1219,7 @@ def test_operations_close_over_mutable_state_only():
             rt = fresh(name, profile_hook=hook)
             ops = {op: tuple(sorted(getattr(rt, op).__code__.co_freevars)) for op in RUNTIME_OPS}
             got[name, hook is not None] = ops
-    want = {(name, hooked): FREEVARS for name in ALL for hooked in (False, True)}
-    for hooked in (False, True):
-        want["boxed", hooked] = dict(FREEVARS, generic_less=())
-    assert got == want
+    assert got == {(name, hooked): FREEVARS for name in ALL for hooked in (False, True)}
 
 
 @pytest.mark.parametrize("hooked", (False, True))
@@ -1199,16 +1305,19 @@ def test_runtimes_of_one_key_share_no_code_object():
 
 # box_float, generic_add, generic_less, unbox_float with operands 1.5 and
 # 2.25 (both immediate except under boxed), boxed just before each call.
-# Reused: the operands are the runtime's last two immediate words, so their
-# floats come from its slots. Memoized: two more immediates (0.75 and 3.5)
-# were boxed after them, and generic_less had decoded them once, so their
-# floats come from the decode memo. Decoded: the same eviction, with the
-# memo emptied, so both are decoded for the first time. Boxed keeps no
-# slots, so its rows repeat; mantissa keeps no memo, so its memoized and
-# decoded rows agree.
+# Reused: the operands are the runtime's last two words, so their floats
+# come from its slots. Memoized: two more floats (0.75 and 3.5) were boxed
+# after them, and generic_less had decoded them once, so their floats come
+# from the decode memo. Decoded: the same eviction, with the memo emptied,
+# so both are decoded for the first time. Boxed and mantissa keep no memo,
+# so their memoized and decoded rows agree; boxed reads its evicted
+# handles from the arena. Heap: the miss path, with operands HEAP_A and
+# HEAP_B, heap-bound under every preset that has a heap: box_float
+# allocates, and generic_add of the two slot-held handles allocates its
+# result.
 HOT_PATH_OPCODES = {
     "reused": {
-        "boxed": (72, 94, 33, 38),
+        "boxed": (77, 87, 23, 38),
         "nanbox": (31, 52, 23, 16),
         "nunbox": (33, 54, 23, 24),
         "st1": (43, 64, 23, 26),
@@ -1219,7 +1328,7 @@ HOT_PATH_OPCODES = {
         "mantissa": (37, 58, 23, 18),
     },
     "memoized": {
-        "boxed": (72, 94, 33, 38),
+        "boxed": (77, 113, 49, 38),
         "nanbox": (31, 76, 47, 16),
         "nunbox": (33, 78, 47, 24),
         "st1": (43, 88, 47, 26),
@@ -1230,7 +1339,7 @@ HOT_PATH_OPCODES = {
         "mantissa": (37, 86, 51, 18),
     },
     "decoded": {
-        "boxed": (72, 94, 33, 38),
+        "boxed": (77, 113, 49, 38),
         "nanbox": (31, 122, 93, 16),
         "nunbox": (33, 140, 109, 24),
         "st1": (43, 154, 113, 26),
@@ -1240,15 +1349,23 @@ HOT_PATH_OPCODES = {
         "st4": (45, 160, 117, 28),
         "mantissa": (37, 86, 51, 18),
     },
+    "heap": {
+        "boxed": (77, 87, 23, 38),
+        "st1": (84, 103, 23, 45),
+        "st2biased": (84, 103, 23, 45),
+        "st2zeros": (91, 110, 23, 45),
+        "st3": (84, 103, 23, 45),
+        "st4": (84, 103, 23, 45),
+        "mantissa": (82, 101, 23, 43),
+    },
 }
 
 
 # generic_add, generic_less, box_fixnum, unbox_fixnum on a fresh runtime,
 # fixnum operands 3 and -5. The first operand passes the two slot tests
-# and the memo lookup first, except under boxed (neither) and mantissa (no
-# memo).
+# and the memo lookup first, except under boxed and mantissa (no memo).
 FIXNUM_PATH_OPCODES = {
-    "boxed": (80, 60, 17, 26),
+    "boxed": (88, 68, 17, 26),
     "nanbox": (97, 79, 15, 26),
     "nunbox": (89, 71, 15, 20),
     "st1": (103, 83, 17, 26),
@@ -1286,16 +1403,16 @@ def count_opcodes(fn, *args):
     reason="bytecode counts are specific to CPython 3.11",
 )
 def test_hot_path_opcode_counts():
-    a, b = float_to_bits(1.5), float_to_bits(2.25)
     evict = (float_to_bits(0.75), float_to_bits(3.5))
-    got = {"reused": {}, "memoized": {}, "decoded": {}}
+    got = {"reused": {}, "memoized": {}, "decoded": {}, "heap": {}}
     for row, counts in got.items():
-        for name in ALL:
+        a, b = (HEAP_A, HEAP_B) if row == "heap" else (float_to_bits(1.5), float_to_bits(2.25))
+        for name in HEAP_PRESETS if row == "heap" else ALL:
             rt = fresh(name)
 
             def operands():
                 wa, wb = rt.box_float(a), rt.box_float(b)
-                if row != "reused":
+                if row in ("memoized", "decoded"):
                     for bits in evict:
                         rt.box_float(bits)
                     rt._memo.clear()
