@@ -19,6 +19,7 @@ from .schemes import (
     SELF_TAG_PRESETS,
     CoverageInterval,
     SchemeConfig,
+    class_bounds,
     coverage_intervals,
     covered_prefix_classes,
     covers,
@@ -32,7 +33,6 @@ from .schemes import (
 from .st32 import (
     OneTag,
     TwoTag,
-    st32_coverage,
     st32_covers,
     st32_transform,
     st32_untransform,

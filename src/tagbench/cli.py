@@ -4,20 +4,23 @@ import sys
 
 import click
 
-from . import batch, bench, kernels, profiler, st32
+from . import batch, bench, kernels, profiler
 from .prng import DEFAULT_SEED
 from .runtime import Runtime
 from .schemes import (
     EXPONENT_PRESETS,
     PRESETS,
-    class_hi,
-    class_lo,
+    class_bounds,
     coverage_intervals,
     covered_prefix_classes,
 )
 from .st32 import OneTag, TwoTag
 
 _VARIANTS_32 = {"one": OneTag(0), "two": TwoTag(0)}
+_COVERAGE_VARIANTS = {
+    "64": {name: PRESETS[name] for name in EXPONENT_PRESETS},
+    "32": _VARIANTS_32,
+}
 
 
 def _names(name, known, noun):
@@ -89,34 +92,21 @@ def profile_cmd(kernel, seed, fmt, out):
 def coverage_cmd(scheme, bits, fmt):
     """Magnitude ranges a scheme keeps immediate (exponent-based schemes
     only; the mantissa scheme's coverage is not a magnitude range)."""
-    if bits == "32":
-        if scheme not in _VARIANTS_32:
-            raise click.UsageError("32-bit scheme must be one of: one, two")
-        variant = _VARIANTS_32[scheme]
-        ivs = st32.st32_coverage(variant)
-        nclasses = 16
-        covered = st32.st32_covered_prefix_classes(variant)
-        lo_fn, hi_fn, width = st32.class_lo32, st32.class_hi32, 4
-    else:
-        if scheme not in EXPONENT_PRESETS:
-            raise click.UsageError(
-                "64-bit scheme must be one of: %s" % ", ".join(EXPONENT_PRESETS)
-            )
-        config = PRESETS[scheme]
-        ivs = coverage_intervals(config)
-        nclasses = 32
-        covered = covered_prefix_classes(config)
-        lo_fn, hi_fn, width = class_lo, class_hi, 5
+    known = _COVERAGE_VARIANTS[bits]
+    if scheme not in known:
+        raise click.UsageError("%s-bit scheme must be one of: %s" % (bits, ", ".join(known)))
+    variant = known[scheme]
     if fmt == "csv":
+        bounds, covered = class_bounds(variant), covered_prefix_classes(variant)
+        n = len(bounds) - 1
         click.echo("prefix,range_lo,range_hi,covered")
-        for p in range(nclasses):
-            lo = "0" if p == 0 else profiler.fmt_magnitude(lo_fn(p))
-            hi = "inf" if p == nclasses - 1 else profiler.fmt_magnitude(hi_fn(p))
-            click.echo(
-                "%s,%s,%s,%d" % (format(p, "0%db" % width), lo, hi, int(p in covered))
-            )
+        for p in range(n):
+            lo = "0" if p == 0 else profiler.fmt_magnitude(bounds[p])
+            hi = "inf" if p == n - 1 else profiler.fmt_magnitude(bounds[p + 1])
+            prefix = format(p, "0%db" % variant.PREFIX_BITS)
+            click.echo("%s,%s,%s,%d" % (prefix, lo, hi, int(p in covered)))
         return
-    for iv in ivs:
+    for iv in coverage_intervals(variant):
         lo = "0" if iv.includes_zero else profiler.fmt_magnitude(iv.lo)
         hi = "Inf/NaN" if iv.includes_inf_nan else profiler.fmt_magnitude(iv.hi)
         click.echo("%s .. %s" % (lo, hi))

@@ -17,7 +17,7 @@ largest finite double."""
 
 import io
 
-from .schemes import class_lo
+from .schemes import SchemeConfig, class_bounds
 
 MIN_SUBNORMAL = 5e-324
 MAX_FINITE = 1.7976931348623157e308
@@ -40,7 +40,7 @@ def fmt_magnitude(x):
 def bound_labels():
     """The 33 boundary labels of the 32 magnitude rows."""
     labels = [fmt_magnitude(MIN_SUBNORMAL)]
-    labels += [fmt_magnitude(class_lo(p)) for p in range(1, 32)]
+    labels += [fmt_magnitude(b) for b in class_bounds(SchemeConfig)[1:-1]]
     labels.append(fmt_magnitude(MAX_FINITE))
     return labels
 

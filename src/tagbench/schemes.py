@@ -1,4 +1,5 @@
-"""Float encoding schemes over 64-bit words.
+"""Float encoding schemes over 64-bit words, and the prefix-class
+coverage of self-tagging at both word widths.
 
 Three families:
   * heap boxing (every float lives in a heap cell),
@@ -10,7 +11,10 @@ Three families:
 The transforms are total bijections on the 2^64 pattern space; which
 floats end up inside the tag set depends only on a handful of exponent
 bits (or the low mantissa bits, for the mantissa variant), so coverage is
-also exposed analytically as prefix-class intervals."""
+also exposed analytically as prefix-class intervals. The class functions
+take a SchemeConfig or a 32-bit st32 variant and read the word's geometry
+from its class constants: EXP_BITS exponent bits, whose top PREFIX_BITS
+name a prefix class, and TAG_MASK, the mask of the low tag."""
 
 import math
 from dataclasses import dataclass
@@ -58,6 +62,8 @@ class SchemeConfig:
     tag: int = 0
     offset: int = 0
     heap_float_tag: int | None = None
+
+    EXP_BITS, PREFIX_BITS, TAG_MASK = 11, 5, 7  # the word's geometry
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -151,16 +157,18 @@ def st_untransform(w, config):
 
 
 def _class_covered(config, p):
-    # p is a 5-bit exponent prefix; membership depends only on p for the
-    # exponent-based variants (tag and offset permute the low bits away)
+    # p is an exponent prefix of config.PREFIX_BITS bits; membership
+    # depends only on p for the exponent-based variants (tag and offset
+    # permute the low bits away). The rotation family is 64-bit only.
     v = config.variant
     if v in ROT4_VARIANTS:
         return p >> 2 in _ROT4_E3[v]
+    t, m = config.tag, config.TAG_MASK
     if v == ONE_TAG:
-        return ((p + 1 + 2 * config.tag) >> 1) & 7 == config.tag
+        return ((p + 1 + 2 * t) >> 1) & m == t
     if v == TWO_TAG_BIASED:
-        m = ((p + 2 * config.tag) >> 1) & 7
-        return m == config.tag or m == (config.tag - 1) % 8
+        s = ((p + 2 * t) >> 1) & m
+        return s == t or s == (t - 1) & m
     raise ValueError("coverage is not prefix-shaped for %r" % (v,))
 
 
@@ -174,18 +182,20 @@ def covers(config, bits):
 
 
 def covered_prefix_classes(config):
-    """The set of 5-bit exponent prefixes kept immediate."""
-    return frozenset(p for p in range(32) if _class_covered(config, p))
+    """The set of exponent prefixes (config.PREFIX_BITS bits) kept
+    immediate."""
+    return frozenset(p for p in range(1 << config.PREFIX_BITS) if _class_covered(config, p))
 
 
-def class_lo(p):
-    """Smallest magnitude in prefix class p (class 0 starts at zero)."""
-    return 0.0 if p == 0 else 2.0 ** (64 * p - 1023)
-
-
-def class_hi(p):
-    """Exclusive upper bound of class p; class 31 runs into Inf/NaN."""
-    return math.inf if p == 31 else 2.0 ** (64 * (p + 1) - 1023)
+def class_bounds(config):
+    """The 2^P + 1 boundaries of the prefix classes of config's word
+    (config is a variant or its class), ascending: class p holds the
+    magnitudes in [b[p], b[p + 1]). Class 0 starts at zero and the last
+    class runs into Inf/NaN; class p > 0 starts at 2^(p * 2^(E - P) - bias),
+    E exponent bits, a P-bit prefix."""
+    e, n = config.EXP_BITS, 1 << config.PREFIX_BITS
+    step, bias = 1 << (e - config.PREFIX_BITS), (1 << (e - 1)) - 1
+    return [0.0] + [2.0 ** (p * step - bias) for p in range(1, n)] + [math.inf]
 
 
 @dataclass(frozen=True)
@@ -212,10 +222,12 @@ def class_runs(classes, n):
 def coverage_intervals(config):
     """Maximal disjoint magnitude ranges kept immediate, ascending.
     Adjacent covered prefix classes form one range; endpoints are the exact
-    binary64 class boundaries (powers of two)."""
+    class boundaries of config's word (powers of two)."""
+    b = class_bounds(config)
+    n = len(b) - 1
     return [
-        CoverageInterval(class_lo(a), class_hi(b), a == 0, b == 31)
-        for a, b in class_runs(covered_prefix_classes(config), 32)
+        CoverageInterval(b[lo], b[hi + 1], lo == 0, hi == n - 1)
+        for lo, hi in class_runs(covered_prefix_classes(config), n)
     ]
 
 

@@ -6,19 +6,30 @@ puts the bias steps at bit 27 (under the 4-bit prefix of sign and top
 exponent bits) and rotates by 4, leaving a 2-bit tag plus two spare low
 bits on immediates. The triple is the only place a variant's transform
 arithmetic is decided. There is no 32-bit heap, runtime or fixnum; this
-module only answers representation questions: transform and coverage."""
+module only answers representation questions about the transform.
 
-import math
+Coverage lives in schemes, which reads a 32-bit word's geometry (8
+exponent bits, 4-bit prefix classes, 2-bit tags) from OneTag and TwoTag.
+st32_covers decides from the transform's tag, not from schemes'
+transform-free class predicate, so it is that predicate's independent
+check (test_covered_classes_parameter_invariant, all eight variants);
+the offline 2^32 sweep checks the roundtrip."""
+
 from dataclasses import dataclass
 from functools import cached_property
 
-from .schemes import CoverageInterval, class_runs
+from .schemes import ONE_TAG, TWO_TAG_BIASED
 from .words import M32
 
 
+class _Word32:
+    EXP_BITS, PREFIX_BITS, TAG_MASK = 8, 4, 3
+
+
 @dataclass(frozen=True)
-class OneTag:
+class OneTag(_Word32):
     tag: int = 0
+    variant = ONE_TAG
 
     def __post_init__(self):
         if not 0 <= self.tag <= 3:
@@ -31,8 +42,10 @@ class OneTag:
 
 
 @dataclass(frozen=True)
-class TwoTag:
+class TwoTag(_Word32):
     tag1: int = 0
+    variant = TWO_TAG_BIASED
+    tag = property(lambda self: self.tag1)  # the primary tag, as schemes reads it
 
     def __post_init__(self):
         if not 0 <= self.tag1 <= 3:
@@ -69,30 +82,3 @@ def st32_untransform(w, variant):
 def st32_covers(bits, variant):
     """True when the float with these bits stays immediate."""
     return st32_transform(bits, variant) & 3 in st32_tag_set(variant)
-
-
-def st32_covered_prefix_classes(variant):
-    """Covered 4-bit prefix classes; the decision is uniform inside a
-    class, so one representative settles each."""
-    return frozenset(p for p in range(16) if st32_covers(p << 27, variant))
-
-
-def class_lo32(p):
-    return 0.0 if p == 0 else 2.0 ** (16 * p - 127)
-
-
-def class_hi32(p):
-    return math.inf if p == 15 else 2.0 ** (16 * (p + 1) - 127)
-
-
-def st32_coverage(variant):
-    """Covered magnitude intervals, maximal runs of covered classes."""
-    return [
-        CoverageInterval(
-            lo=class_lo32(a),
-            hi=class_hi32(b),
-            includes_zero=a == 0,
-            includes_inf_nan=b == 15,
-        )
-        for a, b in class_runs(st32_covered_prefix_classes(variant), 16)
-    ]

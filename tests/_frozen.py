@@ -186,14 +186,36 @@ ST_EXAMPLES = {
 # written out.
 TRANSFORM_WORDS_SHA256 = "2d74632cd0ca39b8cc969b5bf17222ddba882b436adeb923a9ba50107f56adde"
 
-# Expected `coverage` CLI lines, compared numerically at 2 significant
-# digits after parsing (lo "0" means from zero, hi "Inf/NaN" open-ended).
+# Expected `coverage` CLI text lines, compared line for line (lo "0" means
+# from zero, hi "Inf/NaN" open-ended; fmt_magnitude trims a trailing .0).
 COVERAGE_LINES_64 = {
     "st3": ["0 .. 1.3e-231", "1.7e-77 .. 2.3e77"],
     "st1": ["0 .. 2.1e-289", "1.1e-19 .. 3.7e19", "1.9e289 .. Inf/NaN"],
     "st2biased": ["0 .. 3.8e-270", "5.9e-39 .. 6.8e38", "1.1e270 .. Inf/NaN"],
+    "st2zeros": ["1.7e-77 .. 2.3e77"],
+    "st4": ["0 .. 1.3e-231", "1.7e-77 .. 2.3e77", "3.1e231 .. Inf/NaN"],
 }
 COVERAGE_LINES_32 = {
-    "one": ["0 .. 3.9e-34", "3.1e-5 .. 1.3e5", "1.0e34 .. Inf/NaN"],
+    "one": ["0 .. 3.9e-34", "3.1e-5 .. 1.3e5", "1e34 .. Inf/NaN"],
     "two": ["0 .. 2.5e-29", "4.7e-10 .. 8.6e9", "1.6e29 .. Inf/NaN"],
+}
+
+# sha256 of the whole stdout of `tagbench coverage --scheme S --bits B
+# --format F`, keyed (S, B, F). Taken from the per-width class functions
+# before both word widths shared one set.
+COVERAGE_OUTPUT_SHA256 = {
+    ("st1", "64", "text"): "c36120964e0d585eb55efe8d123e04a19a640572fad0252082c67eb9910fede1",
+    ("st1", "64", "csv"): "dcf4e1d3208352f293eb808306f7b5274129d5f60195bda5d481a774c640a439",
+    ("st2biased", "64", "text"): "c0d7c68482ddd2f246e673ce835c0c72ad490cb51767b2a202c74d53db97bef5",
+    ("st2biased", "64", "csv"): "6b60f9192f2ef416480db903243b0352c8c234c3712e3fdf6bf8e2bb7e5101a7",
+    ("st2zeros", "64", "text"): "ee382db31518e87471f383b7521d601948327ef0279ce34a1ef4f026ba8e7b55",
+    ("st2zeros", "64", "csv"): "799aca217433868229bc05d62709db13b1e6eda4764ffc72319dbe99db4b8a79",
+    ("st3", "64", "text"): "9a0720cf7d2fcf7106065d70e85b2ee8b20c514ab8cd54cafbc24e2064c934c7",
+    ("st3", "64", "csv"): "f776ae035c3b7e4808013cc27492673d9c055824468f899fd89940c5e007730a",
+    ("st4", "64", "text"): "90469444188c0d66d231a7d370c6687ade9909ebdca2bf9c01cce7d25c229423",
+    ("st4", "64", "csv"): "5beb0a24fa5a6a244d1fdc23dfe53a6ef15086da76656a52698c7942db4db21e",
+    ("one", "32", "text"): "a623161fb3bcbbe11189d8bbc6b0d624827176f750287a66943f26765b9e4c2c",
+    ("one", "32", "csv"): "42f4a165405e22161a2509ecefe669899213cbeff025f592903e598d8c71a4af",
+    ("two", "32", "text"): "bf7a1ec99858674b143de3b7b43aa930a923a93de5b501dd4a2c328c11706de4",
+    ("two", "32", "csv"): "52a64af0ba27aa74e3c5824dd503c24bb98beab947f07c25591aebdc1f2a7dd3",
 }

@@ -30,7 +30,7 @@ from tagbench.schemes import (
     covered_prefix_classes,
     self_tag_set,
 )
-from tagbench.st32 import OneTag, TwoTag, st32_covered_prefix_classes, st32_tag_set
+from tagbench.st32 import OneTag, TwoTag, st32_tag_set
 
 from _frozen import COVERED_64, KERNELS, ONE_TAG_CLASSES
 
@@ -115,8 +115,8 @@ def test_criterion_3_tag_fraction_law():
         assert len(covered_prefix_classes(cfg)) == 8, tag  # 2/8 of 32
     # 32-bit: 16 prefix classes, 2-bit tags
     for t in range(4):
-        assert len(st32_covered_prefix_classes(OneTag(t))) == 4  # 1/4 of 16
-        assert len(st32_covered_prefix_classes(TwoTag(t))) == 8  # 2/4 of 16
+        assert len(covered_prefix_classes(OneTag(t))) == 4  # 1/4 of 16
+        assert len(covered_prefix_classes(TwoTag(t))) == 8  # 2/4 of 16
     # >= 10^7-word fuzz per preset: empirical immediate fraction within 1e-3
     n = 10_000_000
     words = splitmix64_block(2024, 0, n)

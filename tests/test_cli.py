@@ -1,12 +1,14 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from tagbench import batch, kernels
 from tagbench.bench import CSV_COLUMNS
 from tagbench.cli import main
 
-from _frozen import COVERAGE_LINES_64, KERNELS
+from _frozen import COVERAGE_LINES_32, COVERAGE_LINES_64, COVERAGE_OUTPUT_SHA256, KERNELS
 
 
 def invoke(args):
@@ -14,18 +16,25 @@ def invoke(args):
 
 
 def test_coverage_text_64():
-    r = invoke(["coverage", "--scheme", "st1"])
-    assert r.exit_code == 0
-    assert r.output.splitlines() == COVERAGE_LINES_64["st1"]
+    for scheme, want in COVERAGE_LINES_64.items():
+        r = invoke(["coverage", "--scheme", scheme])
+        assert r.exit_code == 0, scheme
+        assert r.output.splitlines() == want, scheme
 
 
 def test_coverage_text_32():
-    r = invoke(["coverage", "--scheme", "one", "--bits", "32"])
+    for scheme, want in COVERAGE_LINES_32.items():
+        r = invoke(["coverage", "--scheme", scheme, "--bits", "32"])
+        assert r.exit_code == 0, scheme
+        assert r.output.splitlines() == want, scheme
+
+
+@pytest.mark.parametrize("scheme,bits,fmt", list(COVERAGE_OUTPUT_SHA256))
+def test_coverage_output_is_pinned(scheme, bits, fmt):
+    r = invoke(["coverage", "--scheme", scheme, "--bits", bits, "--format", fmt])
     assert r.exit_code == 0
-    lines = r.output.splitlines()
-    assert len(lines) == 3
-    assert lines[0] == "0 .. 3.9e-34"
-    assert lines[-1].endswith("Inf/NaN")
+    digest = hashlib.sha256(r.output.encode()).hexdigest()
+    assert digest == COVERAGE_OUTPUT_SHA256[(scheme, bits, fmt)]
 
 
 def test_coverage_csv():
@@ -85,6 +94,18 @@ def test_bench_scheme_all(tmp_path):
     assert sums == {KERNELS["fibfp"]["checksum_hex"]}
 
 
+def test_bench_failed_cell_exits_1(monkeypatch, tmp_path):
+    def fail(spec, rt):
+        raise RuntimeError("cell broke")
+
+    monkeypatch.setattr(kernels, "run", fail)
+    out = tmp_path / "rows.csv"
+    r = invoke(["bench", "--kernel", "fibfp", "--scheme", "st1", "--out", str(out)])
+    assert r.exit_code == 1
+    assert r.stderr == "FAILED fibfp/st1 rep 1: RuntimeError: cell broke\n"
+    assert out.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+
+
 def test_bench_rejects_unknown_names():
     assert invoke(["bench", "--kernel", "nope"]).exit_code == 2
     assert invoke(["bench", "--kernel", "fibfp", "--scheme", "nope"]).exit_code == 2
@@ -123,3 +144,10 @@ def test_fuzz_clean_run():
 
 def test_fuzz_rejects_boxed():
     assert invoke(["fuzz", "--scheme", "boxed", "--n", "10"]).exit_code == 2
+
+
+def test_fuzz_mismatch_exits_1(monkeypatch):
+    monkeypatch.setattr(batch, "st_roundtrip_mismatches", lambda config, n, seed: 1)
+    r = invoke(["fuzz", "--scheme", "st3", "--n", "1000"])
+    assert r.exit_code == 1
+    assert r.output == "st3: 1 mismatches in 1000 words\n"

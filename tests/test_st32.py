@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tagbench.schemes import class_bounds, coverage_intervals, covered_prefix_classes
 from tagbench.st32 import (
     M32,
     OneTag,
     TwoTag,
-    class_hi32,
-    class_lo32,
-    st32_coverage,
-    st32_covered_prefix_classes,
     st32_covers,
     st32_tag_set,
     st32_transform,
@@ -24,6 +21,7 @@ from _frozen import COVERED_32, INTERVALS_32
 u32 = st.integers(min_value=0, max_value=M32)
 
 ALL_VARIANTS_32 = [OneTag(t) for t in range(4)] + [TwoTag(t) for t in range(4)]
+KEYED_VARIANTS_32 = [(v, "one" if isinstance(v, OneTag) else "two") for v in ALL_VARIANTS_32]
 
 
 def bits32(x):
@@ -57,20 +55,23 @@ def test_known_transform():
 
 
 def test_covered_classes_match_expected():
-    assert st32_covered_prefix_classes(OneTag(0)) == COVERED_32["one"]
-    assert st32_covered_prefix_classes(TwoTag(0)) == COVERED_32["two"]
+    assert covered_prefix_classes(OneTag(0)) == COVERED_32["one"]
+    assert covered_prefix_classes(TwoTag(0)) == COVERED_32["two"]
 
 
 def test_covered_classes_parameter_invariant():
-    for mk, key in ((OneTag, "one"), (TwoTag, "two")):
-        for t in range(4):
-            assert st32_covered_prefix_classes(mk(t)) == COVERED_32[key], (key, t)
+    # the shared transform-free class predicate against st32_covers, the
+    # transform's own tag test, on each class's representative
+    for v, key in KEYED_VARIANTS_32:
+        covered = covered_prefix_classes(v)
+        assert covered == COVERED_32[key], v
+        assert covered == {p for p in range(16) if st32_covers(p << 27, v)}, v
 
 
 @given(u32)
 def test_covers_is_prefix_class_membership(w):
-    for v, key in ((OneTag(0), "one"), (TwoTag(0), "two")):
-        assert st32_covers(w, v) == (((w >> 27) & 15) in COVERED_32[key])
+    for v, key in KEYED_VARIANTS_32:
+        assert st32_covers(w, v) == (((w >> 27) & 15) in COVERED_32[key]), v
 
 
 @given(u32)
@@ -81,7 +82,7 @@ def test_covers_agrees_with_transform_tag(w):
 
 def test_coverage_intervals_exact():
     for v, key in ((OneTag(0), "one"), (TwoTag(0), "two")):
-        got = st32_coverage(v)
+        got = coverage_intervals(v)
         assert [(iv.lo, iv.hi) for iv in got] == INTERVALS_32[key]
         assert got[0].includes_zero
         assert got[-1].includes_inf_nan
@@ -89,17 +90,19 @@ def test_coverage_intervals_exact():
 
 
 def test_class_bounds():
-    assert class_lo32(0) == 0.0
-    assert class_lo32(8) == 2.0
-    assert class_hi32(8) == 131072.0
-    assert math.isinf(class_hi32(15))
+    bounds = class_bounds(OneTag(0))
+    assert len(bounds) == 17
+    assert bounds[0] == 0.0
+    assert bounds[8] == 2.0
+    assert bounds[9] == 131072.0
+    assert math.isinf(bounds[16])
     assert bits32(2.0) >> 27 == 8
     assert bits32(1.0) >> 27 == 7
 
 
 def test_coverage_spans_are_sound():
     for v in ALL_VARIANTS_32:
-        for iv in st32_coverage(v):
+        for iv in coverage_intervals(v):
             lo = iv.lo if iv.lo else 0.0
             assert st32_covers(bits32(lo), v)
             if math.isinf(iv.hi):
