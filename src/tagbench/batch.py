@@ -26,7 +26,11 @@ nun, two 32-bit variants; median of 5 on a 2-vCPU x86-64 VM with 2 MiB
 of L2 per core, before the mirrors were merged) took 0.69 s at 2^12 words per block, 0.44 s at 2^13, 0.34 s at
 2^14, 0.38 s at 2^15 and 0.58 s at 2^16. The generator that made an
 arange and eleven temporaries per block took 0.78, 0.54, 0.42, 0.46 and
-0.76 s in the same run (BENCH_7.json has its sweep up to 2^20).
+0.76 s in the same run (BENCH_7.json has its sweep up to 2^20). That
+sweep ran without perfbench's numpy probe, whose 8 MiB arrays raise
+glibc's dynamic mmap threshold so that temporaries above 128 KiB stop
+being mmapped, and inside a perfbench run 3*2^13 and 2^15 words per
+block cost the same as 2^14 within noise.
 
 Every roundtrip driver spot-checks lanes against its scalar reference
 (schemes.st_transform, nan_box_float, nun_box_float, st32.st32_transform)

@@ -14,11 +14,21 @@ bits (or the low mantissa bits, for the mantissa variant), so coverage is
 also exposed analytically as prefix-class intervals. The class functions
 take a SchemeConfig or a 32-bit st32 variant and read the word's geometry
 from its class constants: EXP_BITS exponent bits, whose top PREFIX_BITS
-name a prefix class, and TAG_MASK, the mask of the low tag."""
+name a prefix class, and TAG_MASK, the mask of the low tag.
+
+A config derives its constants once, at construction (derive_constants):
+the transform_terms triple, the tag_set mask of the tags that mark
+immediates and the class_mask of covered prefix classes, built from
+_class_covered alone. They are plain instance values, not cached
+properties: a cached_property stores through the instance __dict__, which
+on CPython 3.11 turns the inline attribute values into a dict and slows
+every later attribute read of that config. 3.11 specialises a read only
+for names the class does not define, so tag_set and class_mask are None
+where they do not apply; transform_terms keeps a class-level fallback,
+because reading it on a config that is not self-tagging must raise."""
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .words import M64, tag_set_mask
 
@@ -47,6 +57,18 @@ _ROT4_E3 = {
     FOUR_TAG: (0, 3, 4, 7),
 }
 
+
+class _NoTransform:
+    """SchemeConfig.transform_terms where derive_constants set none: a
+    non-data descriptor, so a self-tagging config's instance value
+    shadows it, and reading it on any other config raises."""
+
+    def __get__(self, config, owner=None):
+        if config is None:
+            return self
+        raise ValueError("not a self-tagging variant: %r" % (config.variant,))
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """One encoding scheme plus its parameters.
@@ -55,6 +77,12 @@ class SchemeConfig:
     offset shifts the rotation family's tag set; heap_float_tag is the
     tag put on heap-float handles, or None for the generic-pointer
     layout (type code in the cell header, handle tagged GENERIC_TAG).
+
+    __post_init__ also sets tag_set, class_mask and, on self-tagging
+    configs, transform_terms; dataclasses.replace derives them again, and
+    ==, hash and repr ignore them, as they are not fields. tag_set is None
+    where the variant is not self-tagging, class_mask there and under
+    mantissa.
     """
 
     name: str
@@ -64,6 +92,8 @@ class SchemeConfig:
     heap_float_tag: int | None = None
 
     EXP_BITS, PREFIX_BITS, TAG_MASK = 11, 5, 7  # the word's geometry
+
+    transform_terms = _NoTransform()
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -75,42 +105,69 @@ class SchemeConfig:
         if self.heap_float_tag is not None and not 0 <= self.heap_float_tag <= 7:
             raise ValueError("heap float tag out of [0, 7]: %r" % (self.heap_float_tag,))
         if self.variant in SELF_TAG_VARIANTS:
-            mask = self_tag_set(self)
+            derive_constants(self, _transform_terms(self))
+            mask = self.tag_set
             ht = handle_tag(self)
             if (mask >> ht) & 1:
                 raise ValueError(
                     "heap handle tag %d collides with the self-tag set 0x%02x" % (ht, mask)
                 )
-
-    @cached_property
-    def transform_terms(self):
-        """(bias, r, offset): st_transform is rotl64(bits + bias, r) + offset.
-        The one place a variant's transform arithmetic is decided;
-        _class_covered checks it independently."""
-        v = self.variant
-        if v == ONE_TAG:
-            return (1 + 2 * self.tag) << 58, 5, 0
-        if v == TWO_TAG_BIASED:
-            return (2 * self.tag) << 58, 5, 0
-        if v in ROT4_VARIANTS:
-            return 0, 4, self.offset
-        if v == MANTISSA:
-            return 0, 0, 0
-        raise ValueError("not a self-tagging variant: %r" % (v,))
+        else:
+            object.__setattr__(self, "tag_set", None)
+            object.__setattr__(self, "class_mask", None)
 
 
-def self_tag_set(config):
-    """8-bit membership mask of the tags that mark immediate floats."""
+def _transform_terms(config):
+    """(bias, r, offset): st_transform is rotl64(bits + bias, r) + offset.
+    The one place a 64-bit variant's transform arithmetic is decided;
+    _class_covered checks it independently."""
+    v = config.variant
+    if v == ONE_TAG:
+        return (1 + 2 * config.tag) << 58, 5, 0
+    if v == TWO_TAG_BIASED:
+        return (2 * config.tag) << 58, 5, 0
+    if v in ROT4_VARIANTS:
+        return 0, 4, config.offset
+    return 0, 0, 0  # MANTISSA
+
+
+def _tag_set(config):
+    # one rule for both word widths: the one-tag and biased two-tag sets
+    # wrap within config.TAG_MASK; rot4 and mantissa are 64-bit only
     v = config.variant
     if v in ROT4_VARIANTS:
         return tag_set_mask((t + config.offset) % 8 for t in _ROT4_E3[v])
-    if v == ONE_TAG:
-        return tag_set_mask((config.tag,))
-    if v == TWO_TAG_BIASED:
-        return tag_set_mask((config.tag, (config.tag - 1) % 8))
     if v == MANTISSA:
         return tag_set_mask((0, 4))
-    raise ValueError("not a self-tagging variant: %r" % (v,))
+    t = config.tag
+    if v == ONE_TAG:
+        return tag_set_mask((t,))
+    return tag_set_mask((t, (t - 1) & config.TAG_MASK))  # TWO_TAG_BIASED
+
+
+def derive_constants(config, transform_terms):
+    """Store a self-tagging config's derived constants on it:
+    transform_terms, tag_set and class_mask (bit p set when prefix class p
+    is kept immediate; None for mantissa). Called once from __post_init__
+    by SchemeConfig and the st32 variants; they are frozen, hence
+    object.__setattr__."""
+    put = object.__setattr__
+    put(config, "transform_terms", transform_terms)
+    put(config, "tag_set", _tag_set(config))
+    mask = None
+    if config.variant != MANTISSA:
+        classes = range(1 << config.PREFIX_BITS)
+        mask = sum(1 << p for p in classes if _class_covered(config, p))
+    put(config, "class_mask", mask)
+
+
+def self_tag_set(config):
+    """Membership mask of the tags that mark immediate floats (bit t for
+    tag t), for a SchemeConfig or a 32-bit st32 variant."""
+    mask = config.tag_set
+    if mask is None:
+        raise ValueError("not a self-tagging variant: %r" % (config.variant,))
+    return mask
 
 
 def handle_tag(config):
@@ -172,19 +229,30 @@ def _class_covered(config, p):
     raise ValueError("coverage is not prefix-shaped for %r" % (v,))
 
 
+def _not_prefix_shaped(config):
+    return ValueError("coverage is not prefix-shaped for %r" % (config.variant,))
+
+
 def covers(config, bits):
     """Independent immediate-representability predicate: inspects the
     designated exponent (or mantissa) bits only, never st_transform, so
-    the two can be cross-checked against each other."""
-    if config.variant == MANTISSA:
+    the two can be cross-checked against each other. For the exponent
+    variants it is one test of the class_mask bit of the word's prefix."""
+    mask = config.class_mask
+    if mask is None:
+        if config.variant != MANTISSA:
+            raise _not_prefix_shaped(config)
         return bits & 3 == 0
-    return _class_covered(config, (bits >> 58) & 0x1F)
+    return (mask >> ((bits >> 58) & 0x1F)) & 1 == 1
 
 
 def covered_prefix_classes(config):
     """The set of exponent prefixes (config.PREFIX_BITS bits) kept
     immediate."""
-    return frozenset(p for p in range(1 << config.PREFIX_BITS) if _class_covered(config, p))
+    mask = config.class_mask
+    if mask is None:
+        raise _not_prefix_shaped(config)
+    return frozenset(p for p in range(1 << config.PREFIX_BITS) if (mask >> p) & 1)
 
 
 def class_bounds(config):

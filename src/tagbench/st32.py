@@ -10,15 +10,19 @@ module only answers representation questions about the transform.
 
 Coverage lives in schemes, which reads a 32-bit word's geometry (8
 exponent bits, 4-bit prefix classes, 2-bit tags) from OneTag and TwoTag.
+Like a SchemeConfig, each variant derives its constants once, in
+__post_init__ through schemes.derive_constants: transform_terms,
+tag_set (one tag-set rule serves both word widths) and class_mask. They
+are plain instance values rather than cached properties, so attribute
+reads of a variant stay on CPython's inline-value fast path.
 st32_covers decides from the transform's tag, not from schemes'
 transform-free class predicate, so it is that predicate's independent
 check (test_covered_classes_parameter_invariant, all eight variants);
 the offline 2^32 sweep checks the roundtrip."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .schemes import ONE_TAG, TWO_TAG_BIASED
+from .schemes import ONE_TAG, TWO_TAG_BIASED, derive_constants
 from .words import M32
 
 
@@ -34,11 +38,8 @@ class OneTag(_Word32):
     def __post_init__(self):
         if not 0 <= self.tag <= 3:
             raise ValueError("tag out of [0, 3]: %r" % (self.tag,))
-
-    @cached_property
-    def transform_terms(self):
-        """(bias, r, offset): st32_transform is rotl32(bits + bias, r) + offset."""
-        return (1 + 2 * self.tag) << 27, 4, 0
+        # st32_transform is rotl32(bits + bias, r) + offset over (bias, r, offset)
+        derive_constants(self, ((1 + 2 * self.tag) << 27, 4, 0))
 
 
 @dataclass(frozen=True)
@@ -50,20 +51,15 @@ class TwoTag(_Word32):
     def __post_init__(self):
         if not 0 <= self.tag1 <= 3:
             raise ValueError("tag1 out of [0, 3]: %r" % (self.tag1,))
-
-    @cached_property
-    def transform_terms(self):
-        """(bias, r, offset): st32_transform is rotl32(bits + bias, r) + offset."""
-        return (2 * self.tag1) << 27, 4, 0
+        derive_constants(self, ((2 * self.tag1) << 27, 4, 0))
 
 
 def st32_tag_set(variant):
-    """The 2-bit tags immediates carry under the variant."""
-    if isinstance(variant, OneTag):
-        return frozenset((variant.tag,))
-    if isinstance(variant, TwoTag):
-        return frozenset((variant.tag1, (variant.tag1 - 1) % 4))
-    raise TypeError("not a 32-bit variant: %r" % (variant,))
+    """The 2-bit tags immediates carry under the variant: the bits of its
+    tag_set mask."""
+    if not isinstance(variant, _Word32):
+        raise TypeError("not a 32-bit variant: %r" % (variant,))
+    return frozenset(t for t in range(4) if (variant.tag_set >> t) & 1)
 
 
 def st32_transform(bits, variant):

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+from functools import cached_property
 from itertools import islice
 
 import pytest
@@ -19,10 +21,12 @@ from tagbench.schemes import (
     PRESETS,
     ROT4_VARIANTS,
     SELF_TAG_PRESETS,
+    SELF_TAG_VARIANTS,
     THREE_TAG,
     TWO_TAG_BIASED,
     CoverageInterval,
     SchemeConfig,
+    _class_covered,
     coverage_intervals,
     covered_prefix_classes,
     covers,
@@ -38,6 +42,7 @@ from tagbench.words import M64, QNAN_64, float_to_bits
 
 from _frozen import COVERED_64, INTERVALS_64, ONE_BITS, PI_BITS, ST_EXAMPLES, TRANSFORM_WORDS_SHA256
 from _words import boundary_words32, boundary_words64
+from test_runtime import valid_configs
 
 u64 = st.integers(min_value=0, max_value=M64)
 
@@ -135,6 +140,76 @@ def test_covered_classes_parameter_invariant():
         assert len(rot4) == 8
         classes = {covered_prefix_classes(c) for c in rot4}
         assert len(classes) == 1, variant
+
+
+def test_class_mask_matches_class_covered_over_every_config():
+    # the stored mask bit by bit against the predicate it is built from,
+    # and against the transform's own tag on each class representative
+    exponent = [c for c in valid_configs() if c.variant in SELF_TAG_VARIANTS - {MANTISSA}]
+    assert len(exponent) == 2016
+    for cfg in exponent:
+        for p in range(32):
+            bit = (cfg.class_mask >> p) & 1 == 1
+            assert bit == _class_covered(cfg, p), (cfg, p)
+            assert bit == tag_in_set(st_transform(p << 58, cfg), cfg), (cfg, p)
+    for v in [*map(OneTag, range(4)), *map(TwoTag, range(4))]:
+        for p in range(16):
+            bit = (v.class_mask >> p) & 1 == 1
+            assert bit == _class_covered(v, p), (v, p)
+            assert bit == (self_tag_set(v) >> (st32_transform(p << 27, v) & 3)) & 1, (v, p)
+
+
+def test_derived_constants_follow_the_fields_only():
+    # dataclasses.replace derives again: a config moved onto another's
+    # fields carries that config's values, which differ from its own
+    derived = ("transform_terms", "tag_set", "class_mask")
+    firsts = {}
+    for cfg in PARAM_CONFIGS:
+        first = firsts.setdefault(cfg.variant, cfg)
+        moved = dataclasses.replace(
+            first, tag=cfg.tag, offset=cfg.offset, heap_float_tag=cfg.heap_float_tag
+        )
+        for name in derived:
+            assert getattr(moved, name) == getattr(cfg, name), (cfg, name)
+    for t in range(4):
+        for moved, fresh in (
+            (dataclasses.replace(OneTag(0), tag=t), OneTag(t)),
+            (dataclasses.replace(TwoTag(0), tag1=t), TwoTag(t)),
+        ):
+            for name in derived:
+                assert getattr(moved, name) == getattr(fresh, name), (fresh, name)
+    # equality, hashing and repr see the fields alone
+    st1 = PRESETS["st1"]
+    twin = dataclasses.replace(st1)
+    for name in derived:
+        object.__setattr__(twin, name, None)
+    assert twin == st1 and hash(twin) == hash(st1) and repr(twin) == repr(st1)
+    assert [f.name for f in dataclasses.fields(st1)] == [
+        "name", "variant", "tag", "offset", "heap_float_tag"
+    ]
+    assert repr(OneTag(1)) == "OneTag(tag=1)" and repr(TwoTag(2)) == "TwoTag(tag1=2)"
+    for cls in (SchemeConfig, OneTag, TwoTag):
+        assert not any(isinstance(a, cached_property) for a in vars(cls).values()), cls
+
+
+@pytest.mark.parametrize("name", ["boxed", "nanbox", "nunbox"])
+def test_non_self_tagging_configs_keep_their_errors(name):
+    cfg = PRESETS[name]
+    with pytest.raises(ValueError, match="coverage is not prefix-shaped for %r" % cfg.variant):
+        covers(cfg, ONE_BITS)
+    with pytest.raises(ValueError, match="coverage is not prefix-shaped"):
+        covered_prefix_classes(cfg)
+    with pytest.raises(ValueError, match="not a self-tagging variant: %r" % cfg.variant):
+        cfg.transform_terms
+    with pytest.raises(ValueError, match="not a self-tagging variant"):
+        self_tag_set(cfg)
+
+
+def test_covers_returns_a_bool():
+    words = [int(w) for w in boundary_words64()] + list(islice(splitmix64(5), 64))
+    for name in SELF_TAG_PRESETS:
+        cfg = PRESETS[name]
+        assert all(type(covers(cfg, b)) is bool for b in words), name
 
 
 def test_mask_sizes():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tagbench.schemes import class_bounds, coverage_intervals, covered_prefix_classes
+from tagbench.schemes import (
+    PRESETS,
+    class_bounds,
+    coverage_intervals,
+    covered_prefix_classes,
+    self_tag_set,
+)
 from tagbench.st32 import (
     M32,
     OneTag,
@@ -41,6 +47,15 @@ def test_tag_sets():
     assert st32_tag_set(OneTag(3)) == frozenset({3})
     assert st32_tag_set(TwoTag(0)) == frozenset({0, 3})
     assert st32_tag_set(TwoTag(2)) == frozenset({2, 1})
+    for v in ALL_VARIANTS_32:
+        # one tag-set rule for both word widths: the 32-bit set is the
+        # bits of the mask schemes.self_tag_set reads
+        tags = st32_tag_set(v)
+        assert type(tags) is frozenset
+        assert tags == {t for t in range(8) if (self_tag_set(v) >> t) & 1}, v
+    for other in (PRESETS["st1"], PRESETS["st2biased"], None):
+        with pytest.raises(TypeError, match="not a 32-bit variant"):
+            st32_tag_set(other)
 
 
 @given(u32)
