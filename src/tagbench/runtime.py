@@ -5,69 +5,77 @@ interpreter would have: box/unbox floats, fixnum construction, union type
 tests, and generic arithmetic that dispatches on the operand
 representations.
 
-The float and fixnum operations of every scheme are closures generated
-from one source, _SOURCE, which holds the heap fallback, the fixnum
-arithmetic and the counters once. The families (rot5: st1, st2biased;
-rot4: st2zeros, st3, st4; mantissa; boxed; nanbox; nunbox) differ only in
-seven forms, substituted into the source text before it is compiled:
-HIT(bits), true when float bits get an immediate word that decodes back
-to them; IMM(w), true when word w is an immediate float; DEC(w), the
-float bits of an immediate word; ENC(bits), the immediate word for float
-bits that pass HIT; FIX(w), true when word w is a fixnum; FDEC(w), the
-value of a fixnum word; FENC(v), the fixnum word for value v. Five
-constants are substituted with them. HAS_IMM, derived from a constant
-HIT, folds the immediate path away (boxed, HIT False, has none). CANON
-is the one word of the NaNs that NaN and NuN boxing collapse, the floats
-their HIT rejects; HAS_MISS, false only for those two families, folds
-the miss path away (they never reach the heap and count nothing). HOOKED,
-whether the Runtime has a profile hook, folds the hook calls away when
-it has none; and ZEROS, true only for st2zeros, folds away the other
-families' +-0 test on a miss. Module constants (M64, the error messages
-and the like) go in as literals. Each float operand of the generic
-operations is fetched by one chain of tests, FLOAT (see the operand
-slots below), expanded with the forms. A miss ends in the heap's
-allocation step, the source form heap.ALLOC, expanded inline. Each
-(family, HOOKED, ZEROS) source is compiled once per process and cached
-(_builder). Each Runtime runs a copy of that code (_fresh) in a namespace
-of its own, whose globals are its scheme constants (dt, et, k, ht, fxt,
-lo, hi, pz_pos, pz_neg, hook, mq, md, memo) and the names ALLOC reads
-(heap, payload, capacity, cost, tag; SimHeap.alloc_names), and calls
-build() there; the copy keeps the inline caches that CPython fills for
-one Runtime's globals away from every other Runtime's. So the
-per-operation cost is flat: the forms are inline, with no per-operation
-call, nothing is looked up that could have been bound once, and the
-closure cells, which a call copies into its frame, hold only what
-changes: the counters, the operand slots, and make_arith's fop and iop.
+One source, six family records. The float and fixnum operations of every
+scheme are closures generated from one source, _SOURCE, which holds the
+heap fallback, the fixnum arithmetic and the counters once. The schemes
+fall into six families (rot5: st1, st2biased; rot4: st2zeros, st3, st4;
+mantissa; boxed; nanbox; nunbox), and each family's one record in
+_FAMILIES holds every decision that sets it apart: the variants it
+serves, its forms, the classes of its codec tables, whether it keeps a
+decode memo, its CANON word and its fixnum range. The seven forms are
+substituted into the source text before it is compiled: HIT(bits), true
+when float bits get an immediate word that decodes back to them; IMM(w),
+true when word w is an immediate float; DEC(w), the float bits of an
+immediate word; ENC(bits), the immediate word for float bits that pass
+HIT; FIX(w), true when word w is a fixnum; FDEC(w), the value of a fixnum
+word; FENC(v), the fixnum word for value v. Five constants go in with
+them. HAS_IMM, derived from a constant HIT, folds the immediate path away
+(boxed, HIT False, has none). CANON is the one word of the NaNs that NaN
+and NuN boxing collapse, the floats their HIT rejects; HAS_MISS, false
+exactly for the families with a CANON, folds the miss path away (they
+never reach the heap and count nothing). HOOKED, whether the Runtime has a
+profile hook, folds the hook calls away when it has none; and ZEROS, true
+only for st2zeros, folds away the other families' +-0 test on a miss.
+Module constants (M64, the error messages and the like) go in as
+literals. Three blocks are expanded inline by one pattern, each written
+once: MISS, the miss path of box and the generic re-box; FLOAT(w, x), the
+chain of tests that binds x to the float of a generic operand w; and
+ALLOC(w, x), the heap's allocation step (heap.ALLOC), which stores x in a
+new cell whose handle is w, at the end of MISS.
+
+Each (family, HOOKED, ZEROS) source is compiled once per process
+(_builder), and every Runtime of that key runs the one code object: it
+executes it in a namespace of its own, whose globals are the values the
+Runtime binds once (its codec tables, ranges, tags, zero cells, hook,
+buffer views and memo, and the names ALLOC reads, SimHeap.alloc_names),
+and calls build() there. The closure cells, which a call copies into its
+frame, hold only what changes: the counters, the operand slots, and
+make_arith's fop and iop. So the per-operation cost is flat: the forms are
+inline, with no per-operation call, and nothing is looked up that could
+have been bound once. CPython specialises a global read for one globals
+dict, so runtimes of one key used in alternation re-specialise the code
+they share (about 5% per memo-path call, BENCH_23); no benchmark
+alternates them, and a copy of the code per Runtime measured no faster
+on any of them.
 
 The counters belong to the Runtime: they are closure cells of the
-builder (n, the box events; slow, the slow-path encodes; flips; last,
-the event number of the last miss; zhits, the st2zeros encodes served by
-the preallocated zero cells), read and zeroed through its counts() and
-reset(). A box event that stays immediate only adds one to n. A miss
-adds one to slow and records its event number in last; when the event
-before it was not a miss, the outcome flipped once (a leading run of
-hits) or twice (a miss, hits, this miss) since the previous miss. The
-flip back to hits after the last miss is added when the counters are
-read: flips + (0 < last < n). So flips are derived from the misses alone,
-and the hit path does no bookkeeping beyond n.
+builder, read and zeroed through its counts() and reset(). A box event
+that stays immediate only adds one to n. A miss adds one to slow and
+records its event number in last; when the event before it was not a
+miss, the outcome flipped once (a leading run of hits) or twice (a miss,
+hits, this miss) since the previous miss. The flip back to hits after the
+last miss is added when the counters are read: flips + (0 < last < n). So
+flips are derived from the misses alone, and the hit path does no
+bookkeeping beyond n.
 
 The rot5 and rot4 forms are table lookups, not rotations. Self-tagging
 moves only the top bits of a float (sign and exponent prefix, 6 bits for
 rot5 and 4 for rot4) into the tag and shifts the rest unchanged, so
 which floats stay immediate, and what the moved bits become, depends
 only on that prefix; on the way back, what the top bits become depends
-only on the low word field (5 or 4 bits). Each Runtime builds two small
-tables for its config (_codec_tables): et[prefix] for encoding and
-dt[low field] for decoding, with None at the entries that are not
-immediate. Their entries are schemes.st_transform and
-schemes.st_untransform evaluated at one representative per class, so the
-reference transforms define the codec and the runtime does not restate
-them. The tag test is the lookup itself: IMM binds d = dt[w & 31] (rot4:
-w & 15) and DEC adds it to the shifted word; HIT binds e = et[bits >> 58]
-(rot4: >> 60) and ENC subtracts it from the shifted bits. The re-box in
-box_float and in the generic operations tests HIT on the float bits
-first and builds the word only on a hit, so a miss goes to the heap
-without paying for an encode.
+only on the low word field (5 or 4 bits). The family record's classes
+hold that geometry, the prefix's shift and the low field's width, and
+each Runtime builds two small tables from it for its config
+(_codec_tables): et[prefix] for encoding and dt[low field] for decoding,
+with None at the entries that are not immediate. Their entries are
+schemes.st_transform and schemes.st_untransform evaluated at one
+representative per class, so the reference transforms define the codec
+and the runtime does not restate them. The tag test is the lookup
+itself: IMM binds d = dt[w & 31] (rot4: w & 15) and DEC adds it to the
+shifted word; HIT binds e = et[bits >> 58] (rot4: >> 60) and ENC
+subtracts it from the shifted bits. The re-box in box_float and in the
+generic operations tests HIT on the float bits first and builds the word
+only on a hit, so a miss goes to the heap without paying for an encode.
 
 Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
@@ -92,23 +100,25 @@ first: a kernel passes back the very int a box returned, and no float can
 pass for a word (1.0 == 1, but 1.0 is not 1). Under boxed every float
 operand is a handle, and under mantissa over half are in mbrot, fft and
 pnpoly; a slot spares them the handle test and the arena read, which
-makes a new float. The table families and NaN and NuN boxing also keep a
-memo, a dict from word to float, and FLOAT looks an operand up there
-next, before IMM. Most operands outside the slots are a kernel's
-constants, used again and again, so a hit skips the tag test and the
-decode, which under NaN and NuN boxing is also a store into the buffer
-and a load from it. A hit evaluates w >> 128, 0 for a word, so that a
-float equal to a memo word raises TypeError. A miss goes on to IMM, the
-range test and the decode, and stores the word in the memo, which is
-cleared once it holds MEMO_BOUND words. Mantissa keeps no memo: over half
-of its float operands in mbrot, fft and pnpoly are heap handles, which
-would pay the lookup for nothing, and a memo read before IMM or after it
-measured slower on those kernels (BENCH_19). Slots and memo hold the
-float a decode or the arena gives for word w, so they change no word,
-counter or hook call, and they survive reset(). NaN and NuN boxing
-collapse the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN) into the
-one word CANON, which never enters a slot, since its slot float would
-keep a payload that decoding loses, and the bits a profile hook sees
+makes a new float. The families whose record has memo set (the table
+families, NaN and NuN boxing) also keep a memo, a dict from word to float,
+and FLOAT looks an operand up there next, before IMM. Most operands
+outside the slots are a kernel's constants, used again and again, so a
+hit skips the tag test and the decode, which under NaN and NuN boxing is
+also a store into the buffer and a load from it. A hit evaluates
+w >> 128: for an int word that is 0, which CPython returns for a shift
+past every digit without computing one (~w, say, allocates), and for a
+float equal to a memo word it raises TypeError, as floats have no >>. A
+miss goes on to IMM, the range test and the decode, and stores the word
+in the memo, which is cleared once it holds MEMO_BOUND words. Mantissa
+keeps no memo: over half of its float operands in mbrot, fft and pnpoly
+are heap handles, which would pay the lookup for nothing, and a memo read
+before IMM or after it measured slower on those kernels (BENCH_19). Slots
+and memo hold the float a decode or the arena gives for word w, so they
+change no word, counter or hook call, and they survive reset(). NaN and
+NuN boxing collapse the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN)
+into the one word CANON, which never enters a slot, since its slot float
+would keep a payload that decoding loses, and the bits a profile hook sees
 would change; the memo holds CANON's decoded float like any other word's.
 Filling a slot counts no box event under those two. The slots start at a
 fresh object(). A slot holds a float object, not a view of the buffer, so
@@ -117,14 +127,18 @@ the buffer rule holds.
 The memo families reject a decoded operand outside [0, 2**64) before
 decoding it (_MEMO), since the table families' DEC maps any int to float
 bits; a slot or memo word is in range. Mantissa rejects such a word in
-IMM or in the buffer store. Those are the operands FLOAT rejects as
-non-words: floats and ints outside [0, 2**64). No operand type is checked,
-which every operation would pay for: a bool is taken for its int; a numpy
-integer is taken for the float word it equals, or raises OverflowError
-where numpy will not combine it with a Python int of 64 bits or more (the
-handle test's mask 2**64 | 7, the range bound M64), and as a fixnum it is
-computed in numpy's fixed-width arithmetic, which wraps and divides by
-zero without raising.
+IMM or in the buffer store. A generic operand is a heap handle when
+w & ((1 << 64) | 7) == ht: every negative word has bit 64 set and fails,
+where w & 7 would let it index the arena from its end; a word of 2**65 or
+more indexes past the arena, and the IndexError becomes a TypeError.
+Families without a heap have ht -1, which no masked word equals. Those
+are the operands FLOAT rejects as non-words: floats and ints outside
+[0, 2**64). No operand type is checked, which every operation would pay
+for: a bool is taken for its int; a numpy integer is taken for the float
+word it equals, or raises OverflowError where numpy will not combine it
+with a Python int of 64 bits or more (the handle test's mask 2**64 | 7,
+the range bound M64), and as a fixnum it is computed in numpy's
+fixed-width arithmetic, which wraps and divides by zero without raising.
 
 Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - tagged: rot5, rot4, mantissa and boxed use the 61-bit two's-complement
@@ -137,8 +151,8 @@ Fixnum placement per scheme, three sets of FIX/FDEC/FENC forms:
   - NuN prefix: NuN boxing keeps the 000-tagged word but only where the top
     16 bits stay in the reserved non-float classes (all zeros or all ones),
     narrowing the range to 46 bits.
-The builder takes the range as lo and hi; box_fixnum and every fixnum
-result are checked against it.
+The family record's fixnums give the range, bound as lo and hi;
+box_fixnum and every fixnum result are checked against it.
 """
 
 import re
@@ -146,7 +160,7 @@ from dataclasses import replace
 from functools import cache
 from operator import add, floordiv, mul, sub
 from textwrap import indent
-from types import CodeType
+from typing import NamedTuple
 
 from .heap import ALLOC, SimHeap
 from .schemes import (
@@ -185,42 +199,20 @@ _TYPE_ERR = "mixed or non-numeric operands"
 _RANGE_ERR = "float bits out of [0, 2**64): %r"
 
 
-# The closure source. n, slow, flips and last are the Runtime's counters
-# (box events, slow-path encodes, flips finalised so far, the event number
-# of the last miss), and zhits counts the slow-path encodes that st2zeros
-# served from its preallocated zero cells; counts() reads them, with the
-# pending flip back to hits added and the misses that went to the heap
-# derived, and reset() zeroes them. MISS marks a miss: its bookkeeping,
-# the heap cell or zero cell it returns and the slot store, written once in
-# _MISS and expanded inline in box and the re-box, with the heap's
-# allocation step (heap.ALLOC) expanded inline in it.
-# Four constants are derived, never set: HAS_IMM is False only for the
-# boxed family, whose HIT and IMM are the constant False, so the compiler
-# drops every immediate branch and a boxed re-box converts its result to
-# bits only for the hook; HAS_MISS is False only for nanbox and nunbox,
-# which have a CANON word (_CANON), so box_float and the re-box skip the box
-# counter and return CANON for every float their HIT rejects, and those
-# runtimes count nothing; HOOKED is whether the Runtime has a profile
-# hook; ZEROS is whether it is st2zeros, the only family whose miss may be
-# a preallocated zero cell.
-# (w1, x1) and (w2, x2) are the operand slots: the last two float words
-# that box_float or a generic re-box returned, newest first, and their
-# floats; they start at an object() that no operand is. Every family fills
-# them, with every word but CANON, and reads them in FLOAT. memo is the
-# Runtime's decode memo, read and filled only by FLOAT in the families
-# that keep one (_MEMO_FAMILIES).
-# The counters, the slots and make_arith's fop and iop are the only
-# closure cells; every other name the closures read is a global of the
-# Runtime's own namespace (Runtime._compile).
-# A generic operand is a heap handle when w & ((1 << 64) | 7) == ht: every
-# negative word has bit 64 set and fails, where w & 7 would let it index
-# the arena from its end; a word of 2**65 or more indexes past the arena,
-# and the IndexError becomes a TypeError. Families that never miss have no
-# handles, and their ht is -1, which no masked word equals. A first
-# operand that is neither an immediate float nor a handle must be a
-# fixnum, and so must the second; the fixnum result must lie in [lo, hi].
-# Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros handles
-# them on the slow path, where bits is always bound when ZEROS is true.
+# The names _SOURCE reads. Closure cells: the counters n (box events),
+# slow (slow-path encodes), flips (flips finalised so far), last (the event
+# number of the last miss) and zhits (the slow-path encodes st2zeros served
+# from its zero cells); the operand slots (w1, x1) and (w2, x2), newest
+# first, each a word and its float. Globals of the Runtime's namespace
+# (Runtime._compile): the codec tables dt and et; k, the rot4 offset; ht,
+# the heap-handle tag; fxt, the fixnum tag; lo and hi, the fixnum range;
+# pz_pos and pz_neg, st2zeros' zero cells; hook; mq and md, the buffer's
+# two views; memo; and the names ALLOC reads. Literals: HAS_IMM, HAS_MISS,
+# CANON, HOOKED, ZEROS and _LITERALS. Blocks: MISS, FLOAT(w, x) and, inside
+# MISS, ALLOC(w, x). A first generic operand that is neither an immediate
+# float nor a handle must be a fixnum, and so must the second. Neither +0.0
+# nor -0.0 lands in the rot4 tag set, so st2zeros handles them on the slow
+# path, where bits is always bound when ZEROS is true.
 
 _SOURCE = """
 def build():
@@ -289,7 +281,7 @@ def build():
         def arith(aw, bw):
             nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
             try:
-                FLOAT(xa, aw)
+                FLOAT(aw, xa)
                 else:
                     if not (FIX(aw) and FIX(bw)):
                         raise TypeError(_TYPE_ERR)
@@ -297,7 +289,7 @@ def build():
                     if not lo <= v <= hi:
                         raise OverflowError("fixnum overflow: %d" % v)
                     return FENC(v)
-                FLOAT(xb, bw)
+                FLOAT(bw, xb)
                 else:
                     raise TypeError(_TYPE_ERR)
             except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
@@ -324,12 +316,12 @@ def build():
 
     def less(aw, bw):
         try:
-            FLOAT(xa, aw)
+            FLOAT(aw, xa)
             else:
                 if not (FIX(aw) and FIX(bw)):
                     raise TypeError(_TYPE_ERR)
                 return FDEC(aw) < FDEC(bw)
-            FLOAT(xb, bw)
+            FLOAT(bw, xb)
             else:
                 raise TypeError(_TYPE_ERR)
             return xa < xb
@@ -342,19 +334,12 @@ def build():
     )
 """
 
-# FLOAT(x, w) expands to the tests that bind x to the float of the generic
-# operand w when w is a float word. It ends in an elif, so the else after
-# it in the source takes every other word. {head} opens the chain: the two
-# slot tests (_SLOTS), which take a slot's float without decoding or
-# reading the arena, then, in a family with a memo, the memo lookup
-# (_MEMO_HIT), ahead of the tag test. A memo hit evaluates w >> 128, which
-# raises TypeError for a float equal to a memo word (floats have no >>);
-# for an int word it is 0, which CPython returns for a shift past every
-# digit without computing one (~w, say, allocates).
-# {decode} is _DECODE, or in the memo families _MEMO: a decode that is
-# stored in the memo, after the range test, since the table families' DEC
-# would turn a word outside [0, 2**64) into float bits. Mantissa's IMM or
-# buffer store rejects such a word.
+# FLOAT(w, x) binds x to the float of generic operand w when w is a float
+# word. {head} opens the chain: the two slot tests (_SLOTS), then, in a
+# family with a memo, the memo lookup (_MEMO_HIT). {decode}, after the tag
+# test IMM, is _DECODE, or with a memo _MEMO: the range test, the decode
+# and the memo store. The handle test comes last. The chain ends in an
+# elif, so the else after it in the source takes every other word.
 _FLOAT = """{head}IMM({w}):
 {decode}
 elif {w} & ((1 << 64) | 7) == ht:
@@ -377,12 +362,9 @@ _MEMO = """    if {w} >> 64:
         memo.clear()
     memo[{w}] = {x}"""
 
-# A miss of float r: event n went to the slow path. When event n - 1 was
-# not a miss, the outcome flipped from hits to this miss, and, if an
-# earlier miss exists, from that miss to the hits in between. SIGN_64
-# alone is the -0.0 word. The word returned, a zero cell or a new heap
-# cell, fills slot 1; an allocation that raises MemoryError, after the
-# miss is counted, leaves the slots as they were.
+# MISS: float r, with bits bits, misses. It counts the miss and returns
+# a zero cell (SIGN_64 alone is the -0.0 word) or a new heap cell, whose
+# word fills slot 1.
 _MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
@@ -398,65 +380,87 @@ w1 = w
 x1 = r
 return w"""
 
-# family: its forms. The rot5 and rot4 forms read the tables that
-# _codec_tables builds per Runtime; IMM binds d and HIT binds e for the
-# DEC and ENC that follow them. k is the rot4 offset: DEC subtracts it
-# from the whole word before shifting, because the borrow can cross the
-# nibble boundary (the all-ones NaN encodes below 16 under rot4 and
-# borrows). FIX, FDEC and FENC are the three fixnum layouts of the module
-# docstring; the four families that tag fixnums fxt share _TAGGED_FIX.
+# a block marker and its (word, float) arguments, alone on its line
+_BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC)(?:\((\w+), (\w+)\))?$", re.M)
+
+
+class _Family(NamedTuple):
+    """Every decision that sets a family apart."""
+
+    variants: tuple  # the variants it serves
+    forms: dict  # HIT, IMM, DEC, ENC and the fixnum layout's FIX, FDEC, FENC
+    classes: tuple = None  # table families: (class shift, low field width)
+    memo: bool = False  # whether FLOAT keeps a decode memo
+    canon: int = None  # without a heap: the one word of the NaNs it collapses
+    fixnums: tuple = (FIXNUM_MIN, FIXNUM_MAX)  # the fixnum range
+
+
+# The rot5 and rot4 forms read the tables that _codec_tables builds per
+# Runtime; IMM binds d and HIT binds e for the DEC and ENC that follow
+# them. k is the rot4 offset: DEC subtracts it from the whole word before
+# shifting, because the borrow can cross the nibble boundary (the all-ones
+# NaN encodes below 16 under rot4 and borrows). The four families that tag
+# fixnums fxt share _TAGGED_FIX.
 _TAGGED_FIX = {
     "FIX": "0 <= {0} <= M64 and {0} & 7 == fxt",
     "FDEC": "((({} - fxt) ^ SIGN_64) - SIGN_64) >> 3",
     "FENC": "(({} << 3) & M64) | fxt",
 }
 _FAMILIES = {
-    "rot5": {
-        "HIT": "(e := et[{} >> 58]) is not None",
-        "IMM": "(d := dt[{} & 31]) is not None",
-        "DEC": "(({} >> 5) + d) & M64",
-        "ENC": "({} << 5) - e",
-        **_TAGGED_FIX,
-    },
-    "rot4": {
-        "HIT": "(e := et[{} >> 60]) is not None",
-        "IMM": "(d := dt[{} & 15]) is not None",
-        "DEC": "((({} - k) >> 4) & M60) | d",
-        "ENC": "(({} << 4) - e) & M64",
-        **_TAGGED_FIX,
-    },
-    "mantissa": {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX},
-    "boxed": {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX},
-    "nanbox": {
-        "HIT": "{} < NAN_CANON",
-        "IMM": "{} <= NAN_CANON",
-        "DEC": "{}",
-        "ENC": "{}",
-        "FIX": "NAN_CANON < {0} <= M64 and ({0} >> 48) & 7 == NAN_FIXNUM_TAG",
-        "FDEC": "(({} & NAN_PAYLOAD_MASK) ^ (1 << 47)) - (1 << 47)",
-        "FENC": "{} & NAN_PAYLOAD_MASK | (NAN_CANON | NAN_FIXNUM_TAG << 48)",
-    },
-    "nunbox": {
-        "HIT": "{} < NUN_CANON_MIN",
-        "IMM": "NUN_BIAS <= {} < 0xFFFF << 48",
-        "DEC": "{} - NUN_BIAS",
-        "ENC": "{} + NUN_BIAS",
-        "FIX": "{0} >> 48 in (0, 0xFFFF) and {0} & 7 == 0",
-        "FDEC": "(({} ^ SIGN_64) - SIGN_64) >> 3",
-        "FENC": "({} << 3) & M64",
-    },
+    "rot5": _Family(
+        (ONE_TAG, TWO_TAG_BIASED),
+        {
+            "HIT": "(e := et[{} >> 58]) is not None",
+            "IMM": "(d := dt[{} & 31]) is not None",
+            "DEC": "(({} >> 5) + d) & M64",
+            "ENC": "({} << 5) - e",
+            **_TAGGED_FIX,
+        },
+        classes=(58, 5), memo=True,
+    ),
+    "rot4": _Family(
+        (TWO_TAG_ZEROS, THREE_TAG, FOUR_TAG),
+        {
+            "HIT": "(e := et[{} >> 60]) is not None",
+            "IMM": "(d := dt[{} & 15]) is not None",
+            "DEC": "((({} - k) >> 4) & M60) | d",
+            "ENC": "(({} << 4) - e) & M64",
+            **_TAGGED_FIX,
+        },
+        classes=(60, 4), memo=True,
+    ),
+    "mantissa": _Family(
+        (MANTISSA,), {"HIT": "{} & 3 == 0", "IMM": "{} & 3 == 0", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX}
+    ),
+    "boxed": _Family((BOXED,), {"HIT": "False", "IMM": "False", "DEC": "{}", "ENC": "{}", **_TAGGED_FIX}),
+    "nanbox": _Family(
+        (NANBOX,),
+        {
+            "HIT": "{} < NAN_CANON",
+            "IMM": "{} <= NAN_CANON",
+            "DEC": "{}",
+            "ENC": "{}",
+            "FIX": "NAN_CANON < {0} <= M64 and ({0} >> 48) & 7 == NAN_FIXNUM_TAG",
+            "FDEC": "(({} & NAN_PAYLOAD_MASK) ^ (1 << 47)) - (1 << 47)",
+            "FENC": "{} & NAN_PAYLOAD_MASK | (NAN_CANON | NAN_FIXNUM_TAG << 48)",
+        },
+        memo=True, canon=NAN_CANON, fixnums=(NAN_FIXNUM_MIN, NAN_FIXNUM_MAX),
+    ),
+    "nunbox": _Family(
+        (NUNBOX,),
+        {
+            "HIT": "{} < NUN_CANON_MIN",
+            "IMM": "NUN_BIAS <= {} < 0xFFFF << 48",
+            "DEC": "{} - NUN_BIAS",
+            "ENC": "{} + NUN_BIAS",
+            "FIX": "{0} >> 48 in (0, 0xFFFF) and {0} & 7 == 0",
+            "FDEC": "(({} ^ SIGN_64) - SIGN_64) >> 3",
+            "FENC": "({} << 3) & M64",
+        },
+        memo=True, canon=NAN_CANON + NUN_BIAS, fixnums=(NUN_FIXNUM_MIN, NUN_FIXNUM_MAX),
+    ),
 }
-
-# family: its fixnum range, where the payload or the reserved classes
-# narrow it
-_FIXNUM_RANGE = {
-    "nanbox": (NAN_FIXNUM_MIN, NAN_FIXNUM_MAX),
-    "nunbox": (NUN_FIXNUM_MIN, NUN_FIXNUM_MAX),
-}
-
-# family without a heap: the one word of the NaNs its HIT rejects, those
-# at and above NAN_CANON (NuN boxing: NUN_CANON_MIN), which it collapses
-_CANON = {"nanbox": NAN_CANON, "nunbox": NAN_CANON + NUN_BIAS}
+_VARIANT_FAMILY = {v: family for family, rec in _FAMILIES.items() for v in rec.variants}
 
 # module constants the source and forms name, compiled in as literals
 _LITERALS = {
@@ -473,100 +477,54 @@ _LITERALS = {
     "_RANGE_ERR": _RANGE_ERR,
 }
 
-# per table family: the shift that takes float bits to their class (sign
-# and exponent prefix: every bit the transform moves or biases), and the
-# width of the low word field that the rotation brings back to the top
-_CLASS_SHIFT = {"rot5": (58, 5), "rot4": (60, 4)}
-
-# families whose FLOAT keeps a decode memo: every family with immediates but
-# mantissa, whose float operands are mostly heap handles wherever it
-# misses, and would pay the lookup for nothing (BENCH_19)
-_MEMO_FAMILIES = {"rot5", "rot4", "nanbox", "nunbox"}
-
-_VARIANT_FAMILY = {
-    ONE_TAG: "rot5",
-    TWO_TAG_BIASED: "rot5",
-    TWO_TAG_ZEROS: "rot4",
-    THREE_TAG: "rot4",
-    FOUR_TAG: "rot4",
-    MANTISSA: "mantissa",
-    BOXED: "boxed",
-    NANBOX: "nanbox",
-    NUNBOX: "nunbox",
-}
-
 # a form marker and its argument, a plain name
 _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 
 @cache
 def _builder(family, hooked, zeros):
-    """The family's closure source as a code object: the source with MISS,
-    the heap's ALLOC in it, and FLOAT expanded (FLOAT with the memo and
-    range test when the family keeps a memo), the family's forms, CANON,
-    the four derived constants and the module constants substituted,
-    compiled once per family, hooked and zeros flag in a process. Running
-    it defines build() in the namespace it runs in, whose globals are the
-    names a Runtime binds (Runtime._compile)."""
-    forms = _FAMILIES[family]
+    """The family's closure source as a code object, compiled once per
+    family, hooked and zeros flag in a process: the source with its blocks
+    expanded, then the family's forms, CANON, the four derived constants and
+    the module constants substituted. Running it defines build() in the
+    namespace it runs in, whose globals are the names a Runtime binds
+    (Runtime._compile)."""
+    rec = _FAMILIES[family]
+    forms = rec.forms
+    head = _SLOTS + (_MEMO_HIT if rec.memo else "") + "elif "
+    blocks = {
+        "MISS": _MISS,
+        "FLOAT": _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if rec.memo else _DECODE),
+        "ALLOC": ALLOC,
+    }
 
-    def expand(mo):
-        return "(%s)" % forms[mo[1]].format(mo[2])
+    def block(mo):
+        text = blocks[mo[2]].format(w=mo[3], x=mo[4])
+        return indent(_BLOCK.sub(block, text), mo[1])  # MISS holds ALLOC
 
     consts = dict(
-        _LITERALS,
-        HAS_IMM=forms["HIT"] != "False",
-        HAS_MISS=family not in _CANON,
-        CANON=_CANON.get(family),
-        HOOKED=hooked,
-        ZEROS=zeros,
+        _LITERALS, HAS_IMM=forms["HIT"] != "False", HAS_MISS=rec.canon is None, CANON=rec.canon,
+        HOOKED=hooked, ZEROS=zeros,
     )
-    memo = family in _MEMO_FAMILIES
-    head = _SLOTS + (_MEMO_HIT if memo else "") + "elif "
-    chain = _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if memo else _DECODE)
-    text = re.sub(r"^( *)MISS$", lambda mo: indent(_MISS, mo[1]), _SOURCE, flags=re.M)
-    text = re.sub(
-        r"^( *)ALLOC\((\w+), (\w+)\)$",
-        lambda mo: indent(ALLOC.format(w=mo[2], x=mo[3]), mo[1]),
-        text,
-        flags=re.M,
-    )
-    text = re.sub(
-        r"^( *)FLOAT\((\w+), (\w+)\)$",
-        lambda mo: indent(chain.format(x=mo[2], w=mo[3]), mo[1]),
-        text,
-        flags=re.M,
-    )
-    text = _FORM.sub(expand, text)
+    text = _FORM.sub(lambda mo: "(%s)" % forms[mo[1]].format(mo[2]), _BLOCK.sub(block, _SOURCE))
     text = re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
     return compile(text, "<runtime %s>" % family, "exec")
 
 
-def _fresh(code):
-    """A copy of code and of the code objects among its constants, with
-    inline caches of their own: CPython specialises a LOAD_GLOBAL for one
-    globals dict, so Runtimes that ran one shared code object, each over
-    its own globals, would keep undoing each other's specialisations."""
-    consts = tuple(_fresh(c) if isinstance(c, CodeType) else c for c in code.co_consts)
-    return code.replace(co_consts=consts)
-
-
-def _codec_tables(scheme, family):
-    """(dt, et) for a rot5 or rot4 scheme: the reference transforms in
-    schemes.py evaluated at one representative per class (a low word
-    field with every higher bit 0, a prefix with every lower bit 0), and
-    None where the class is not immediate. dt[j] holds the top bits that
-    DEC puts onto the shifted word: st_untransform(j), of which rot4 keeps
-    only the top nibble, because its DEC computes the rest from the word
-    and k.
+def _codec_tables(scheme, shift, low):
+    """(dt, et) for a table family's scheme, whose classes are the prefixes
+    bits >> shift and whose low word field is low bits wide: the reference
+    transforms in schemes.py evaluated at one representative per class (a
+    low word field with every higher bit 0, a prefix with every lower bit
+    0), and None where the class is not immediate. dt[j] holds the top bits
+    that DEC puts onto the shifted word: the bits of st_untransform(j) at
+    and above the shift. rot5's has no others; rot4's DEC computes the rest
+    from the word and k.
     et[p] is what ENC subtracts from the shifted float bits: the prefix p
     shifted out of the top, less st_transform of the class representative,
     so that (bits << low) - et[p] is the transformed word."""
-    shift, low = _CLASS_SHIFT[family]
     m = self_tag_set(scheme)
-    dt = [st_untransform(j, scheme) for j in range(1 << low)]
-    if family == "rot4":
-        dt = [d & ~M60 for d in dt]
+    dt = [st_untransform(j, scheme) & (-1 << shift) for j in range(1 << low)]
     dt = tuple(d if (m >> (j & 7)) & 1 else None for j, d in enumerate(dt))
     et = []
     for p in range(1 << (64 - shift)):
@@ -590,7 +548,11 @@ class Runtime:
     is_fixnum_value return False and unbox_fixnum raise TypeError. The
     generic operations raise TypeError for all of them, negative words with
     the heap-handle tag and out-of-range words with an immediate tag
-    included.
+    included. That TypeError covers floats and words outside [0, 2**64),
+    not every non-int, since no operand type is checked: a bool is taken
+    for its int, and a numpy integer is either taken for the float word it
+    equals or raises OverflowError; as a fixnum, it follows numpy's
+    fixed-width arithmetic.
 
     A Runtime owns its heap. Each st2zeros Runtime allocates its own +0.0
     and -0.0 cells in it when it is built. Heap handles are checked by tag
@@ -601,34 +563,20 @@ class Runtime:
     The float and fixnum operations (box_float, unbox_float,
     is_float_value, box_fixnum, unbox_fixnum, is_fixnum_value and the
     generic_* operations) are instance attributes: closures compiled from
-    one source per family, not methods.
+    one source per family, not methods. Their counters of box events,
+    slow-path encodes and representation flips belong to the Runtime, not
+    its heap: stats() joins them to the heap's allocation counters, and
+    hit_ratio() counts only the float cells this runtime boxed.
 
-    The counters of box events, slow-path encodes and representation
-    flips belong to the Runtime, not its heap: they live in the compiled
-    closures' cells, and stats() joins them to the heap's allocation
-    counters. hit_ratio() counts only the float cells this runtime boxed.
-    Everything else the closures read is bound once per Runtime, as a
-    global of a namespace of its own.
+    The generic operations take an operand's float from the last two float
+    words the Runtime returned and, under every scheme but boxed and
+    mantissa, from a memo (_memo) of at most MEMO_BOUND decoded words.
+    Whether an operand came from there, a decode or the arena changes no
+    word, counter or hook call.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime
-    has a single owner and must not be shared between threads.
-
-    Under every scheme, the generic operations take the float of an
-    operand that is (by identity) one of the last two float words the
-    Runtime returned from that word's slot, heap handles included; an
-    allocation that raises MemoryError fills no slot, and under nanbox and
-    nunbox a NaN they collapse never fills one. Under every scheme but
-    boxed and mantissa, a decoded operand's float is also kept in a memo
-    (_memo) of at most MEMO_BOUND words, which an operand outside the
-    slots is looked up in before the tag test. No word, counter or hook
-    call depends on whether an operand came from a slot, the memo, a
-    decode or the arena (see the module docstring). The generic
-    operations' TypeError covers floats and words outside [0, 2**64), not
-    every non-int, since no operand type is checked: a bool is taken for
-    its int, and a numpy integer is either taken for the float word it
-    equals or raises OverflowError; as a fixnum, it follows numpy's
-    fixed-width arithmetic."""
+    has a single owner and must not be shared between threads."""
 
     def __init__(self, scheme, heap=None, profile_hook=None):
         self.scheme = scheme
@@ -673,12 +621,11 @@ class Runtime:
         variant = scheme.variant
         hook = self.profile_hook
         family = _VARIANT_FAMILY[variant]
+        rec = _FAMILIES[family]
         heap = self.heap
-        dt, et = _codec_tables(scheme, family) if family in _CLASS_SHIFT else (None, None)
-        ht = handle_tag(scheme)
-        if family in _CANON:
-            ht = -1  # never misses: no word is a heap handle
-        lo, hi = _FIXNUM_RANGE.get(family, (FIXNUM_MIN, FIXNUM_MAX))
+        dt, et = _codec_tables(scheme, *rec.classes) if rec.classes else (None, None)
+        ht = handle_tag(scheme) if rec.canon is None else -1  # no heap: no word is a handle
+        lo, hi = rec.fixnums
         zeros = variant == TWO_TAG_ZEROS
         # st2zeros stores its own +0.0 and -0.0 cells, before anything it boxes
         if zeros:
@@ -691,7 +638,7 @@ class Runtime:
             pz_pos=pz_pos, pz_neg=pz_neg, hook=hook, mq=self._mq, md=self._md,
             memo=self._memo, **heap.alloc_names(scheme.heap_float_tag),
         )
-        exec(_fresh(_builder(family, hook is not None, zeros)), ns)
+        exec(_builder(family, hook is not None, zeros), ns)
         # popped, so that no cycle (build -> ns -> build) keeps the heap
         # alive once the Runtime is dropped
         (

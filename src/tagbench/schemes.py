@@ -213,6 +213,10 @@ def st_untransform(w, config):
     return (bits - bias) & M64 if bias else bits
 
 
+def _not_prefix_shaped(config):
+    return ValueError("coverage is not prefix-shaped for %r" % (config.variant,))
+
+
 def _class_covered(config, p):
     # p is an exponent prefix of config.PREFIX_BITS bits; membership
     # depends only on p for the exponent-based variants (tag and offset
@@ -226,11 +230,7 @@ def _class_covered(config, p):
     if v == TWO_TAG_BIASED:
         s = ((p + 2 * t) >> 1) & m
         return s == t or s == (t - 1) & m
-    raise ValueError("coverage is not prefix-shaped for %r" % (v,))
-
-
-def _not_prefix_shaped(config):
-    return ValueError("coverage is not prefix-shaped for %r" % (config.variant,))
+    raise _not_prefix_shaped(config)
 
 
 def covers(config, bits):

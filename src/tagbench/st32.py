@@ -5,8 +5,11 @@ narrower word: each variant's transform_terms triple (bias, r, offset)
 puts the bias steps at bit 27 (under the 4-bit prefix of sign and top
 exponent bits) and rotates by 4, leaving a 2-bit tag plus two spare low
 bits on immediates. The triple is the only place a variant's transform
-arithmetic is decided. There is no 32-bit heap, runtime or fixnum; this
-module only answers representation questions about the transform.
+arithmetic is decided. Like the 64-bit st_transform and st_untransform,
+st32_transform and st32_untransform skip a zero bias or offset: the
+offset is 0 under both variants, and so is TwoTag(0)'s bias. There is no
+32-bit heap, runtime or fixnum; this module only answers representation
+questions about the transform.
 
 Coverage lives in schemes, which reads a 32-bit word's geometry (8
 exponent bits, 4-bit prefix classes, 2-bit tags) from OneTag and TwoTag.
@@ -63,16 +66,22 @@ def st32_tag_set(variant):
 
 
 def st32_transform(bits, variant):
-    """rotl32(bits + bias, r) + offset over variant.transform_terms."""
+    """rotl32(bits + bias, r) + offset over variant.transform_terms, for
+    bits in [0, 2**32); zero terms are skipped."""
     bias, r, offset = variant.transform_terms
-    s = (bits + bias) & M32
-    return ((((s << r) | (s >> (32 - r))) & M32) + offset) & M32
+    if bias:
+        bits = (bits + bias) & M32
+    w = ((bits << r) | (bits >> (32 - r))) & M32
+    return (w + offset) & M32 if offset else w
 
 
 def st32_untransform(w, variant):
+    """Exact inverse of st32_transform over the full 32-bit space."""
     bias, r, offset = variant.transform_terms
-    s = (w - offset) & M32
-    return ((((s >> r) | (s << (32 - r))) & M32) - bias) & M32
+    if offset:
+        w = (w - offset) & M32
+    bits = ((w >> r) | (w << (32 - r))) & M32
+    return (bits - bias) & M32 if bias else bits
 
 
 def st32_covers(bits, variant):
