@@ -2,10 +2,14 @@
 
 Every float a kernel produces goes through the runtime's box/unbox and
 generic arithmetic, so allocation counters and boxing profiles measure the
-workload and nothing else. Host Python handles only control flow, input
-synthesis and integer indexing; the boxed-value data flow (constants once,
-inputs, every intermediate result) is fixed, which keeps box sequences and
-checksums identical across schemes.
+workload and nothing else. A float the host computes (an input, a
+constant) is boxed where it is made, by box_host_float, as a compiler's
+float primitive or reader boxes the double it made: the same word and
+counters as box_float of its bits, without a struct round trip. Host
+Python handles only control flow, input synthesis and integer indexing;
+the boxed-value data flow (constants once, inputs, every intermediate
+result) is fixed, which keeps box sequences and checksums identical across
+schemes.
 
 Kernels return the final value as a runtime word: a boxed float for the
 summation workloads, a fixnum for the counting ones."""
@@ -16,7 +20,6 @@ import tempfile
 from dataclasses import dataclass
 
 from .prng import DEFAULT_SEED, uniform_stream
-from .words import float_to_bits
 
 DEFAULT_SIZES = {
     "sumfp": 1000000,
@@ -44,14 +47,13 @@ def default_spec(name, seed=DEFAULT_SEED):
 
 def k_sumfp(rt, size, seed):
     """Sum 0..size inclusive by repeated float addition."""
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     add = rt.generic_add
     less = rt.generic_less
-    i = box(fb(0.0))
-    n = box(fb(float(size)))
-    one = box(fb(1.0))
-    s = box(fb(0.0))
+    i = box(0.0)
+    n = box(float(size))
+    one = box(1.0)
+    s = box(0.0)
     while not less(n, i):
         s = add(s, i)
         i = add(i, one)
@@ -60,14 +62,13 @@ def k_sumfp(rt, size, seed):
 
 def k_fibfp(rt, size, seed):
     """Naive double recursion on float arguments."""
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     add = rt.generic_add
     sub = rt.generic_sub
     less = rt.generic_less
-    x0 = box(fb(float(size)))
-    two = box(fb(2.0))
-    one = box(fb(1.0))
+    x0 = box(float(size))
+    two = box(2.0)
+    one = box(1.0)
 
     def fib(x):
         if less(x, two):
@@ -82,22 +83,21 @@ def k_fibfp(rt, size, seed):
 def k_mbrot(rt, size, seed):
     """Escape-iteration count over a size x size grid; returns the total
     as a fixnum."""
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     boxi = rt.box_fixnum
     add = rt.generic_add
     sub = rt.generic_sub
     mul = rt.generic_mul
     div = rt.generic_div
     less = rt.generic_less
-    zero = box(fb(0.0))
-    two = box(fb(2.0))
-    four = box(fb(4.0))
-    xlo = box(fb(-2.0))
-    xhi = box(fb(0.75))
-    ylo = box(fb(-1.1))
-    yhi = box(fb(1.1))
-    steps = box(fb(float(size - 1)))
+    zero = box(0.0)
+    two = box(2.0)
+    four = box(4.0)
+    xlo = box(-2.0)
+    xhi = box(0.75)
+    ylo = box(-1.1)
+    yhi = box(1.1)
+    steps = box(float(size - 1))
     dx = div(sub(xhi, xlo), steps)
     dy = div(sub(yhi, ylo), steps)
     count = boxi(0)
@@ -135,8 +135,7 @@ def polygon20():
 def k_pnpoly(rt, size, seed):
     """Point-in-polygon test over random points in the bounding box;
     returns the inside count as a fixnum."""
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     boxi = rt.box_fixnum
     add = rt.generic_add
     sub = rt.generic_sub
@@ -144,8 +143,8 @@ def k_pnpoly(rt, size, seed):
     div = rt.generic_div
     less = rt.generic_less
     poly = polygon20()
-    vx = [box(fb(x)) for x, _ in poly]
-    vy = [box(fb(y)) for _, y in poly]
+    vx = [box(x) for x, _ in poly]
+    vy = [box(y) for _, y in poly]
     # per-edge slope, edge (i, j=i-1 mod 20)
     slope = []
     for i in range(20):
@@ -158,16 +157,18 @@ def k_pnpoly(rt, size, seed):
     us = uniform_stream(seed)
     count = boxi(0)
     one = boxi(1)
+    edges = list(zip(slope, vx, vy))
     for _ in range(size):
-        px = box(fb(xmin + next(us) * (xmax - xmin)))
-        py = box(fb(ymin + next(us) * (ymax - ymin)))
-        side = [less(py, vy[i]) for i in range(20)]
+        px = box(xmin + next(us) * (xmax - xmin))
+        py = box(ymin + next(us) * (ymax - ymin))
+        side = [less(py, y) for y in vy]
         inside = False
-        for i in range(20):
-            j = i - 1 if i else 19
-            if side[i] != side[j]:
-                if less(px, add(mul(slope[i], sub(py, vy[i])), vx[i])):
+        prev = side[19]
+        for s, (m, x, y) in zip(side, edges):
+            if s != prev:
+                if less(px, add(mul(m, sub(py, y)), x)):
                     inside = not inside
+            prev = s
         if inside:
             count = add(count, one)
     return count
@@ -178,8 +179,7 @@ def k_fft(rt, size, seed):
     squared magnitudes."""
     if size < 2 or size & (size - 1):
         raise ValueError("fft size must be a power of two: %d" % size)
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     add = rt.generic_add
     sub = rt.generic_sub
     mul = rt.generic_mul
@@ -195,15 +195,15 @@ def k_fft(rt, size, seed):
     perm = [int(format(i, "0%db" % width)[::-1], 2) for i in range(n)]
     re = [re[p] for p in perm]
     im = [im[p] for p in perm]
-    re = [box(fb(x)) for x in re]
-    im = [box(fb(x)) for x in im]
+    re = [box(x) for x in re]
+    im = [box(x) for x in im]
     size_ = 2
     while size_ <= n:
         half = size_ // 2
         for j in range(half):
             ang = (-2.0 * math.pi * j) / size_
-            wr = box(fb(math.cos(ang)))
-            wi = box(fb(math.sin(ang)))
+            wr = box(math.cos(ang))
+            wi = box(math.sin(ang))
             for k in range(j, n, size_):
                 l = k + half
                 tr = sub(mul(wr, re[l]), mul(wi, im[l]))
@@ -213,7 +213,7 @@ def k_fft(rt, size, seed):
                 re[k] = add(re[k], tr)
                 im[k] = add(im[k], ti)
         size_ *= 2
-    s = box(fb(0.0))
+    s = box(0.0)
     for k in range(n):
         s = add(s, add(mul(re[k], re[k]), mul(im[k], im[k])))
     return s
@@ -243,13 +243,12 @@ def sum1_data_path(size, seed):
 
 def k_sum1(rt, size, seed):
     """Parse one float per line from a text file and sum them."""
-    fb = float_to_bits
-    box = rt.box_float
+    box = rt.box_host_float
     add = rt.generic_add
-    s = box(fb(0.0))
+    s = box(0.0)
     with open(sum1_data_path(size, seed), encoding="utf-8") as f:
         for ln in f:
-            v = box(fb(float(ln)))
+            v = box(float(ln))
             s = add(s, v)
     return s
 

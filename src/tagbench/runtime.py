@@ -3,7 +3,10 @@
 A Runtime owns a SimHeap and exposes the value operations a small
 interpreter would have: box/unbox floats, fixnum construction, union type
 tests, and generic arithmetic that dispatches on the operand
-representations.
+representations. Floats are boxed from their bits (box_float) or, as the
+float primitive or reader of a compiler boxes the double it made, from a
+host number (box_host_float), which gives the same word as box_float of
+its bits without a struct round trip in between.
 
 One source, six family records. The float and fixnum operations of every
 scheme are closures generated from one source, _SOURCE, which holds the
@@ -20,18 +23,24 @@ immediate word; ENC(bits), the immediate word for float bits that pass
 HIT; FIX(w), true when word w is a fixnum; FDEC(w), the value of a fixnum
 word; FENC(v), the fixnum word for value v. Five constants go in with
 them. HAS_IMM, derived from a constant HIT, folds the immediate path away
-(boxed, HIT False, has none). CANON is the one word of the NaNs that NaN
+(boxed, HIT False, has none), and with it the miss path's counting of
+slow-path encodes and flips: every box event of such a family misses. CANON is the one word of the NaNs that NaN
 and NuN boxing collapse, the floats their HIT rejects; HAS_MISS, false
 exactly for the families with a CANON, folds the miss path away (they
 never reach the heap and count nothing). HOOKED, whether the Runtime has a
 profile hook, folds the hook calls away when it has none; and ZEROS, true
 only for st2zeros, folds away the other families' +-0 test on a miss.
 Module constants (M64, the error messages and the like) go in as
-literals. Three blocks are expanded inline by one pattern, each written
-once: MISS, the miss path of box and the generic re-box; FLOAT(w, x), the
+literals. Four blocks are expanded inline by one pattern, each written
+once: BOX, the boxing tail of box_float, box_host_float and the generic
+re-box (the hook, the event count, HIT and ENC, the slot fill, and CANON
+or MISS), which box_float expands as BOX_BITS, reading its float from the
+buffer only where it is used; MISS, the miss path; FLOAT(w, x), the
 chain of tests that binds x to the float of a generic operand w; and
 ALLOC(w, x), the heap's allocation step (heap.ALLOC), which stores x in a
-new cell whose handle is w, at the end of MISS.
+new cell whose handle is w, at the end of MISS. The lines of MISS that
+count slow-path encodes and flips are left out of the text, not folded,
+where HAS_IMM is false: a constant-true test leaves a NOP behind.
 
 Each (family, HOOKED, ZEROS) source is compiled once per process
 (_builder), and every Runtime of that key runs the one code object: it
@@ -56,43 +65,51 @@ miss, the outcome flipped once (a leading run of hits) or twice (a miss,
 hits, this miss) since the previous miss. The flip back to hits after the
 last miss is added when the counters are read: flips + (0 < last < n). So
 flips are derived from the misses alone, and the hit path does no
-bookkeeping beyond n.
+bookkeeping beyond n. A family without immediates (boxed) counts n alone:
+every event misses, so counts() reads slow as n and flips as 0.
 
 The rot5 and rot4 forms are table lookups, not rotations. Self-tagging
 moves only the top bits of a float (sign and exponent prefix, 6 bits for
-rot5 and 4 for rot4) into the tag and shifts the rest unchanged, so
-which floats stay immediate, and what the moved bits become, depends
-only on that prefix; on the way back, what the top bits become depends
-only on the low word field (5 or 4 bits). The family record's classes
-hold that geometry, the prefix's shift and the low field's width, and
-each Runtime builds two small tables from it for its config
-(_codec_tables): et[prefix] for encoding and dt[low field] for decoding,
-with None at the entries that are not immediate. Their entries are
-schemes.st_transform and schemes.st_untransform evaluated at one
-representative per class, so the reference transforms define the codec
-and the runtime does not restate them. The tag test is the lookup
-itself: IMM binds d = dt[w & 31] (rot4: w & 15) and DEC adds it to the
-shifted word; HIT binds e = et[bits >> 58] (rot4: >> 60) and ENC
-subtracts it from the shifted bits. The re-box in box_float and in the
-generic operations tests HIT on the float bits first and builds the word
-only on a hit, so a miss goes to the heap without paying for an encode.
+rot5 and 4 for rot4) into the tag and shifts the rest unchanged, so which
+floats stay immediate, and what the moved bits become, depends only on
+that prefix; on the way back, what the top bits become depends only on the
+low word field (5 or 4 bits). The family record's classes hold that
+geometry, the prefix's shift and the low field's width, and each Runtime
+builds two small tables from it for its config (_codec_tables): et[prefix]
+for encoding and dt[low field] for decoding, with None at the entries that
+are not immediate. Their entries are schemes.st_transform and
+schemes.st_untransform evaluated at one representative per class, so the
+reference transforms define the codec and the runtime does not restate
+them. The tag test is the lookup itself: IMM binds d = dt[w & 31]
+(rot4: w & 15) and DEC adds it to the shifted word; HIT binds
+e = et[bits >> 58] (rot4: >> 60) and ENC subtracts it from the shifted
+bits. Every box
+(box_float, box_host_float and the generic re-box) tests HIT on the float
+bits first and builds the word only on a hit, so a miss goes to the heap
+without paying for an encode.
 
 Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
 64-bit view and a binary64 view of the same bytes. A conversion is a store
 to one view and a load from the other, bit-exact (signalling-NaN payloads
-included) and free of struct calls, bytes objects and tuples. The buffer
-is shared state, so it relies on two conditions: a Runtime has a single
-owner and is not shared between threads, like the SimHeap under it; and
-nothing (profile hook, float operation, heap allocation) is called between
-a store into the buffer and the load that reads it back.
+included) and free of struct calls, bytes objects and tuples.
+box_host_float stores its argument into the binary64 view once and loads
+both the float and the bits back; the store converts what struct's "d"
+converts (ints, bools and numpy scalars too) and raises for anything else,
+before the hook or a counter sees it. The buffer is shared state, so it
+relies on two conditions: a Runtime has a single owner and is not shared
+between threads, like the SimHeap under it; and nothing (profile hook,
+float operation, heap allocation) is called between a store into the
+buffer and the load that reads it back.
 
 Operand slots and the decode memo. Every family keeps the last two float
 words a Runtime returned, with their floats, in closure cells: (w1, x1),
-the newer, and (w2, x2). Those are the words of box_float and of the
-generic re-box, immediates, heap handles and st2zeros' zero cells alike:
-box_float stores its word and the float read back from the buffer, the
-re-box its word and the result float. Each store first moves slot 1 into
+the newer, and (w2, x2). Those are the words of box_float,
+box_host_float and the generic re-box, immediates, heap handles and st2zeros' zero cells alike:
+box_float and box_host_float store their word and the float read back
+from the buffer, never box_host_float's argument itself (an int, a bool
+or a numpy float32 would disagree with its word), the re-box its word and
+the result float. Each store first moves slot 1 into
 slot 2. A handle's slot float is the float just stored in its cell, so it
 equals payload[w >> 3] bit for bit; an allocation that raises MemoryError
 fills no slot. FLOAT tests each operand for identity with w1 and w2
@@ -208,8 +225,8 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # the heap-handle tag; fxt, the fixnum tag; lo and hi, the fixnum range;
 # pz_pos and pz_neg, st2zeros' zero cells; hook; mq and md, the buffer's
 # two views; memo; and the names ALLOC reads. Literals: HAS_IMM, HAS_MISS,
-# CANON, HOOKED, ZEROS and _LITERALS. Blocks: MISS, FLOAT(w, x) and, inside
-# MISS, ALLOC(w, x). A first generic operand that is neither an immediate
+# CANON, HOOKED, ZEROS and _LITERALS. Blocks: BOX and BOX_BITS, MISS inside
+# them, ALLOC(w, x) inside MISS, and FLOAT(w, x). A first generic operand that is neither an immediate
 # float nor a handle must be a fixnum, and so must the second. Neither +0.0
 # nor -0.0 lands in the rot4 tag set, so st2zeros handles them on the slow
 # path, where bits is always bound when ZEROS is true.
@@ -221,6 +238,8 @@ def build():
     x1 = x2 = 0.0
 
     def counts():
+        if not HAS_IMM:
+            return n, n, 0, n
         return n, slow, flips + (0 < last < n), slow - zhits
 
     def reset():
@@ -231,22 +250,15 @@ def build():
         nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
-        if HOOKED:
-            hook(bits)
-        if HAS_MISS:
-            n += 1
-        if HIT(bits):
-            mq[0] = bits
-            w2 = w1
-            x2 = x1
-            w1 = ENC(bits)
-            x1 = md[0]
-            return w1
-        if not HAS_MISS:
-            return CANON
-        mq[0] = bits
+        BOX_BITS
+
+    def box_host(x):
+        nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
+        md[0] = x
         r = md[0]
-        MISS
+        if HAS_IMM or HOOKED:
+            bits = mq[0]
+        BOX
 
     def is_float(w):
         if not 0 <= w <= M64:
@@ -298,19 +310,7 @@ def build():
             if HAS_IMM or HOOKED:
                 md[0] = r
                 bits = mq[0]
-                if HOOKED:
-                    hook(bits)
-            if HAS_MISS:
-                n += 1
-            if HIT(bits):
-                w2 = w1
-                x2 = x1
-                w1 = ENC(bits)
-                x1 = r
-                return w1
-            if not HAS_MISS:
-                return CANON
-            MISS
+            BOX
 
         return arith
 
@@ -329,7 +329,7 @@ def build():
             raise TypeError(_TYPE_ERR) from None
 
     return (
-        box, unbox, is_float, box_fixnum, unbox_fixnum, is_fixnum, make_arith, less,
+        box, box_host, unbox, is_float, box_fixnum, unbox_fixnum, is_fixnum, make_arith, less,
         counts, reset,
     )
 """
@@ -362,14 +362,36 @@ _MEMO = """    if {w} >> 64:
         memo.clear()
     memo[{w}] = {x}"""
 
-# MISS: float r, with bits bits, misses. It counts the miss and returns
-# a zero cell (SIGN_64 alone is the -0.0 word) or a new heap cell, whose
-# word fills slot 1.
-_MISS = """slow += 1
+# BOX: box float r, whose bits are bits: the hook, the event count and, on
+# a hit, the immediate word, which fills slot 1 with r; otherwise CANON or
+# MISS. box_float, which holds bits alone, expands BOX_BITS instead: it
+# stores bits into the buffer after the hook ({store}) and loads the float
+# back where the slot or MISS needs it ({x}, {load}).
+_BOX = """if HOOKED:
+    hook(bits)
+if HAS_MISS:
+    n += 1
+{store}if HIT(bits):
+    w2 = w1
+    x2 = x1
+    w1 = ENC(bits)
+    x1 = {x}
+    return w1
+if not HAS_MISS:
+    return CANON
+{load}MISS"""
+
+# MISS: float r, with bits bits, misses. It counts the miss (_COUNT_MISS,
+# which a family without immediates leaves out: there every event misses,
+# and counts() reads slow as n and flips as 0) and returns a zero cell
+# (SIGN_64 alone is the -0.0 word) or a new heap cell, whose word fills
+# slot 1.
+_COUNT_MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
 last = n
-if ZEROS and (bits == 0 or bits == SIGN_64):
+"""
+_MISS = """if ZEROS and (bits == 0 or bits == SIGN_64):
     zhits += 1
     w = pz_pos if bits == 0 else pz_neg
 else:
@@ -381,7 +403,7 @@ x1 = r
 return w"""
 
 # a block marker and its (word, float) arguments, alone on its line
-_BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC)(?:\((\w+), (\w+)\))?$", re.M)
+_BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC|BOX_BITS|BOX)(?:\((\w+), (\w+)\))?$", re.M)
 
 
 class _Family(NamedTuple):
@@ -491,9 +513,12 @@ def _builder(family, hooked, zeros):
     (Runtime._compile)."""
     rec = _FAMILIES[family]
     forms = rec.forms
+    has_imm = forms["HIT"] != "False"
     head = _SLOTS + (_MEMO_HIT if rec.memo else "") + "elif "
     blocks = {
-        "MISS": _MISS,
+        "BOX": _BOX.format(store="", x="r", load=""),
+        "BOX_BITS": _BOX.format(store="mq[0] = bits\n", x="md[0]", load="r = md[0]\n"),
+        "MISS": (_COUNT_MISS if has_imm else "") + _MISS,
         "FLOAT": _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if rec.memo else _DECODE),
         "ALLOC": ALLOC,
     }
@@ -503,7 +528,7 @@ def _builder(family, hooked, zeros):
         return indent(_BLOCK.sub(block, text), mo[1])  # MISS holds ALLOC
 
     consts = dict(
-        _LITERALS, HAS_IMM=forms["HIT"] != "False", HAS_MISS=rec.canon is None, CANON=rec.canon,
+        _LITERALS, HAS_IMM=has_imm, HAS_MISS=rec.canon is None, CANON=rec.canon,
         HOOKED=hooked, ZEROS=zeros,
     )
     text = _FORM.sub(lambda mo: "(%s)" % forms[mo[1]].format(mo[2]), _BLOCK.sub(block, _SOURCE))
@@ -540,19 +565,28 @@ class Runtime:
     boxing event before encoding; it is how the distribution profiler taps
     a run without touching kernel code.
 
-    box_float takes float bits in [0, 2**64) and raises ValueError for
-    anything else, under every scheme. Words that are not floats, dangling
-    heap handles and any word outside [0, 2**64) included, make is_float_value
-    return False and unbox_float raise TypeError; words that are not
-    fixnums, out-of-range words with the fixnum tag included, make
-    is_fixnum_value return False and unbox_fixnum raise TypeError. The
-    generic operations raise TypeError for all of them, negative words with
-    the heap-handle tag and out-of-range words with an immediate tag
-    included. That TypeError covers floats and words outside [0, 2**64),
-    not every non-int, since no operand type is checked: a bool is taken
-    for its int, and a numpy integer is either taken for the float word it
-    equals or raises OverflowError; as a fixnum, it follows numpy's
-    fixed-width arithmetic.
+    box_float takes float bits in [0, 2**64). Under every scheme it raises
+    ValueError for a number outside that range, before the hook and the
+    counters, and TypeError for a float inside it: the buffer store
+    rejects that float, but only after the profile hook was called with it
+    and, where the scheme counts box events, the event was counted.
+    box_host_float takes a host number, converted as struct's "d" converts
+    it (a float, an int, a bool, a numpy scalar: anything with __float__
+    or __index__), and gives the word, counters and hook call of
+    box_float(float_to_bits(x)). It raises TypeError for anything else and
+    ValueError for an int too large for a float, before the hook and the
+    counters. Words that are not
+    floats, dangling heap handles and any word outside [0, 2**64)
+    included, make is_float_value return False and unbox_float raise
+    TypeError; words that are not fixnums, out-of-range words with the
+    fixnum tag included, make is_fixnum_value return False and
+    unbox_fixnum raise TypeError. The generic operations raise TypeError
+    for all of them, negative words with the heap-handle tag and
+    out-of-range words with an immediate tag included. That TypeError
+    covers floats and words outside [0, 2**64), not every non-int, since
+    no operand type is checked: a bool is taken for its int, and a numpy
+    integer is either taken for the float word it equals or raises
+    OverflowError; as a fixnum, it follows numpy's fixed-width arithmetic.
 
     A Runtime owns its heap. Each st2zeros Runtime allocates its own +0.0
     and -0.0 cells in it when it is built. Heap handles are checked by tag
@@ -560,13 +594,14 @@ class Runtime:
     layout, not by what the cell holds: the arena stores float cells only
     (ballast is counted, never stored), so no handle reaches ballast.
 
-    The float and fixnum operations (box_float, unbox_float,
-    is_float_value, box_fixnum, unbox_fixnum, is_fixnum_value and the
-    generic_* operations) are instance attributes: closures compiled from
-    one source per family, not methods. Their counters of box events,
-    slow-path encodes and representation flips belong to the Runtime, not
-    its heap: stats() joins them to the heap's allocation counters, and
-    hit_ratio() counts only the float cells this runtime boxed.
+    The float and fixnum operations (box_float, box_host_float,
+    unbox_float, is_float_value, box_fixnum, unbox_fixnum, is_fixnum_value
+    and the generic_* operations) are instance attributes: closures
+    compiled from one source per family, not methods. Their counters of
+    box events, slow-path encodes and representation flips belong to the
+    Runtime, not its heap: stats() joins them to the heap's allocation
+    counters, and hit_ratio() counts only the float cells this runtime
+    boxed.
 
     The generic operations take an operand's float from the last two float
     words the Runtime returned and, under every scheme but boxed and
@@ -642,7 +677,7 @@ class Runtime:
         # popped, so that no cycle (build -> ns -> build) keeps the heap
         # alive once the Runtime is dropped
         (
-            self.box_float, self.unbox_float, self.is_float_value,
+            self.box_float, self.box_host_float, self.unbox_float, self.is_float_value,
             self.box_fixnum, self.unbox_fixnum, self.is_fixnum_value,
             make_arith, self.generic_less, self._counts, self._reset,
         ) = ns.pop("build")()

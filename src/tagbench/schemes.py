@@ -24,8 +24,12 @@ properties: a cached_property stores through the instance __dict__, which
 on CPython 3.11 turns the inline attribute values into a dict and slows
 every later attribute read of that config. 3.11 specialises a read only
 for names the class does not define, so tag_set and class_mask are None
-where they do not apply; transform_terms keeps a class-level fallback,
-because reading it on a config that is not self-tagging must raise."""
+where they do not apply. transform_terms keeps a class-level fallback,
+because reading it on a config that is not self-tagging must raise, so
+its reads stay unspecialised; st_transform and st_untransform read the
+same triple as _terms, which the class does not define. On a config
+that is not self-tagging, _terms is a sentinel whose unpacking raises
+the same ValueError."""
 
 import math
 from dataclasses import dataclass
@@ -58,15 +62,27 @@ _ROT4_E3 = {
 }
 
 
+def _not_self_tagging(variant):
+    return ValueError("not a self-tagging variant: %r" % (variant,))
+
+
 class _NoTransform:
-    """SchemeConfig.transform_terms where derive_constants set none: a
-    non-data descriptor, so a self-tagging config's instance value
-    shadows it, and reading it on any other config raises."""
+    """transform_terms where derive_constants set none. As the class
+    attribute SchemeConfig.transform_terms it is a non-data descriptor, so
+    a self-tagging config's instance value shadows it, and reading it on
+    any other config raises. As such a config's _terms, the name the
+    transforms read, it raises when unpacked."""
+
+    def __init__(self, variant=None):
+        self.variant = variant
 
     def __get__(self, config, owner=None):
         if config is None:
             return self
-        raise ValueError("not a self-tagging variant: %r" % (config.variant,))
+        raise _not_self_tagging(config.variant)
+
+    def __iter__(self):
+        raise _not_self_tagging(self.variant)
 
 
 @dataclass(frozen=True)
@@ -78,11 +94,11 @@ class SchemeConfig:
     tag put on heap-float handles, or None for the generic-pointer
     layout (type code in the cell header, handle tagged GENERIC_TAG).
 
-    __post_init__ also sets tag_set, class_mask and, on self-tagging
-    configs, transform_terms; dataclasses.replace derives them again, and
-    ==, hash and repr ignore them, as they are not fields. tag_set is None
-    where the variant is not self-tagging, class_mask there and under
-    mantissa.
+    __post_init__ also sets tag_set, class_mask, _terms and, on
+    self-tagging configs, transform_terms; dataclasses.replace derives them
+    again, and ==, hash and repr ignore them, as they are not fields.
+    tag_set is None where the variant is not self-tagging, class_mask
+    there and under mantissa.
     """
 
     name: str
@@ -105,7 +121,8 @@ class SchemeConfig:
         if self.heap_float_tag is not None and not 0 <= self.heap_float_tag <= 7:
             raise ValueError("heap float tag out of [0, 7]: %r" % (self.heap_float_tag,))
         if self.variant in SELF_TAG_VARIANTS:
-            derive_constants(self, _transform_terms(self))
+            terms = _transform_terms(self)
+            derive_constants(self, terms)
             mask = self.tag_set
             ht = handle_tag(self)
             if (mask >> ht) & 1:
@@ -113,8 +130,10 @@ class SchemeConfig:
                     "heap handle tag %d collides with the self-tag set 0x%02x" % (ht, mask)
                 )
         else:
+            terms = _NoTransform(self.variant)
             object.__setattr__(self, "tag_set", None)
             object.__setattr__(self, "class_mask", None)
+        object.__setattr__(self, "_terms", terms)
 
 
 def _transform_terms(config):
@@ -166,7 +185,7 @@ def self_tag_set(config):
     tag t), for a SchemeConfig or a 32-bit st32 variant."""
     mask = config.tag_set
     if mask is None:
-        raise ValueError("not a self-tagging variant: %r" % (config.variant,))
+        raise _not_self_tagging(config.variant)
     return mask
 
 
@@ -192,8 +211,10 @@ def fixnum_tag(config):
 
 def st_transform(bits, config):
     """The unconditional invertible transform (no tag test) of a 64-bit
-    word over config.transform_terms; zero terms are skipped."""
-    bias, r, offset = config.transform_terms
+    word over config.transform_terms; zero terms are skipped. Its domain
+    is bits in [0, 2**64): a word outside it is not checked and gives a
+    wrong word, not an error."""
+    bias, r, offset = config._terms
     if r == 0:
         return bits
     if bias:
@@ -203,8 +224,9 @@ def st_transform(bits, config):
 
 
 def st_untransform(w, config):
-    """Exact inverse of st_transform over the full 64-bit space."""
-    bias, r, offset = config.transform_terms
+    """Exact inverse of st_transform over the full 64-bit space, for w in
+    [0, 2**64); like st_transform, it does not check the range."""
+    bias, r, offset = config._terms
     if r == 0:
         return w
     if offset:

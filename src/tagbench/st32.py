@@ -67,7 +67,8 @@ def st32_tag_set(variant):
 
 def st32_transform(bits, variant):
     """rotl32(bits + bias, r) + offset over variant.transform_terms, for
-    bits in [0, 2**32); zero terms are skipped."""
+    bits in [0, 2**32); zero terms are skipped. The range is not checked:
+    a word outside it gives a wrong word, not an error."""
     bias, r, offset = variant.transform_terms
     if bias:
         bits = (bits + bias) & M32
@@ -76,7 +77,8 @@ def st32_transform(bits, variant):
 
 
 def st32_untransform(w, variant):
-    """Exact inverse of st32_transform over the full 32-bit space."""
+    """Exact inverse of st32_transform over the full 32-bit space, for w
+    in [0, 2**32); like st32_transform, it does not check the range."""
     bias, r, offset = variant.transform_terms
     if offset:
         w = (w - offset) & M32

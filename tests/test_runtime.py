@@ -711,9 +711,9 @@ MIXED_SPECIALS = (
 
 def mixed_steps(n=240, seed=11):
     """A mixed stream of box events: ("box", bits) of splitmix64 words,
-    covered-class floats, +-0 and NaNs; (op, i, j), op operator.add or
-    operator.mul, over the i-th and j-th words made so far; and one
-    ("reset",) halfway."""
+    covered-class floats, +-0 and NaNs, or ("host", x) of the float with
+    those bits; (op, i, j), op operator.add or operator.mul, over the i-th
+    and j-th words made so far; and one ("reset",) halfway."""
     steps = []
     made = 0
     for k, r in enumerate(islice(splitmix64(seed), n)):
@@ -721,14 +721,16 @@ def mixed_steps(n=240, seed=11):
         if made >= 2 and kind >= 5:
             op = operator.add if kind < 7 else operator.mul
             steps.append((op, (r >> 8) % made, (r >> 32) % made))
-        elif kind == 4:
-            steps.append(("box", MIXED_SPECIALS[(r >> 8) % len(MIXED_SPECIALS)]))
-        elif kind == 3:
-            # |x| in [2**-8, 2**9): a class every exponent preset keeps immediate
-            x = math.ldexp(1 + (r >> 40) / 2**24, (r >> 8) % 17 - 8)
-            steps.append(("box", float_to_bits(-x if r >> 63 else x)))
         else:
-            steps.append(("box", r))
+            if kind == 4:
+                bits = MIXED_SPECIALS[(r >> 8) % len(MIXED_SPECIALS)]
+            elif kind == 3:
+                # |x| in [2**-8, 2**9): a class every exponent preset keeps immediate
+                x = math.ldexp(1 + (r >> 40) / 2**24, (r >> 8) % 17 - 8)
+                bits = float_to_bits(-x if r >> 63 else x)
+            else:
+                bits = r
+            steps.append(("host", bits_to_float(bits)) if (r >> 4) & 1 else ("box", bits))
         made += 1
         if k == n // 2:
             steps.append(("reset",))
@@ -745,6 +747,10 @@ def run_step(rt, words, step):
         bits = step[1]
         words.append(rt.box_float(bits))
         return bits
+    if step[0] == "host":
+        x = step[1]
+        words.append(rt.box_host_float(x))
+        return float_to_bits(x)
     op, i, j = step
     x = bits_to_float(rt.unbox_float(words[i]))
     y = bits_to_float(rt.unbox_float(words[j]))
@@ -798,6 +804,7 @@ def test_counters_match_independent_replay(name, hooked):
     replay = CounterReplay(PRESETS[name])
     words = []
     steps = mixed_steps()
+    assert {step[0] for step in steps} >= {"box", "host", "reset"}
     for k, step in enumerate(steps):
         bits = run_step(rt, words, step)
         if bits is None:
@@ -1187,8 +1194,107 @@ def test_zero_cells_fill_a_slot():
     assert rt.unbox_float(rt.generic_div(one, neg)) == SIGN_64 | INF_64
 
 
+# -- boxing host floats --------------------------------------------------------
+
+# What box_host_float takes: +-0, subnormals, +-Inf, quiet and signalling
+# NaNs of both signs with payloads (at and above NAN_CANON and
+# NUN_CANON_MIN too), an int that no float equals (after the float it
+# rounds to, which compares below it), bools, numpy float32s and the
+# floats of 3000 splitmix64 words.
+HOST_SPECIALS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf, -math.inf,
+    *map(bits_to_float, (
+        QNAN_64, QNAN_64 | 0x5A5A, INF_64 | 1, INF_64 | 0x3C3C3, SIGN_64 | INF_64 | 7,
+        NAN_CANON, NAN_CANON | 9, NUN_CANON_MIN | 3, M64,
+    )),
+    2.0**53, 2**53 + 1, True, False, np.float32(1.1), np.float32(-3e-39), np.float32("nan"),
+)
+HOST_INPUTS = (*HOST_SPECIALS, *map(bits_to_float, islice(splitmix64(24), 3000)))
+
+
+def boxing_outcomes(rt, box, inputs, ops=GENERIC_OPS):
+    """Per input, the word box returns, the words and floats (as type and
+    bits) it leaves in rt's slots, what each of ops gives over it and the
+    word before it (generic_less first, which boxes nothing, so both
+    operands still sit in the slots the boxes filled) and rt's counters;
+    and stats() once at the end."""
+    out = []
+    prev = box(1.5)
+    for x in inputs:
+        w = box(x)
+        w1, x1, w2, x2 = slot_cells(rt)
+        slots = [v if type(v) is int else None for v in (w1, w2)]
+        slots += [(type(v), float_to_bits(v)) for v in (x1, x2)]
+        got = [op_outcome(rt, getattr(rt, op), *pair) for op in ops for pair in ((w, prev), (prev, w))]
+        out.append((w, slots, got, rt._counts()))
+        prev = w
+    out.append(rt.stats())
+    return out
+
+
+def check_host_boxing(cfg, inputs, hooked, ops=GENERIC_OPS):
+    """box_host_float(x) and box_float(float_to_bits(x)) give the same
+    words, slots, counters and hook bits, and so do ops over their words."""
+    seen = [], []
+    host = Runtime(cfg, SimHeap(), profile_hook=seen[0].append if hooked else None)
+    bits = Runtime(cfg, SimHeap(), profile_hook=seen[1].append if hooked else None)
+    got = boxing_outcomes(host, host.box_host_float, inputs, ops)
+    want = boxing_outcomes(bits, lambda x: bits.box_float(float_to_bits(x)), inputs, ops)
+    for x, g, e in zip((*inputs, "stats"), got, want):
+        assert g == e, (cfg, x)
+    assert seen[0] == seen[1], cfg
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", ALL)
+def test_box_host_float_boxes_like_box_float_of_its_bits(name, hooked):
+    check_host_boxing(PRESETS[name], HOST_INPUTS, hooked)
+
+
+def test_box_host_float_boxes_like_box_float_over_every_config():
+    # one float per sign and exponent prefix (which decides a table
+    # family's outcome), with low mantissa bits 00 or 11 in turn (which
+    # decide mantissa's), and the specials, over the whole SchemeConfig
+    # space, where generic_less reads both operands from the slots
+    reps = [bits_to_float(p << 58 | (0x13579BDF if p & 1 else 0x2468ACE0)) for p in range(64)]
+    ops = ("generic_less",)
+    n_configs = 0
+    for k, cfg in enumerate(valid_configs()):
+        n_configs += 1
+        check_host_boxing(cfg, (*reps, *HOST_SPECIALS), k % 2 == 1, ops)
+    assert n_configs == 4192
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_box_host_float_rejects_non_numbers(name):
+    seen = []
+    rt = fresh(name, profile_hook=seen.append)
+    rt.box_host_float(1.5)
+    before = slot_cells(rt), rt.stats(), rt.boxes_total
+    for bad in ("1.5", None, b"x", 1j):
+        with pytest.raises(TypeError):
+            rt.box_host_float(bad)
+    with pytest.raises(ValueError):
+        rt.box_host_float(10**400)  # no float holds it
+    assert (slot_cells(rt), rt.stats(), rt.boxes_total) == before
+    assert seen == [float_to_bits(1.5)]  # rejected before the hook and the counters
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_box_float_rejects_a_float(name):
+    # box_float takes bits, not a float: the range test rejects a float
+    # outside [0, 2**64) and the buffer store any other, under every scheme
+    rt = fresh(name)
+    for x in (0.0, 1.5, 1e-100, 2.0**63):
+        with pytest.raises(TypeError, match="invalid type"):
+            rt.box_float(x)
+    for x in (-2.5, 1e300):
+        with pytest.raises(ValueError, match="out of"):
+            rt.box_float(x)
+
+
 RUNTIME_OPS = (
-    "box_float", "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum",
+    "box_float", "box_host_float", "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum",
     "is_fixnum_value", *GENERIC_OPS,
 )
 _SLOT_CELLS = ("w1", "w2", "x1", "x2")
@@ -1199,6 +1305,7 @@ _ARITH_CELLS = ("flips", "fop", "iop", "last", "n", "slow", "w1", "w2", "x1", "x
 # names of the allocation step) is a global of its own namespace.
 FREEVARS = {
     "box_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
+    "box_host_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
     "unbox_float": (),
     "is_float_value": (),
     "box_fixnum": (),
@@ -1304,8 +1411,9 @@ def test_runtimes_of_one_key_share_one_code_object():
                 assert getattr(rt, op).__code__ is getattr(other, op).__code__, (name, hooked, op)
 
 
-# box_float, generic_add, generic_less, unbox_float with operands 1.5 and
-# 2.25 (both immediate except under boxed), boxed just before each call.
+# box_float, generic_add, generic_less, unbox_float and box_host_float
+# with operands 1.5 and 2.25 (both immediate except under boxed), boxed
+# just before each call; box_host_float is given the float 1.5.
 # Reused: the operands are the runtime's last two words, so their floats
 # come from its slots. Memoized: two more floats (0.75 and 3.5) were boxed
 # after them, and generic_less had decoded them once, so their floats come
@@ -1313,51 +1421,51 @@ def test_runtimes_of_one_key_share_one_code_object():
 # so both are decoded for the first time. Boxed and mantissa keep no memo,
 # so their memoized and decoded rows agree; boxed reads its evicted
 # handles from the arena. Heap: the miss path, with operands HEAP_A and
-# HEAP_B, heap-bound under every preset that has a heap: box_float
-# allocates, and generic_add of the two slot-held handles allocates its
-# result.
+# HEAP_B, heap-bound under every preset that has a heap: box_float and
+# box_host_float allocate, and generic_add of the two slot-held handles
+# allocates its result.
 HOT_PATH_OPCODES = {
     "reused": {
-        "boxed": (77, 87, 23, 38),
-        "nanbox": (31, 52, 23, 16),
-        "nunbox": (33, 54, 23, 24),
-        "st1": (43, 64, 23, 26),
-        "st2biased": (43, 64, 23, 26),
-        "st2zeros": (45, 66, 23, 28),
-        "st3": (45, 66, 23, 28),
-        "st4": (45, 66, 23, 28),
-        "mantissa": (37, 58, 23, 18),
+        "boxed": (65, 76, 23, 38, 57),
+        "nanbox": (31, 52, 23, 16, 29),
+        "nunbox": (33, 54, 23, 24, 31),
+        "st1": (43, 64, 23, 26, 41),
+        "st2biased": (43, 64, 23, 26, 41),
+        "st2zeros": (45, 66, 23, 28, 43),
+        "st3": (45, 66, 23, 28, 43),
+        "st4": (45, 66, 23, 28, 43),
+        "mantissa": (37, 58, 23, 18, 35),
     },
     "memoized": {
-        "boxed": (77, 113, 49, 38),
-        "nanbox": (31, 76, 47, 16),
-        "nunbox": (33, 78, 47, 24),
-        "st1": (43, 88, 47, 26),
-        "st2biased": (43, 88, 47, 26),
-        "st2zeros": (45, 90, 47, 28),
-        "st3": (45, 90, 47, 28),
-        "st4": (45, 90, 47, 28),
-        "mantissa": (37, 86, 51, 18),
+        "boxed": (65, 102, 49, 38, 57),
+        "nanbox": (31, 76, 47, 16, 29),
+        "nunbox": (33, 78, 47, 24, 31),
+        "st1": (43, 88, 47, 26, 41),
+        "st2biased": (43, 88, 47, 26, 41),
+        "st2zeros": (45, 90, 47, 28, 43),
+        "st3": (45, 90, 47, 28, 43),
+        "st4": (45, 90, 47, 28, 43),
+        "mantissa": (37, 86, 51, 18, 35),
     },
     "decoded": {
-        "boxed": (77, 113, 49, 38),
-        "nanbox": (31, 122, 93, 16),
-        "nunbox": (33, 140, 109, 24),
-        "st1": (43, 154, 113, 26),
-        "st2biased": (43, 154, 113, 26),
-        "st2zeros": (45, 160, 117, 28),
-        "st3": (45, 160, 117, 28),
-        "st4": (45, 160, 117, 28),
-        "mantissa": (37, 86, 51, 18),
+        "boxed": (65, 102, 49, 38, 57),
+        "nanbox": (31, 122, 93, 16, 29),
+        "nunbox": (33, 140, 109, 24, 31),
+        "st1": (43, 154, 113, 26, 41),
+        "st2biased": (43, 154, 113, 26, 41),
+        "st2zeros": (45, 160, 117, 28, 43),
+        "st3": (45, 160, 117, 28, 43),
+        "st4": (45, 160, 117, 28, 43),
+        "mantissa": (37, 86, 51, 18, 35),
     },
     "heap": {
-        "boxed": (77, 87, 23, 38),
-        "st1": (84, 103, 23, 45),
-        "st2biased": (84, 103, 23, 45),
-        "st2zeros": (91, 110, 23, 45),
-        "st3": (84, 103, 23, 45),
-        "st4": (84, 103, 23, 45),
-        "mantissa": (82, 101, 23, 43),
+        "boxed": (65, 76, 23, 38, 57),
+        "st1": (84, 103, 23, 45, 80),
+        "st2biased": (84, 103, 23, 45, 80),
+        "st2zeros": (91, 110, 23, 45, 87),
+        "st3": (84, 103, 23, 45, 80),
+        "st4": (84, 103, 23, 45, 80),
+        "mantissa": (82, 101, 23, 43, 78),
     },
 }
 
@@ -1424,7 +1532,8 @@ def test_hot_path_opcode_counts():
             box = count_opcodes(rt.box_float, a)
             add = count_opcodes(rt.generic_add, *operands())
             less = count_opcodes(rt.generic_less, *operands())
-            counts[name] = (box, add, less, count_opcodes(rt.unbox_float, operands()[0]))
+            unbox = count_opcodes(rt.unbox_float, operands()[0])
+            counts[name] = (box, add, less, unbox, count_opcodes(rt.box_host_float, bits_to_float(a)))
     assert got == HOT_PATH_OPCODES
 
 
