@@ -3,19 +3,21 @@
 The generator is the same splitmix stream the rest of the package uses,
 computed in closed form (the k-th state is seed + (k+1)*step), so a block
 here is bit-identical to k calls of the scalar generator, and the words
-and mismatch totals do not depend on the block size. A worker makes the
-steps 1*step .. BLOCK*step once; each block's states are then one add of
-the state before it, and the mixing rounds run in place in one reused
-buffer.
+and mismatch totals do not depend on the block size. One class,
+_Stream, builds it: each worker makes one, and splitmix64_block makes
+one for its block alone. A _Stream makes the steps 1*step .. size*step
+once; each block's states are then one add of the state before it, and
+the mixing rounds run in place in one reused buffer.
 
 One mirror pair, st_transform_block and st_untransform_block, serves
-every self-tagging transform at both word widths: it reads the
-transform_terms triple (bias, r, offset) of a SchemeConfig or a 32-bit
-variant and computes rotl(bits + bias, r) + offset at the width of the
-array's dtype, uint64 or uint32. st32_transform_block and
-st32_untransform_block are the same two functions. A zero bias or offset
-is not added, which saves a pass over the block, and r == 0 (the
-mantissa variant) copies the words.
+every self-tagging transform at both word widths, as the one scalar pair
+(schemes.st_transform and st_untransform) does: it reads the bias, r and
+offset of the transform_terms of a SchemeConfig or a 32-bit variant and
+computes rotl(bits + bias, r) + offset at the width of the array's
+dtype, uint64 or uint32. st32_transform_block and st32_untransform_block
+are the same two functions. A zero bias or offset is not added, which
+saves a pass over the block, and r == 0 (the mantissa variant) copies
+the words.
 
 Every mirror takes optional out and scratch arrays of its input's shape,
 neither sharing memory with the input. Given out, it writes its result
@@ -107,14 +109,6 @@ def _mix(z, t):
     return z
 
 
-def splitmix64_block(seed, start, count):
-    """Outputs start .. start+count-1 of the stream for this seed, in a new
-    array."""
-    z = _steps(count)
-    _fill(z, z, seed, start)
-    return _mix(z, np.empty_like(z))
-
-
 def _rotl(s, r, out, scratch):
     """rotl(s, r) at s's word width into out; scratch may be s itself."""
     u = s.dtype.type
@@ -128,7 +122,7 @@ def st_transform_block(bits, config, out=None, scratch=None):
     """st_transform (st32_transform for a uint32 array) of every word:
     rotl(bits + bias, r) + offset over config.transform_terms, at the
     array's word width."""
-    bias, r, offset = config.transform_terms
+    bias, r, offset, _, _ = config.transform_terms
     if out is None:
         out = np.empty_like(bits)
     if r == 0:
@@ -146,7 +140,7 @@ def st_transform_block(bits, config, out=None, scratch=None):
 
 def st_untransform_block(words, config, out=None, scratch=None):
     """The inverse of st_transform_block."""
-    bias, r, offset = config.transform_terms
+    bias, r, offset, _, _ = config.transform_terms
     if out is None:
         out = np.empty_like(words)
     if r == 0:
@@ -196,6 +190,12 @@ class _Stream:
         if words.dtype != z.dtype:
             np.copyto(words, z, casting="unsafe")
         return words
+
+
+def splitmix64_block(seed, start, count):
+    """Outputs start .. start+count-1 of the stream for this seed, in a new
+    array."""
+    return _Stream(seed, count).block(start, count)
 
 
 class _Range32:

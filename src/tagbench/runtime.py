@@ -34,11 +34,11 @@ Module constants (M64, the error messages and the like) go in as
 literals. Four blocks are expanded inline by one pattern, each written
 once: BOX, the boxing tail of box_float, box_host_float and the generic
 re-box (the hook, the event count, HIT and ENC, the slot fill, and CANON
-or MISS), which box_float expands as BOX_BITS, reading its float from the
-buffer only where it is used; MISS, the miss path; FLOAT(w, x), the
-chain of tests that binds x to the float of a generic operand w; and
-ALLOC(w, x), the heap's allocation step (heap.ALLOC), which stores x in a
-new cell whose handle is w, at the end of MISS. The lines of MISS that
+or MISS), which each of them reaches with a float r and its bits; MISS,
+the miss path; FLOAT(w, x), the chain of tests that binds x to the float
+of a generic operand w; and ALLOC(w, x), the heap's allocation step
+(heap.ALLOC), which stores x in a new cell whose handle is w, at the end
+of MISS. The lines of MISS that
 count slow-path encodes and flips are left out of the text, not folded,
 where HAS_IMM is false: a constant-true test leaves a NOP behind.
 
@@ -92,12 +92,14 @@ Every float<->bits conversion in those closures goes through one 8-byte
 buffer owned by the Runtime, seen through two memoryviews: an unsigned
 64-bit view and a binary64 view of the same bytes. A conversion is a store
 to one view and a load from the other, bit-exact (signalling-NaN payloads
-included) and free of struct calls, bytes objects and tuples.
+included) and free of struct calls, bytes objects and tuples. box_float
+stores its bits into the unsigned view and loads the float back;
 box_host_float stores its argument into the binary64 view once and loads
-both the float and the bits back; the store converts what struct's "d"
-converts (ints, bools and numpy scalars too) and raises for anything else,
-before the hook or a counter sees it. The buffer is shared state, so it
-relies on two conditions: a Runtime has a single owner and is not shared
+both the float and the bits back. Both stores come before BOX, so a
+value the store rejects raises before the hook or a counter sees it: a
+float given to box_float, and anything given to box_host_float that
+struct's "d" does not convert (it converts ints, bools and numpy scalars
+too). The buffer is shared state, so it relies on two conditions: a Runtime has a single owner and is not shared
 between threads, like the SimHeap under it; and nothing (profile hook,
 float operation, heap allocation) is called between a store into the
 buffer and the load that reads it back.
@@ -225,11 +227,12 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # the heap-handle tag; fxt, the fixnum tag; lo and hi, the fixnum range;
 # pz_pos and pz_neg, st2zeros' zero cells; hook; mq and md, the buffer's
 # two views; memo; and the names ALLOC reads. Literals: HAS_IMM, HAS_MISS,
-# CANON, HOOKED, ZEROS and _LITERALS. Blocks: BOX and BOX_BITS, MISS inside
-# them, ALLOC(w, x) inside MISS, and FLOAT(w, x). A first generic operand that is neither an immediate
-# float nor a handle must be a fixnum, and so must the second. Neither +0.0
-# nor -0.0 lands in the rot4 tag set, so st2zeros handles them on the slow
-# path, where bits is always bound when ZEROS is true.
+# CANON, HOOKED, ZEROS and _LITERALS. Blocks: BOX, MISS inside it,
+# ALLOC(w, x) inside MISS, and FLOAT(w, x). A first generic operand that
+# is neither an immediate float nor a handle must be a fixnum, and so must
+# the second. Neither +0.0 nor -0.0 lands in the rot4 tag set, so st2zeros
+# handles them on the slow path, where bits is always bound when ZEROS is
+# true.
 
 _SOURCE = """
 def build():
@@ -250,7 +253,9 @@ def build():
         nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
-        BOX_BITS
+        mq[0] = bits
+        r = md[0]
+        BOX
 
     def box_host(x):
         nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
@@ -364,22 +369,20 @@ _MEMO = """    if {w} >> 64:
 
 # BOX: box float r, whose bits are bits: the hook, the event count and, on
 # a hit, the immediate word, which fills slot 1 with r; otherwise CANON or
-# MISS. box_float, which holds bits alone, expands BOX_BITS instead: it
-# stores bits into the buffer after the hook ({store}) and loads the float
-# back where the slot or MISS needs it ({x}, {load}).
+# MISS.
 _BOX = """if HOOKED:
     hook(bits)
 if HAS_MISS:
     n += 1
-{store}if HIT(bits):
+if HIT(bits):
     w2 = w1
     x2 = x1
     w1 = ENC(bits)
-    x1 = {x}
+    x1 = r
     return w1
 if not HAS_MISS:
     return CANON
-{load}MISS"""
+MISS"""
 
 # MISS: float r, with bits bits, misses. It counts the miss (_COUNT_MISS,
 # which a family without immediates leaves out: there every event misses,
@@ -403,7 +406,7 @@ x1 = r
 return w"""
 
 # a block marker and its (word, float) arguments, alone on its line
-_BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC|BOX_BITS|BOX)(?:\((\w+), (\w+)\))?$", re.M)
+_BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC|BOX)(?:\((\w+), (\w+)\))?$", re.M)
 
 
 class _Family(NamedTuple):
@@ -516,8 +519,7 @@ def _builder(family, hooked, zeros):
     has_imm = forms["HIT"] != "False"
     head = _SLOTS + (_MEMO_HIT if rec.memo else "") + "elif "
     blocks = {
-        "BOX": _BOX.format(store="", x="r", load=""),
-        "BOX_BITS": _BOX.format(store="mq[0] = bits\n", x="md[0]", load="r = md[0]\n"),
+        "BOX": _BOX,
         "MISS": (_COUNT_MISS if has_imm else "") + _MISS,
         "FLOAT": _FLOAT.replace("{head}", head).replace("{decode}", _MEMO if rec.memo else _DECODE),
         "ALLOC": ALLOC,
@@ -566,13 +568,11 @@ class Runtime:
     a run without touching kernel code.
 
     box_float takes float bits in [0, 2**64). Under every scheme it raises
-    ValueError for a number outside that range, before the hook and the
-    counters, and TypeError for a float inside it: the buffer store
-    rejects that float, but only after the profile hook was called with it
-    and, where the scheme counts box events, the event was counted.
-    box_host_float takes a host number, converted as struct's "d" converts
-    it (a float, an int, a bool, a numpy scalar: anything with __float__
-    or __index__), and gives the word, counters and hook call of
+    ValueError for a number outside that range and TypeError for a float
+    inside it (the buffer store rejects it), both before the hook and the
+    counters, as box_host_float does. box_host_float takes a host number,
+    converted as struct's "d" converts it (a float, an int, a bool, a
+    numpy scalar: anything with __float__ or __index__), and gives the word, counters and hook call of
     box_float(float_to_bits(x)). It raises TypeError for anything else and
     ValueError for an int too large for a float, before the hook and the
     counters. Words that are not

@@ -17,19 +17,18 @@ from its class constants: EXP_BITS exponent bits, whose top PREFIX_BITS
 name a prefix class, and TAG_MASK, the mask of the low tag.
 
 A config derives its constants once, at construction (derive_constants):
-the transform_terms triple, the tag_set mask of the tags that mark
-immediates and the class_mask of covered prefix classes, built from
-_class_covered alone. They are plain instance values, not cached
-properties: a cached_property stores through the instance __dict__, which
-on CPython 3.11 turns the inline attribute values into a dict and slows
-every later attribute read of that config. 3.11 specialises a read only
-for names the class does not define, so tag_set and class_mask are None
-where they do not apply. transform_terms keeps a class-level fallback,
-because reading it on a config that is not self-tagging must raise, so
-its reads stay unspecialised; st_transform and st_untransform read the
-same triple as _terms, which the class does not define. On a config
-that is not self-tagging, _terms is a sentinel whose unpacking raises
-the same ValueError."""
+transform_terms, the tag_set mask of the tags that mark immediates and
+the class_mask of covered prefix classes, built from _class_covered
+alone. They are plain instance values, not cached properties or class
+attributes: a cached_property stores through the instance __dict__,
+which on CPython 3.11 turns the inline attribute values into a dict and
+slows every later attribute read of that config, and 3.11 specialises a
+read only for names the class does not define. So tag_set and
+class_mask are None where they do not apply, and a config that is not
+self-tagging holds a transform_terms sentinel whose unpacking raises.
+transform_terms is (bias, r, offset, width - r, mask) for the config's
+WORD_BITS, so one scalar pair, st_transform and st_untransform, serves
+both word widths."""
 
 import math
 from dataclasses import dataclass
@@ -67,19 +66,11 @@ def _not_self_tagging(variant):
 
 
 class _NoTransform:
-    """transform_terms where derive_constants set none. As the class
-    attribute SchemeConfig.transform_terms it is a non-data descriptor, so
-    a self-tagging config's instance value shadows it, and reading it on
-    any other config raises. As such a config's _terms, the name the
-    transforms read, it raises when unpacked."""
+    """The transform_terms of a config that is not self-tagging: unpacking
+    it raises."""
 
-    def __init__(self, variant=None):
+    def __init__(self, variant):
         self.variant = variant
-
-    def __get__(self, config, owner=None):
-        if config is None:
-            return self
-        raise _not_self_tagging(config.variant)
 
     def __iter__(self):
         raise _not_self_tagging(self.variant)
@@ -94,11 +85,11 @@ class SchemeConfig:
     tag put on heap-float handles, or None for the generic-pointer
     layout (type code in the cell header, handle tagged GENERIC_TAG).
 
-    __post_init__ also sets tag_set, class_mask, _terms and, on
-    self-tagging configs, transform_terms; dataclasses.replace derives them
-    again, and ==, hash and repr ignore them, as they are not fields.
-    tag_set is None where the variant is not self-tagging, class_mask
-    there and under mantissa.
+    __post_init__ also sets transform_terms, tag_set and class_mask;
+    dataclasses.replace derives them again, and ==, hash and repr ignore
+    them, as they are not fields. tag_set is None where the variant is not
+    self-tagging, class_mask there and under mantissa, and transform_terms
+    there is a sentinel whose unpacking raises.
     """
 
     name: str
@@ -107,9 +98,7 @@ class SchemeConfig:
     offset: int = 0
     heap_float_tag: int | None = None
 
-    EXP_BITS, PREFIX_BITS, TAG_MASK = 11, 5, 7  # the word's geometry
-
-    transform_terms = _NoTransform()
+    WORD_BITS, EXP_BITS, PREFIX_BITS, TAG_MASK = 64, 11, 5, 7  # the word's geometry
 
     def __post_init__(self):
         if self.variant not in ALL_VARIANTS:
@@ -121,8 +110,7 @@ class SchemeConfig:
         if self.heap_float_tag is not None and not 0 <= self.heap_float_tag <= 7:
             raise ValueError("heap float tag out of [0, 7]: %r" % (self.heap_float_tag,))
         if self.variant in SELF_TAG_VARIANTS:
-            terms = _transform_terms(self)
-            derive_constants(self, terms)
+            derive_constants(self, _transform_terms(self))
             mask = self.tag_set
             ht = handle_tag(self)
             if (mask >> ht) & 1:
@@ -130,10 +118,9 @@ class SchemeConfig:
                     "heap handle tag %d collides with the self-tag set 0x%02x" % (ht, mask)
                 )
         else:
-            terms = _NoTransform(self.variant)
+            object.__setattr__(self, "transform_terms", _NoTransform(self.variant))
             object.__setattr__(self, "tag_set", None)
             object.__setattr__(self, "class_mask", None)
-        object.__setattr__(self, "_terms", terms)
 
 
 def _transform_terms(config):
@@ -164,14 +151,17 @@ def _tag_set(config):
     return tag_set_mask((t, (t - 1) & config.TAG_MASK))  # TWO_TAG_BIASED
 
 
-def derive_constants(config, transform_terms):
+def derive_constants(config, triple):
     """Store a self-tagging config's derived constants on it:
-    transform_terms, tag_set and class_mask (bit p set when prefix class p
-    is kept immediate; None for mantissa). Called once from __post_init__
-    by SchemeConfig and the st32 variants; they are frozen, hence
-    object.__setattr__."""
+    transform_terms, the triple (bias, r, offset) with the shift and mask
+    of the config's WORD_BITS added, (bias, r, offset, WORD_BITS - r,
+    2**WORD_BITS - 1); tag_set; and class_mask (bit p set when prefix
+    class p is kept immediate; None for mantissa). Called once from
+    __post_init__ by SchemeConfig and the st32 variants; they are frozen,
+    hence object.__setattr__."""
     put = object.__setattr__
-    put(config, "transform_terms", transform_terms)
+    width = config.WORD_BITS
+    put(config, "transform_terms", (*triple, width - triple[1], (1 << width) - 1))
     put(config, "tag_set", _tag_set(config))
     mask = None
     if config.variant != MANTISSA:
@@ -210,29 +200,31 @@ def fixnum_tag(config):
 
 
 def st_transform(bits, config):
-    """The unconditional invertible transform (no tag test) of a 64-bit
-    word over config.transform_terms; zero terms are skipped. Its domain
-    is bits in [0, 2**64): a word outside it is not checked and gives a
-    wrong word, not an error."""
-    bias, r, offset = config._terms
+    """The unconditional invertible transform (no tag test) of a word of
+    a SchemeConfig or a 32-bit st32 variant: rotl(bits + bias, r) + offset
+    at the config's word width, over its transform_terms; zero terms are
+    skipped. Its domain is bits in [0, 2**WORD_BITS): a word outside it is
+    not checked and gives a wrong word, not an error."""
+    bias, r, offset, back, m = config.transform_terms
     if r == 0:
         return bits
     if bias:
-        bits = (bits + bias) & M64
-    w = ((bits << r) | (bits >> (64 - r))) & M64
-    return (w + offset) & M64 if offset else w
+        bits = (bits + bias) & m
+    w = ((bits << r) | (bits >> back)) & m
+    return (w + offset) & m if offset else w
 
 
 def st_untransform(w, config):
-    """Exact inverse of st_transform over the full 64-bit space, for w in
-    [0, 2**64); like st_transform, it does not check the range."""
-    bias, r, offset = config._terms
+    """Exact inverse of st_transform over the config's full word space,
+    for w in [0, 2**WORD_BITS); like st_transform, it does not check the
+    range."""
+    bias, r, offset, back, m = config.transform_terms
     if r == 0:
         return w
     if offset:
-        w = (w - offset) & M64
-    bits = ((w >> r) | (w << (64 - r))) & M64
-    return (bits - bias) & M64 if bias else bits
+        w = (w - offset) & m
+    bits = ((w >> r) | (w << back)) & m
+    return (bits - bias) & m if bias else bits
 
 
 def _not_prefix_shaped(config):

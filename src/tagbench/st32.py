@@ -1,15 +1,16 @@
 """Self-tagging on 32-bit words (binary32 floats, 2-bit tags).
 
 The transform is the 64-bit rotate-and-bias construction scaled to the
-narrower word: each variant's transform_terms triple (bias, r, offset)
-puts the bias steps at bit 27 (under the 4-bit prefix of sign and top
-exponent bits) and rotates by 4, leaving a 2-bit tag plus two spare low
-bits on immediates. The triple is the only place a variant's transform
-arithmetic is decided. Like the 64-bit st_transform and st_untransform,
-st32_transform and st32_untransform skip a zero bias or offset: the
-offset is 0 under both variants, and so is TwoTag(0)'s bias. There is no
-32-bit heap, runtime or fixnum; this module only answers representation
-questions about the transform.
+narrower word: each variant's triple (bias, r, offset) puts the bias
+steps at bit 27 (under the 4-bit prefix of sign and top exponent bits)
+and rotates by 4, leaving a 2-bit tag plus two spare low bits on
+immediates. The triple is the only place a variant's transform
+arithmetic is decided. Its transform_terms add the shift and mask of
+the variant's WORD_BITS, so the one scalar pair, schemes.st_transform
+and st_untransform, serves 32-bit words too: st32_transform and
+st32_untransform are the same two functions. There is no 32-bit heap,
+runtime or fixnum; this module only answers representation questions
+about the transform.
 
 Coverage lives in schemes, which reads a 32-bit word's geometry (8
 exponent bits, 4-bit prefix classes, 2-bit tags) from OneTag and TwoTag.
@@ -25,12 +26,11 @@ the offline 2^32 sweep checks the roundtrip."""
 
 from dataclasses import dataclass
 
-from .schemes import ONE_TAG, TWO_TAG_BIASED, derive_constants
-from .words import M32
+from .schemes import ONE_TAG, TWO_TAG_BIASED, derive_constants, st_transform, st_untransform
 
 
 class _Word32:
-    EXP_BITS, PREFIX_BITS, TAG_MASK = 8, 4, 3
+    WORD_BITS, EXP_BITS, PREFIX_BITS, TAG_MASK = 32, 8, 4, 3
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,10 @@ def st32_tag_set(variant):
     return frozenset(t for t in range(4) if (variant.tag_set >> t) & 1)
 
 
-def st32_transform(bits, variant):
-    """rotl32(bits + bias, r) + offset over variant.transform_terms, for
-    bits in [0, 2**32); zero terms are skipped. The range is not checked:
-    a word outside it gives a wrong word, not an error."""
-    bias, r, offset = variant.transform_terms
-    if bias:
-        bits = (bits + bias) & M32
-    w = ((bits << r) | (bits >> (32 - r))) & M32
-    return (w + offset) & M32 if offset else w
-
-
-def st32_untransform(w, variant):
-    """Exact inverse of st32_transform over the full 32-bit space, for w
-    in [0, 2**32); like st32_transform, it does not check the range."""
-    bias, r, offset = variant.transform_terms
-    if offset:
-        w = (w - offset) & M32
-    bits = ((w >> r) | (w << (32 - r))) & M32
-    return (bits - bias) & M32 if bias else bits
+# rotl32(bits + bias, r) + offset and its inverse over a variant's
+# transform_terms, for words in [0, 2**32); the range is not checked
+st32_transform = st_transform
+st32_untransform = st_untransform
 
 
 def st32_covers(bits, variant):

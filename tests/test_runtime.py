@@ -1283,14 +1283,19 @@ def test_box_host_float_rejects_non_numbers(name):
 @pytest.mark.parametrize("name", ALL)
 def test_box_float_rejects_a_float(name):
     # box_float takes bits, not a float: the range test rejects a float
-    # outside [0, 2**64) and the buffer store any other, under every scheme
-    rt = fresh(name)
-    for x in (0.0, 1.5, 1e-100, 2.0**63):
-        with pytest.raises(TypeError, match="invalid type"):
-            rt.box_float(x)
-    for x in (-2.5, 1e300):
-        with pytest.raises(ValueError, match="out of"):
-            rt.box_float(x)
+    # outside [0, 2**64) and the buffer store any other, under every
+    # scheme, before the hook and the counters
+    seen = []
+    for rt in (fresh(name), fresh(name, profile_hook=seen.append)):
+        for err, match, xs in (
+            (TypeError, "invalid type", (0.0, 1.5, 1e-100, 2.0**63)),
+            (ValueError, "out of", (-2.5, 1e300)),
+        ):
+            for x in xs:
+                with pytest.raises(err, match=match):
+                    rt.box_float(x)
+                assert seen == [], x
+                assert rt._counts() == (0, 0, 0, 0), x
 
 
 RUNTIME_OPS = (
@@ -1427,36 +1432,36 @@ def test_runtimes_of_one_key_share_one_code_object():
 HOT_PATH_OPCODES = {
     "reused": {
         "boxed": (65, 76, 23, 38, 57),
-        "nanbox": (31, 52, 23, 16, 29),
-        "nunbox": (33, 54, 23, 24, 31),
-        "st1": (43, 64, 23, 26, 41),
-        "st2biased": (43, 64, 23, 26, 41),
-        "st2zeros": (45, 66, 23, 28, 43),
-        "st3": (45, 66, 23, 28, 43),
-        "st4": (45, 66, 23, 28, 43),
-        "mantissa": (37, 58, 23, 18, 35),
+        "nanbox": (33, 52, 23, 16, 29),
+        "nunbox": (35, 54, 23, 24, 31),
+        "st1": (45, 64, 23, 26, 41),
+        "st2biased": (45, 64, 23, 26, 41),
+        "st2zeros": (47, 66, 23, 28, 43),
+        "st3": (47, 66, 23, 28, 43),
+        "st4": (47, 66, 23, 28, 43),
+        "mantissa": (39, 58, 23, 18, 35),
     },
     "memoized": {
         "boxed": (65, 102, 49, 38, 57),
-        "nanbox": (31, 76, 47, 16, 29),
-        "nunbox": (33, 78, 47, 24, 31),
-        "st1": (43, 88, 47, 26, 41),
-        "st2biased": (43, 88, 47, 26, 41),
-        "st2zeros": (45, 90, 47, 28, 43),
-        "st3": (45, 90, 47, 28, 43),
-        "st4": (45, 90, 47, 28, 43),
-        "mantissa": (37, 86, 51, 18, 35),
+        "nanbox": (33, 76, 47, 16, 29),
+        "nunbox": (35, 78, 47, 24, 31),
+        "st1": (45, 88, 47, 26, 41),
+        "st2biased": (45, 88, 47, 26, 41),
+        "st2zeros": (47, 90, 47, 28, 43),
+        "st3": (47, 90, 47, 28, 43),
+        "st4": (47, 90, 47, 28, 43),
+        "mantissa": (39, 86, 51, 18, 35),
     },
     "decoded": {
         "boxed": (65, 102, 49, 38, 57),
-        "nanbox": (31, 122, 93, 16, 29),
-        "nunbox": (33, 140, 109, 24, 31),
-        "st1": (43, 154, 113, 26, 41),
-        "st2biased": (43, 154, 113, 26, 41),
-        "st2zeros": (45, 160, 117, 28, 43),
-        "st3": (45, 160, 117, 28, 43),
-        "st4": (45, 160, 117, 28, 43),
-        "mantissa": (37, 86, 51, 18, 35),
+        "nanbox": (33, 122, 93, 16, 29),
+        "nunbox": (35, 140, 109, 24, 31),
+        "st1": (45, 154, 113, 26, 41),
+        "st2biased": (45, 154, 113, 26, 41),
+        "st2zeros": (47, 160, 117, 28, 43),
+        "st3": (47, 160, 117, 28, 43),
+        "st4": (47, 160, 117, 28, 43),
+        "mantissa": (39, 86, 51, 18, 35),
     },
     "heap": {
         "boxed": (65, 76, 23, 38, 57),

@@ -4,10 +4,12 @@ import math
 from functools import cached_property
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tagbench.batch import st_transform_block, st_untransform_block
 from tagbench.prng import splitmix64
 from tagbench.runtime import Runtime
 from tagbench.schemes import (
@@ -199,8 +201,18 @@ def test_non_self_tagging_configs_keep_their_errors(name):
         covers(cfg, ONE_BITS)
     with pytest.raises(ValueError, match="coverage is not prefix-shaped"):
         covered_prefix_classes(cfg)
-    with pytest.raises(ValueError, match="not a self-tagging variant: %r" % cfg.variant):
-        cfg.transform_terms
+    # the transform_terms sentinel raises where the terms are used: when
+    # unpacked, by the scalar pair and by the vector mirrors
+    words = np.arange(4, dtype=np.uint64)
+    for use in (
+        lambda: tuple(cfg.transform_terms),
+        lambda: st_transform(ONE_BITS, cfg),
+        lambda: st_untransform(ONE_BITS, cfg),
+        lambda: st_transform_block(words, cfg),
+        lambda: st_untransform_block(words, cfg),
+    ):
+        with pytest.raises(ValueError, match="not a self-tagging variant: %r" % cfg.variant):
+            use()
     with pytest.raises(ValueError, match="not a self-tagging variant"):
         self_tag_set(cfg)
 

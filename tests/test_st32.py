@@ -13,7 +13,6 @@ from tagbench.schemes import (
     self_tag_set,
 )
 from tagbench.st32 import (
-    M32,
     OneTag,
     TwoTag,
     st32_covers,
@@ -21,6 +20,7 @@ from tagbench.st32 import (
     st32_transform,
     st32_untransform,
 )
+from tagbench.words import M32
 
 from _frozen import COVERED_32, INTERVALS_32
 
