@@ -12,7 +12,21 @@ result) is fixed, which keeps box sequences and checksums identical across
 schemes.
 
 Kernels return the final value as a runtime word: a boxed float for the
-summation workloads, a fixnum for the counting ones."""
+summation workloads, a fixnum for the counting ones.
+
+The functions below are the reference form of each kernel: they call the
+Runtime's operations. run() runs a kernel fused with its runtime instead
+(fuse.py): one function per kernel and runtime key, compiled on first use,
+in which every call to an operation the kernel binds at entry is the
+operation's inline body, and which shares the runtime's namespace and its
+counter and slot cells. It gives the reference's words, counters, slots,
+hook calls and exceptions. A kernel is written in the subset of Python
+that fuse.py rewrites, which its docstring names; it raises
+NotImplementedError for anything else. The rule for replaced operations:
+when any operation attribute of the Runtime is not the closure it
+compiled (a tracer or a test spy wrapped it), run() runs the reference
+form, so that the replacement sees every call; such a run measures the
+reference."""
 
 import math
 import os
@@ -264,9 +278,17 @@ KERNEL_FUNCS = {
 
 
 def run(spec, rt):
-    """Run one kernel against a runtime; returns the final word."""
+    """Run one kernel against a runtime, fused with it, or in its reference
+    form when an operation attribute of rt has been replaced; returns the
+    final word."""
     try:
         fn = KERNEL_FUNCS[spec.name]
     except KeyError:
         raise KeyError("unknown kernel: %r" % (spec.name,)) from None
-    return fn(rt, spec.size, spec.seed)
+    # imported on the first run, not with the package: compiling fuse.py and
+    # importing what it imports added 11-20% to perfbench's setup_s, which
+    # imports the package afresh without bytecode caches
+    from .fuse import fused
+
+    f = fused(fn, rt)
+    return (fn if f is None else f)(rt, spec.size, spec.seed)

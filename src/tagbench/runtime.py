@@ -42,12 +42,12 @@ of MISS. The lines of MISS that
 count slow-path encodes and flips are left out of the text, not folded,
 where HAS_IMM is false: a constant-true test leaves a NOP behind.
 
-Each (family, HOOKED, ZEROS) source is compiled once per process
-(_builder), and every Runtime of that key runs the one code object: it
-executes it in a namespace of its own, whose globals are the values the
-Runtime binds once (its codec tables, ranges, tags, zero cells, hook,
-buffer views and memo, and the names ALLOC reads, SimHeap.alloc_names),
-and calls build() there. The closure cells, which a call copies into its
+Each (family, HOOKED, ZEROS) source is expanded once per process (_text)
+and compiled once (_builder), and every Runtime of that key runs the one
+code object: it executes it in a namespace of its own, whose globals are
+the values the Runtime binds once (its codec tables, ranges, tags, zero
+cells, hook, buffer views and memo, and the names ALLOC reads,
+SimHeap.alloc_names), and calls build() there. The closure cells, which a call copies into its
 frame, hold only what changes: the counters, the operand slots, and
 make_arith's fop and iop. So the per-operation cost is flat: the forms are
 inline, with no per-operation call, and nothing is looked up that could
@@ -56,6 +56,17 @@ dict, so runtimes of one key used in alternation re-specialise the code
 they share (about 5% per memo-path call, BENCH_23); no benchmark
 alternates them, and a copy of the code per Runtime measured no faster
 on any of them.
+
+Kernels run fused with their runtime (fuse.py): for each kernel and key,
+one function into which the bodies of the operations it calls are inlined,
+taken from the same _text. A fused function runs in the Runtime's namespace
+and over the Runtime's own closure cells (the counters and the slots), so
+counts(), stats(), reset() and the slots need no copying in or out. The
+operations' names and their text live in one table, _OPS, and the (fop,
+iop) pairs of the generic arithmetic in another, _ARITH, which both
+_compile and the fused code read. _compile keeps the closures it made
+(_ops), so that a replaced operation attribute (a tracer or a test spy) is
+seen, and kernels.run then runs the kernel as written.
 
 The counters belong to the Runtime: they are closure cells of the
 builder, read and zeroed through its counts() and reset(). A box event
@@ -333,9 +344,10 @@ def build():
         except (IndexError, ValueError):  # dangling handle, word out of [0, 2**64)
             raise TypeError(_TYPE_ERR) from None
 
-    return (
-        box, box_host, unbox, is_float, box_fixnum, unbox_fixnum, is_fixnum, make_arith, less,
-        counts, reset,
+    return dict(
+        box=box, box_host=box_host, unbox=unbox, is_float=is_float, box_fixnum=box_fixnum,
+        unbox_fixnum=unbox_fixnum, is_fixnum=is_fixnum, make_arith=make_arith, less=less,
+        counts=counts, reset=reset,
     )
 """
 
@@ -404,6 +416,31 @@ x2 = x1
 w1 = w
 x1 = r
 return w"""
+
+# The Runtime's operations, each named after the function of _SOURCE that
+# defines it. The generic arithmetic is one function, arith, which
+# make_arith closes over the (fop, iop) pair of each operation in _ARITH:
+# fop combines the operands' floats, iop their fixnum values.
+_OPS = {
+    "box_float": "box",
+    "box_host_float": "box_host",
+    "unbox_float": "unbox",
+    "is_float_value": "is_float",
+    "box_fixnum": "box_fixnum",
+    "unbox_fixnum": "unbox_fixnum",
+    "is_fixnum_value": "is_fixnum",
+    "generic_add": "arith",
+    "generic_sub": "arith",
+    "generic_mul": "arith",
+    "generic_div": "arith",
+    "generic_less": "less",
+}
+_ARITH = {
+    "generic_add": (add, add),
+    "generic_sub": (sub, sub),
+    "generic_mul": (mul, mul),
+    "generic_div": (ieee_div, floordiv),
+}
 
 # a block marker and its (word, float) arguments, alone on its line
 _BLOCK = re.compile(r"^( *)(MISS|FLOAT|ALLOC|BOX)(?:\((\w+), (\w+)\))?$", re.M)
@@ -507,13 +544,12 @@ _FORM = re.compile(r"\b(HIT|IMM|DEC|ENC|FIX|FDEC|FENC)\((\w+)\)")
 
 
 @cache
-def _builder(family, hooked, zeros):
-    """The family's closure source as a code object, compiled once per
-    family, hooked and zeros flag in a process: the source with its blocks
-    expanded, then the family's forms, CANON, the four derived constants and
-    the module constants substituted. Running it defines build() in the
-    namespace it runs in, whose globals are the names a Runtime binds
-    (Runtime._compile)."""
+def _text(family, hooked, zeros):
+    """The family's closure source, made once per family, hooked and zeros
+    flag in a process: _SOURCE with its blocks expanded, then the family's
+    forms, CANON, the four derived constants and the module constants
+    substituted. _builder compiles it, and the kernel compiler (fuse.py)
+    takes the bodies of its operations from it."""
     rec = _FAMILIES[family]
     forms = rec.forms
     has_imm = forms["HIT"] != "False"
@@ -534,8 +570,15 @@ def _builder(family, hooked, zeros):
         HOOKED=hooked, ZEROS=zeros,
     )
     text = _FORM.sub(lambda mo: "(%s)" % forms[mo[1]].format(mo[2]), _BLOCK.sub(block, _SOURCE))
-    text = re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
-    return compile(text, "<runtime %s>" % family, "exec")
+    return re.sub(r"\b(%s)\b" % "|".join(consts), lambda mo: repr(consts[mo[1]]), text)
+
+
+@cache
+def _builder(family, hooked, zeros):
+    """_text(family, hooked, zeros) as a code object, compiled once per key
+    in a process. Running it defines build() in the namespace it runs in,
+    whose globals are the names a Runtime binds (Runtime._compile)."""
+    return compile(_text(family, hooked, zeros), "<runtime %s>" % family, "exec")
 
 
 def _codec_tables(scheme, shift, low):
@@ -673,15 +716,14 @@ class Runtime:
             pz_pos=pz_pos, pz_neg=pz_neg, hook=hook, mq=self._mq, md=self._md,
             memo=self._memo, **heap.alloc_names(scheme.heap_float_tag),
         )
-        exec(_builder(family, hook is not None, zeros), ns)
+        self._key = (family, hook is not None, zeros)
+        exec(_builder(*self._key), ns)
         # popped, so that no cycle (build -> ns -> build) keeps the heap
         # alive once the Runtime is dropped
-        (
-            self.box_float, self.box_host_float, self.unbox_float, self.is_float_value,
-            self.box_fixnum, self.unbox_fixnum, self.is_fixnum_value,
-            make_arith, self.generic_less, self._counts, self._reset,
-        ) = ns.pop("build")()
-        self.generic_add = make_arith(add, add)
-        self.generic_sub = make_arith(sub, sub)
-        self.generic_mul = make_arith(mul, mul)
-        self.generic_div = make_arith(ieee_div, floordiv)
+        fns = ns.pop("build")()
+        self._counts, self._reset = fns["counts"], fns["reset"]
+        self._ops = {
+            op: fns["make_arith"](*_ARITH[op]) if name == "arith" else fns[name]
+            for op, name in _OPS.items()
+        }
+        self.__dict__.update(self._ops)

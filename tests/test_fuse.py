@@ -1,0 +1,177 @@
+"""Kernels fused with their runtime (fuse.py) against their reference form:
+the same result or exception, counters, slots, memo, arena and hook calls,
+under every preset, with and without a profile hook."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tagbench
+from tagbench import KERNEL_NAMES, PRESETS, Runtime, SimHeap, fuse, kernels
+from tagbench.kernels import KERNEL_FUNCS, KernelSpec
+from tagbench.words import float_to_bits
+
+ALL = tuple(PRESETS)
+# small enough for every preset and hook, large enough that mbrot
+# overflows the decode memo
+SMALL = {"sumfp": 300, "fibfp": 10, "mbrot": 10, "pnpoly": 60, "fft": 32, "sum1": 200}
+
+
+def k_names(rt, size, seed):
+    """A kernel whose own names are names of the runtime's text: the
+    counter n, rot4's offset k, memo, the arena's payload, the slot w1,
+    bits and r. It boxes a float every preset with a heap misses (1e-100)
+    and both zeros, computes on fixnums, and uses more words than the
+    decode memo keeps."""
+    box = rt.box_host_float
+    boxi = rt.box_fixnum
+    add = rt.generic_add
+    sub = rt.generic_sub
+    mul = rt.generic_mul
+    div = rt.generic_div
+    less = rt.generic_less
+    n = box(1e-100)
+    k = [box(z) for z in (0.0, -0.0)]
+    memo = [box(1.0 + j / 8.0) for j in range(size)]
+    payload = boxi(seed)
+    w1 = k[0]
+
+    def bits(r):
+        if less(r, n):
+            return sub(n, r)
+        return mul(r, n)
+
+    r = 0
+    while less(boxi(r), boxi(size)):
+        w1 = add(bits(memo[r]), div(w1, memo[size - 1 - r]))
+        payload = add(payload, div(boxi(r), boxi(3)))
+        r += 1
+    return w1, payload, add(k[1], k[0])
+
+
+def state(rt):
+    """What a run leaves in rt: its counters, both slots, the decode memo
+    and the arena."""
+    cells = dict(zip(rt.box_float.__code__.co_freevars, rt.box_float.__closure__))
+    w1, x1, w2, x2 = (cells[c].cell_contents for c in ("w1", "x1", "w2", "x2"))
+    return (
+        rt.stats(),
+        rt._counts(),
+        [w if isinstance(w, int) else None for w in (w1, w2)],  # unfilled: object()
+        [float_to_bits(x) for x in (x1, x2)],
+        {w: float_to_bits(x) for w, x in rt._memo.items()},
+        rt.heap._payload.tobytes(),
+        rt.heap.cells_used,
+    )
+
+
+def outcome(preset, hooked, run, capacity=None):
+    """(result or exception, state, hook bits) of run(rt) on a new Runtime
+    of preset."""
+    seen = []
+    heap = SimHeap() if capacity is None else SimHeap(capacity)
+    rt = Runtime(PRESETS[preset], heap, profile_hook=seen.append if hooked else None)
+    try:
+        got = run(rt)
+    except Exception as ex:
+        got = (type(ex), str(ex))
+    return got, state(rt), seen
+
+
+def both(fn, preset, hooked, size, capacity=None):
+    ref = outcome(preset, hooked, lambda rt: fn(rt, size, 1), capacity)
+    fused = outcome(preset, hooked, lambda rt: fuse.fused(fn, rt)(rt, size, 1), capacity)
+    return ref, fused
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_fused_kernels_match_the_reference(name, hooked):
+    for preset in ALL:
+        ref, fused = both(KERNEL_FUNCS[name], preset, hooked, SMALL[name])
+        assert fused == ref, preset
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+def test_kernel_names_shadow_no_runtime_name(hooked):
+    for preset in ALL:
+        ref, fused = both(k_names, preset, hooked, 300)
+        assert fused == ref, preset
+        n, slow, _, allocs = ref[1][1]
+        if preset in ("st1", "st2zeros"):  # the miss path ran, and st2zeros' zero cells
+            assert allocs > 0 and (slow > allocs) == (preset == "st2zeros"), preset
+
+
+@pytest.mark.parametrize(
+    "name, preset",
+    [("k_names", p) for p in ("boxed", "mantissa", "st1", "st2zeros")]
+    + [("fibfp", "boxed"), ("mbrot", "mantissa")],
+)
+def test_fused_kernels_raise_as_the_reference(name, preset):
+    fn = k_names if name == "k_names" else KERNEL_FUNCS[name]
+    for hooked in (False, True):
+        ref, fused = both(fn, preset, hooked, 300 if fn is k_names else SMALL[name], capacity=40)
+        assert ref[0][0] is MemoryError
+        assert fused == ref, hooked
+
+
+def test_a_replaced_operation_sees_every_call():
+    # kernels.run keeps the reference form once an operation attribute is
+    # not the closure the Runtime compiled, so a spy sees every call
+    def spied(rt):
+        calls = []
+        add = rt.generic_add
+        rt.generic_add = lambda a, b: calls.append(1) or add(a, b)
+        return calls
+
+    spec = KernelSpec("sumfp", 300, 1)
+    rt = Runtime(PRESETS["st1"], SimHeap())
+    calls = spied(rt)
+    assert fuse.fused(KERNEL_FUNCS["sumfp"], rt) is None
+    word = kernels.run(spec, rt)
+    ref = Runtime(PRESETS["st1"], SimHeap())
+    ref_calls = spied(ref)
+    assert word == KERNEL_FUNCS["sumfp"](ref, spec.size, spec.seed)
+    assert len(calls) == len(ref_calls) == 2 * (spec.size + 1)
+
+
+def test_nothing_is_compiled_before_a_kernel_runs():
+    # importing the package and building a Runtime of every preset compiles
+    # no fused kernel; the first kernels.run compiles exactly one
+    script = (
+        "from tagbench import PRESETS, Runtime, fuse, kernels\n"
+        "rts = [Runtime(PRESETS[p]) for p in PRESETS]\n"
+        "print(fuse._compiled.cache_info().currsize)\n"
+        "kernels.run(kernels.KernelSpec('sumfp', 10, 1), rts[0])\n"
+        "print(fuse._compiled.cache_info().currsize)\n"
+    )
+    src = str(Path(tagbench.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "1"]
+
+
+def k_walrus(rt, size, seed):
+    add = rt.generic_add
+    return add(x := rt.box_host_float(1.0), x)
+
+
+def k_op_as_value(rt, size, seed):
+    box = rt.box_host_float
+    return list(map(box, [1.0]))
+
+
+def k_op_in_boolop(rt, size, seed):
+    box = rt.box_host_float
+    less = rt.generic_less
+    one = box(1.0)
+    return size and less(one, one)
+
+
+@pytest.mark.parametrize("fn", (k_walrus, k_op_as_value, k_op_in_boolop))
+def test_what_cannot_be_fused_raises(fn):
+    with pytest.raises(NotImplementedError, match="cannot fuse"):
+        fuse.fused(fn, Runtime(PRESETS["st1"], SimHeap()))
