@@ -31,6 +31,31 @@ operations, in its order, on its operands:
   xa + xb, two NaN operands with different bits give the first operand's
   payload, where fop gives the second's.
 
+Shadow floats. A compiler that has just boxed a float still holds it; so
+does the fused code. In each function scope (the kernel's, and each nested
+function's), a name is shadowed when every binding of it there is the
+target of an inlined operation that gives a float's word (box_float,
+box_host_float, the generic arithmetic; not generic_less, whose results are
+bools, nor box_fixnum) or a plain copy of a shadowed name (mbrot's
+zr = zero); a temporary such an operation binds is shadowed too. Any other
+binding, of any form, leaves the name unshadowed: a parameter, a for or
+with target, unpacking, augmented assignment, a subscript or a call's
+result, except ... as, del, an import, a def or class; and a binding in a
+lambda or a comprehension counts as one of the enclosing scope's. A nested
+function sees the shadows of the names it reads from the enclosing
+function (fibfp's one and two). Each binding of a shadowed name V also
+binds f_V (SHADOW): on the returns that fill the newest operand slot, the
+float stored there; on the others (arith's fixnum result, NaN and NuN
+boxing's CANON), None. Those returns, and the first test of each FLOAT
+chain, are found in the operation text, not restated here. Each FLOAT
+chain on a shadowed operand V then tests f_V first, and takes it as the
+float unless it is None; otherwise the chain runs unchanged. So the fused
+form makes every box event, word, counter, slot, arena cell, hook call and
+exception of the reference form, and skips only the slot tests, memo
+lookups, decodes and arena reads of words whose float it holds. The decode memo is a cache: after a fused run it holds at most
+MEMO_BOUND words, each with its word's exact decode, but not always the
+words the reference leaves in it; a shadowed operand never fills it.
+
 Each operation body is parsed once per kernel, with the branches its
 substituted constants rule out folded away, and its inline copies share
 every node that holds no operand and no return. That keeps the tree a
@@ -72,10 +97,21 @@ from copy import copy
 from functools import cache
 from types import CellType, FunctionType
 
-from .runtime import _ARITH, _OPS, _text
+from .runtime import _ARITH, _OPS, _SLOTS, _text
 
 KERNEL = "k_"  # the prefix of every name of the kernel's text
 TEMP = "t_"  # the prefix of the compiler's temporaries and constant cells
+SHADOW = "f_"  # the prefix of the float a shadowed name's word was boxed from
+
+
+def _newest_slot():
+    """(word, float): the names of the newest operand slot, the first that
+    FLOAT tests (runtime._SLOTS)."""
+    head = ast.parse(_SLOTS.format(w="w", x="x")).body[0]
+    return head.test.comparators[0].id, head.body[0].value.id
+
+
+_SLOT = _newest_slot()
 
 # The fields of an expression in the order Python evaluates them, for the
 # expressions an operation call may sit in.
@@ -130,7 +166,7 @@ def _op_defs(key):
     nonlocal declaration, which each kernel's compiler parses again and
     places at its own lines."""
     tree = ast.parse(_text(*key))
-    clash = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id.startswith((KERNEL, TEMP))}
+    clash = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id.startswith((KERNEL, TEMP, SHADOW))}
     if clash:
         raise AssertionError("runtime names with the fused prefixes: %s" % sorted(clash))
     cells = tuple(dict.fromkeys(c for n in ast.walk(tree) if isinstance(n, ast.Nonlocal) for c in n.names))
@@ -183,6 +219,7 @@ class _Fuser:
         self.bodies = {}  # operation body name -> body(name)
         self.consts = {}  # constant cell name -> value
         self.temps = 0
+        self.shadowed = set()  # the shadowed names of the scope being rewritten
 
     def fail(self, why):
         raise NotImplementedError("cannot fuse %s: %s" % (self.name, why))
@@ -215,6 +252,7 @@ class _Fuser:
         ]
         if set(bound) & set(self.ops):
             self.fail("an operation's name is rebound")
+        self.shadowed = self.scope(fdef, set())
         fdef.body = [ast.Nonlocal(self.cells), *self.block(fdef.body)]
         names = {n.id for n in ast.walk(fdef) if isinstance(n, ast.Name)}
         if names & set(self.ops):
@@ -224,6 +262,45 @@ class _Fuser:
 
     def is_op(self, e):
         return isinstance(e, ast.Call) and isinstance(e.func, ast.Name) and e.func.id in self.ops
+
+    def gives_float(self, call):
+        """Whether operation call has a return that gives a float's word."""
+        return bool(self.body(_OPS[self.ops[call.func.id]])[2])
+
+    def scope(self, fdef, outer):
+        """The names shadowed in function fdef, nested in a function whose
+        shadowed names are outer: those of its own names every binding of
+        which is the target of an operation call that gives a float's word
+        (gives_float) or a copy of a shadowed name, and the names of outer
+        it does not bind. Any other binding, of any form, leaves a name
+        unshadowed; so do those of a lambda or a comprehension, whose
+        scopes are counted as fdef's."""
+        binds = {}  # name -> its bindings: True (an operation), the name it copies, or False
+        todo = [fdef.args, *fdef.body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                binds.setdefault(node.name, []).append(False)
+                continue  # its parameters and body are a scope of their own
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                v = node.value
+                kind = v.id if isinstance(v, ast.Name) else self.is_op(v) and self.gives_float(v)
+                binds.setdefault(node.targets[0].id, []).append(kind)
+                todo.append(v)
+                continue
+            name = _bound(node)
+            if name is not None:
+                binds.setdefault(name, []).append(False)
+            todo += ast.iter_child_nodes(node)
+        shadowed = {name for name, kinds in binds.items() if all(kinds)}
+        while True:  # a copy of a name that is not shadowed is not shadowed
+            drop = {
+                name for name in shadowed for k in binds[name]
+                if isinstance(k, str) and k not in (shadowed if k in binds else outer)
+            }
+            if not drop:
+                return shadowed | (outer - binds.keys())
+            shadowed -= drop
 
     def has_op(self, node):
         return any(self.is_op(n) for n in ast.walk(node))
@@ -239,7 +316,9 @@ class _Fuser:
         """s rewritten, as a list of statements."""
         if isinstance(s, ast.FunctionDef):
             uses = self.has_op(s)
+            outer, self.shadowed = self.shadowed, self.scope(s, self.shadowed)
             s.body = self.block(s.body)
+            self.shadowed = outer
             if uses:
                 s.body.insert(0, ast.Nonlocal(self.cells))
             return [s]
@@ -270,6 +349,11 @@ class _Fuser:
                 setattr(s, field, self.block(getattr(s, field)))
         for h in getattr(s, "handlers", ()):
             h.body = self.block(h.body)
+        if one and isinstance(s.value, ast.Name) and s.targets[0].id in self.shadowed:
+            # a copy of a shadowed name copies its float too
+            target, value = (SHADOW + n.id for n in (s.targets[0], s.value))
+            f = ast.Assign([ast.Name(target, ast.Store())], ast.Name(value, ast.Load()))
+            return pre + [s, ast.copy_location(f, s)]
         return pre + [s]
 
     def anf(self, e):
@@ -281,6 +365,8 @@ class _Fuser:
         if self.is_op(e):
             pre, args = self.seq(e.args, len(e.args))
             t = self.temp()
+            if self.gives_float(e):  # bound once, by this call
+                self.shadowed.add(t)
             return pre + self.inline(e, args, t), ast.Name(t, ast.Load())
         if isinstance(e, ast.ListComp):
             return self.listcomp(e)
@@ -337,11 +423,15 @@ class _Fuser:
         return pre + [ast.copy_location(s, e) for s in made], ast.Name(t, ast.Load())
 
     def body(self, name):
-        """(statements, rewritten) of the operation body name in _SOURCE,
-        parsed once per kernel: its tests of substituted constants folded,
-        every node at the kernel's def line, and rewritten, the ids of the
-        nodes a call rewrites: those with a parameter, fop, iop or a return
-        in them."""
+        """(statements, rewritten, floats, heads) of the operation body name
+        in _SOURCE, parsed once per kernel: its tests of substituted
+        constants folded, every node at the kernel's def line; rewritten,
+        the ids of the nodes a call rewrites: those with a parameter, fop,
+        iop or a return in them; floats, the float each return that gives
+        a float's word gives it for: the value stored into the newest slot
+        right before the return; and heads, for the first test of each
+        FLOAT chain (is the operand the newest slot's word?), the operand's
+        parameter and the name the chain binds to its float."""
         if name not in self.bodies:
             params, text = self.defs[name]
             names = {*params, "fop", "iop"}
@@ -358,9 +448,24 @@ class _Fuser:
                     return True
                 return False
 
+            floats, heads = {}, {}
+            for node in ast.walk(ast.Module(stmts, [])):
+                for field in ("body", "orelse", "finalbody"):
+                    block = getattr(node, field, None)
+                    if isinstance(block, list):
+                        for prev, s in zip(block, block[1:]):
+                            if isinstance(s, ast.Return) and _stores(prev, _SLOT[1]):
+                                floats[id(s)] = prev.value
+                test = getattr(node, "test", None)
+                if (
+                    isinstance(node, ast.If) and isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Is)
+                    and isinstance(test.left, ast.Name) and test.left.id in params
+                    and isinstance(test.comparators[0], ast.Name) and test.comparators[0].id == _SLOT[0]
+                ):
+                    heads[id(node)] = test.left.id, node.body[0].targets[0].id
             for s in stmts:
                 mark(s)
-            self.bodies[name] = stmts, rewritten
+            self.bodies[name] = stmts, rewritten, floats, heads
         return self.bodies[name]
 
     def inline(self, call, args, target):
@@ -373,7 +478,7 @@ class _Fuser:
         params = self.defs[_OPS[op]][0]
         if call.keywords or len(args) != len(params):
             self.fail("%s takes %d positional operands" % (call.func.id[len(KERNEL):], len(params)))
-        stmts, rewritten = self.body(_OPS[op])
+        stmts, rewritten, floats, heads = self.body(_OPS[op])
         subst = dict(zip(params, args))
         for name, f in zip(("fop", "iop"), _ARITH.get(op, ())):
             subst[name] = ast.Name("%s%s_%s" % (TEMP, op, name), ast.Load())
@@ -389,21 +494,53 @@ class _Fuser:
                 return ast.Name(a.id, ast.Load()) if isinstance(a, ast.Name) else ast.Constant(a.value)
             if isinstance(node, ast.Return) and target is not None:
                 value = rewrite(node.value) if node.value else ast.Constant(None)
-                return [ast.Assign([ast.Name(target, ast.Store())], value), ast.Break()]
-            node = copy(node)
-            for field, old in ast.iter_fields(node):
+                bind = [ast.Assign([ast.Name(target, ast.Store())], value)]
+                if target in self.shadowed:
+                    f = floats.get(id(node))
+                    bind.append(ast.Assign([ast.Name(SHADOW + target, ast.Store())], f or ast.Constant(None)))
+                return [*bind, ast.Break()]
+            new = copy(node)
+            for field, old in ast.iter_fields(new):
                 if isinstance(old, ast.AST):
-                    setattr(node, field, rewrite(old))
+                    setattr(new, field, rewrite(old))
                 elif isinstance(old, list):
-                    new = [rewrite(x) if isinstance(x, ast.AST) else x for x in old]
-                    setattr(node, field, [y for x in new for y in (x if isinstance(x, list) else [x])])
-            return node
+                    xs = [rewrite(x) if isinstance(x, ast.AST) else x for x in old]
+                    setattr(new, field, [y for x in xs for y in (x if isinstance(x, list) else [x])])
+            operand, x = heads.get(id(node), (None, None))
+            a = subst.get(operand)
+            if isinstance(a, ast.Name) and a.id in self.shadowed:
+                # a shadowed operand's float is its shadow, unless that is None
+                test = ast.Compare(ast.Name(SHADOW + a.id, ast.Load()), [ast.IsNot()], [ast.Constant(None)])
+                take = ast.Assign([ast.Name(x, ast.Store())], ast.Name(SHADOW + a.id, ast.Load()))
+                return ast.If(test, [take], [new])
+            return new
 
         body = [rewrite(s) for s in stmts]
         if target is None:
             return body
         body = [y for x in body for y in (x if isinstance(x, list) else [x])]
         return [ast.copy_location(ast.While(ast.Constant(True), body, []), stmts[0])]
+
+
+def _stores(s, name):
+    """Whether statement s stores into name alone."""
+    return isinstance(s, ast.Assign) and [getattr(t, "id", None) for t in s.targets] == [name]
+
+
+def _bound(node):
+    """The name node binds in its scope, if it binds one, other than as a
+    def (_Fuser.scope)."""
+    if isinstance(node, ast.Name):
+        return None if isinstance(node.ctx, ast.Load) else node.id
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.alias):
+        return (node.asname or node.name).split(".")[0]
+    if isinstance(node, ast.MatchMapping):
+        return node.rest
+    if isinstance(node, (ast.ClassDef, ast.ExceptHandler, ast.MatchAs, ast.MatchStar)):
+        return node.name
+    return None
 
 
 class _Rename(ast.NodeTransformer):

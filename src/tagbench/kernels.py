@@ -20,13 +20,16 @@ Runtime's operations. run() runs a kernel fused with its runtime instead
 in which every call to an operation the kernel binds at entry is the
 operation's inline body, and which shares the runtime's namespace and its
 counter and slot cells. It gives the reference's words, counters, slots,
-hook calls and exceptions. A kernel is written in the subset of Python
-that fuse.py rewrites, which its docstring names; it raises
-NotImplementedError for anything else. The rule for replaced operations:
-when any operation attribute of the Runtime is not the closure it
-compiled (a tracer or a test spy wrapped it), run() runs the reference
-form, so that the replacement sees every call; such a run measures the
-reference."""
+arena, hook calls and exceptions, but not necessarily its decode memo: the
+fused form keeps the float of a word its operations bind to a name beside
+the word, and decodes none of those (fuse.py, shadow floats), so the memo
+may end with other words, each with its exact decode. A kernel is written
+in the subset of Python that fuse.py rewrites, which its docstring names;
+it raises NotImplementedError for anything else. The rule for replaced
+operations: when any operation attribute of the Runtime is not the
+closure it compiled (a tracer or a test spy wrapped it), run() runs the
+reference form, so that the replacement sees every call; such a run
+measures the reference."""
 
 import math
 import os

@@ -132,13 +132,17 @@ operand is a handle, and under mantissa over half are in mbrot, fft and
 pnpoly; a slot spares them the handle test and the arena read, which
 makes a new float. The families whose record has memo set (the table
 families, NaN and NuN boxing) also keep a memo, a dict from word to float,
-and FLOAT looks an operand up there next, before IMM. Most operands
-outside the slots are a kernel's constants, used again and again, so a
-hit skips the tag test and the decode, which under NaN and NuN boxing is
-also a store into the buffer and a load from it. A hit evaluates
-w >> 128: for an int word that is 0, which CPython returns for a shift
-past every digit without computing one (~w, say, allocates), and for a
-float equal to a memo word it raises TypeError, as floats have no >>. A
+and FLOAT looks an operand up there next, before IMM. In a reference
+kernel (kernels.py), most operands outside the slots are the kernel's
+constants, used again and again, so a hit skips the tag test and the
+decode, which under NaN and NuN boxing is also a store into the buffer and
+a load from it. A fused kernel (fuse.py) takes the float of an operand
+that only its operations bind from a shadow, before the slots, so there
+the memo serves the other operands: list elements, loop targets and
+parameters. A hit evaluates w >> 128: for an int word that is 0, which
+CPython returns for a shift past every digit without computing one (~w,
+say, allocates), and for a float equal to a memo word it raises
+TypeError, as floats have no >>. A
 miss goes on to IMM, the range test and the decode, and stores the word
 in the memo, which is cleared once it holds MEMO_BOUND words. Mantissa
 keeps no memo: over half of its float operands in mbrot, fft and pnpoly

@@ -426,10 +426,10 @@ class Boom(Exception):
 @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "caller"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_a_mirror_error_reaches_the_caller(monkeypatch, workers, on_worker):
-    # The mirror raises on one thread only: on a started worker (the
-    # calling thread waits for that before it walks on) or on the caller.
-    # Either way the error is raised, the others stop, and every thread
-    # has ended.
+    # The mirror raises on one thread only: on a started worker or on the
+    # caller. Every other thread waits for that before it walks on, so the
+    # threads that raise always take a chunk. Either way the error is
+    # raised, the others stop, and every thread has ended.
     caller = threading.get_ident()
     raised = threading.Event()
     fwd = batch.st_transform_block
@@ -438,8 +438,7 @@ def test_a_mirror_error_reaches_the_caller(monkeypatch, workers, on_worker):
         if (threading.get_ident() == caller) != on_worker:
             raised.set()
             raise Boom
-        if on_worker:
-            raised.wait(10)
+        raised.wait(10)
         return fwd(b, c, **kw)
 
     monkeypatch.setattr(batch, "st_transform_block", forward)

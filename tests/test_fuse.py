@@ -1,10 +1,12 @@
 """Kernels fused with their runtime (fuse.py) against their reference form:
-the same result or exception, counters, slots, memo, arena and hook calls,
-under every preset, with and without a profile hook."""
+the same result or exception, counters, slots, arena and hook calls, and a
+decode memo that keeps its contract, under every preset, with and without
+a profile hook."""
 
 import os
 import subprocess
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,11 @@ import pytest
 import tagbench
 from tagbench import KERNEL_NAMES, PRESETS, Runtime, SimHeap, fuse, kernels
 from tagbench.kernels import KERNEL_FUNCS, KernelSpec
-from tagbench.words import float_to_bits
+from tagbench.runtime import _FAMILIES, _VARIANT_FAMILY, MEMO_BOUND
+from tagbench.words import bits_to_float, float_to_bits
 
 ALL = tuple(PRESETS)
+MEMO_PRESETS = tuple(p for p in ALL if _FAMILIES[_VARIANT_FAMILY[PRESETS[p].variant]].memo)
 # small enough for every preset and hook, large enough that mbrot
 # overflows the decode memo
 SMALL = {"sumfp": 300, "fibfp": 10, "mbrot": 10, "pnpoly": 60, "fft": 32, "sum1": 200}
@@ -52,9 +56,75 @@ def k_names(rt, size, seed):
     return w1, payload, add(k[1], k[0])
 
 
+def k_rebound(rt, size, seed):
+    """A kernel whose names are each bound first by an operation that gives
+    a float's word, then again in another form: a for target, unpacking,
+    augmented assignment, except ... as, a list element, with ... as, del
+    and a new binding, and a nested function's parameter. A shadow kept
+    past any of those would give the first binding's float. It also adds
+    fixnums with an arithmetic operation and boxes a NaN that NaN and NuN
+    boxing collapse into one word. size is at least 8."""
+    box = rt.box_host_float
+    boxi = rt.box_fixnum
+    add = rt.generic_add
+    mul = rt.generic_mul
+    one = box(1.0)
+    words = [box(2.0 + j) for j in range(size)]
+    got = []
+    a = box(10.0)
+    for a in words:
+        got.append(add(a, one))
+    b = box(11.0)
+    b, _ = words[1], a
+    got.append(add(b, one))
+    c = box(12.0)
+    c -= c
+    c += words[2]
+    got.append(add(c, one))
+    e = box(13.0)
+    try:
+        raise KeyError(seed)
+    except KeyError as e:
+        try:
+            got.append(add(e, one))
+        except TypeError as ex:
+            got.append(str(ex))
+    lst = box(14.0)
+    lst = words[3]
+    got.append(add(lst, one))
+    w = box(15.0)
+    with nullcontext(words[4]) as w:
+        got.append(add(w, one))
+    g = box(16.0)
+    del g
+    try:
+        got.append(add(g, one))
+    except NameError:
+        got.append(None)
+    g = box(17.0)
+    got.append(add(g, one))
+    h = box(18.0)
+
+    def twice(h):
+        return add(h, h)
+
+    got.append(twice(words[5]))
+    got.append(add(h, one))
+    p = add(boxi(2), boxi(size))
+    got.append(add(p, boxi(1)))
+    q = box(bits_to_float(0xFFF8000000000123))
+    got.append(mul(q, one))
+    return got
+
+
 def state(rt):
-    """What a run leaves in rt: its counters, both slots, the decode memo
-    and the arena."""
+    """What a run leaves in rt: its counters, both slots and the arena.
+    The decode memo is a cache, which the fused form fills less (a word
+    whose float the kernel holds is never decoded): it is checked against
+    its contract, at most MEMO_BOUND words, each with its word's exact
+    decode, not compared."""
+    assert len(rt._memo) <= MEMO_BOUND
+    assert all(float_to_bits(x) == rt.unbox_float(w) for w, x in rt._memo.items())
     cells = dict(zip(rt.box_float.__code__.co_freevars, rt.box_float.__closure__))
     w1, x1, w2, x2 = (cells[c].cell_contents for c in ("w1", "x1", "w2", "x2"))
     return (
@@ -62,7 +132,6 @@ def state(rt):
         rt._counts(),
         [w if isinstance(w, int) else None for w in (w1, w2)],  # unfilled: object()
         [float_to_bits(x) for x in (x1, x2)],
-        {w: float_to_bits(x) for w, x in rt._memo.items()},
         rt.heap._payload.tobytes(),
         rt.heap.cells_used,
     )
@@ -103,6 +172,34 @@ def test_kernel_names_shadow_no_runtime_name(hooked):
         n, slow, _, allocs = ref[1][1]
         if preset in ("st1", "st2zeros"):  # the miss path ran, and st2zeros' zero cells
             assert allocs > 0 and (slow > allocs) == (preset == "st2zeros"), preset
+
+
+@pytest.mark.parametrize("hooked", (False, True))
+def test_rebound_names_lose_their_shadow(hooked):
+    # only names every binding of which is an operation giving a float's
+    # word, or a copy of such a name, keep the float beside the word: one,
+    # h (twice's h is its own), the fixnum sum p and the NaN q
+    for preset in ALL:
+        ref, fused = both(k_rebound, preset, hooked, 8)
+        assert fused == ref, preset
+        code = fuse._compiled(k_rebound, Runtime(PRESETS[preset], SimHeap())._key)[0]
+        names = {v for v in code.co_varnames + code.co_cellvars if v.startswith(fuse.SHADOW + fuse.KERNEL)}
+        assert names == {"f_k_one", "f_k_h", "f_k_p", "f_k_q"}, preset
+
+
+@pytest.mark.parametrize("name", ("sumfp", "mbrot"))
+def test_fused_kernels_decode_no_word_they_made(name):
+    # every float operand of sumfp and mbrot is a word the kernel boxed, so
+    # the fused form takes its float from its shadow: nothing is decoded,
+    # and the memo, which the reference form fills, stays empty
+    fn = KERNEL_FUNCS[name]
+    assert set(MEMO_PRESETS) == {"st1", "st2biased", "st2zeros", "st3", "st4", "nanbox", "nunbox"}
+    for preset in MEMO_PRESETS:
+        for hooked in (False, True):
+            rts = [Runtime(PRESETS[preset], SimHeap(), profile_hook=[].append if hooked else None) for _ in "rf"]
+            fn(rts[0], SMALL[name], 1)
+            fuse.fused(fn, rts[1])(rts[1], SMALL[name], 1)
+            assert rts[0]._memo and not rts[1]._memo, (preset, hooked)
 
 
 @pytest.mark.parametrize(
