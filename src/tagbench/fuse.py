@@ -44,17 +44,23 @@ result, except ... as, del, an import, a def or class; and a binding in a
 lambda or a comprehension counts as one of the enclosing scope's. A nested
 function sees the shadows of the names it reads from the enclosing
 function (fibfp's one and two). Each binding of a shadowed name V also
-binds f_V (SHADOW): on the returns that fill the newest operand slot, the
-float stored there; on the others (arith's fixnum result, NaN and NuN
-boxing's CANON), None. Those returns, and the first test of each FLOAT
-chain, are found in the operation text, not restated here. Each FLOAT
-chain on a shadowed operand V then tests f_V first, and takes it as the
-float unless it is None; otherwise the chain runs unchanged. So the fused
-form makes every box event, word, counter, slot, arena cell, hook call and
-exception of the reference form, and skips only the slot tests, memo
-lookups, decodes and arena reads of words whose float it holds. The decode memo is a cache: after a fused run it holds at most
-MEMO_BOUND words, each with its word's exact decode, but not always the
-words the reference leaves in it; a shadowed operand never fills it.
+binds f_V (SHADOW): on the returns that give the word of the float BOX
+boxed, that float r, which box_float and box_host_float read back from
+the runtime's buffer (never box_host_float's argument: an int, a bool or
+a numpy float32 would compute otherwise than its word's float); on the
+others (arith's fixnum result, NaN and NuN boxing's CANON, whose float
+would keep a payload that decoding loses), None. Those returns, and the
+first test of each FLOAT chain (the memo lookup or the tag test), are
+found in the operation text by the names its FLOAT and ALLOC blocks take
+(runtime._SOURCE), not restated here. Each FLOAT chain on a shadowed
+operand V then tests f_V first, and takes it as the float unless it is
+None; otherwise the chain runs unchanged. So the fused form makes every
+box event, word, counter, arena cell, hook call and exception of the
+reference form, and skips only the memo lookups, decodes and arena reads
+of words whose float it holds. The decode memo is a cache: after a fused
+run it holds at most MEMO_BOUND words, each with its word's exact decode,
+but not always the words the reference leaves in it; a shadowed operand
+never fills it.
 
 Each operation body is parsed once per kernel, with the branches its
 substituted constants rule out folded away, and its inline copies share
@@ -66,12 +72,12 @@ is reported at that line; the reference form reports the call's.
 
 The fused function shares the runtime's state; it does not copy it. Its
 globals are the runtime's own namespace (its tables, buffer, memo, hook and
-heap names), and its counter and slot names, those the runtime's text
-declares nonlocal, are the runtime's own closure cells, which the fused
-function and its nested functions declare nonlocal too:
-types.FunctionType(code, namespace, closure=cells). So counts(), stats(),
-reset() and the slots read after a fused run as after the reference,
-whether it returned or raised. The other cells hold the
+heap names), and its counter names, those the runtime's text declares
+nonlocal, are the runtime's own closure cells, which the fused function
+and its nested functions declare nonlocal too:
+types.FunctionType(code, namespace, closure=cells). So counts(), stats()
+and reset() read after a fused run as after the reference, whether it
+returned or raised. The other cells hold the
 arithmetic's fop and iop (runtime._ARITH) and the kernel's free names, read
 from its globals and builtins when the function is made.
 
@@ -97,21 +103,24 @@ from copy import copy
 from functools import cache
 from types import CellType, FunctionType
 
-from .runtime import _ARITH, _OPS, _SLOTS, _text
+from .runtime import _ARITH, _BLOCK, _MISS, _OPS, _SOURCE, _text
 
 KERNEL = "k_"  # the prefix of every name of the kernel's text
 TEMP = "t_"  # the prefix of the compiler's temporaries and constant cells
 SHADOW = "f_"  # the prefix of the float a shadowed name's word was boxed from
 
 
-def _newest_slot():
-    """(word, float): the names of the newest operand slot, the first that
-    FLOAT tests (runtime._SLOTS)."""
-    head = ast.parse(_SLOTS.format(w="w", x="x")).body[0]
-    return head.test.comparators[0].id, head.body[0].value.id
+def _blocks(kind, text):
+    """The (word, float) arguments of the kind blocks in text (runtime._BLOCK)."""
+    return [(w, x) for _, k, w, x in _BLOCK.findall(text) if k == kind]
 
 
-_SLOT = _newest_slot()
+# Each FLOAT chain's operand and the name the chain binds to its float, from
+# the FLOAT(w, x) blocks of the operations' source.
+_CHAINS = dict(_blocks("FLOAT", _SOURCE))
+# The float that BOX boxes, which a miss stores in its new cell: the float
+# of MISS's ALLOC(w, x) block.
+((_, _BOXED),) = _blocks("ALLOC", _MISS)
 
 # The fields of an expression in the order Python evaluates them, for the
 # expressions an operation call may sit in.
@@ -161,7 +170,7 @@ def _free(fn, name):
 @cache
 def _op_defs(key):
     """(cells, defs) of runtime key's text: the names its functions
-    declare nonlocal (the counters and the slots), and its functions by
+    declare nonlocal (the counters), and its functions by
     name, each one's parameter names and its body's text without its
     nonlocal declaration, which each kernel's compiler parses again and
     places at its own lines."""
@@ -427,11 +436,12 @@ class _Fuser:
         in _SOURCE, parsed once per kernel: its tests of substituted
         constants folded, every node at the kernel's def line; rewritten,
         the ids of the nodes a call rewrites: those with a parameter, fop,
-        iop or a return in them; floats, the float each return that gives
-        a float's word gives it for: the value stored into the newest slot
-        right before the return; and heads, for the first test of each
-        FLOAT chain (is the operand the newest slot's word?), the operand's
-        parameter and the name the chain binds to its float."""
+        iop or a return in them; floats, the ids of the returns that give
+        the word of the float BOX boxed (_BOXED): those after its binding
+        that return no constant (a constant is CANON, whose float is not
+        the one boxed); and heads, for the first test of each FLOAT chain
+        (the outermost if that tests an operand and binds its float), the
+        operand's parameter and the name the chain binds to its float."""
         if name not in self.bodies:
             params, text = self.defs[name]
             names = {*params, "fop", "iop"}
@@ -448,21 +458,18 @@ class _Fuser:
                     return True
                 return False
 
-            floats, heads = {}, {}
-            for node in ast.walk(ast.Module(stmts, [])):
-                for field in ("body", "orelse", "finalbody"):
-                    block = getattr(node, field, None)
-                    if isinstance(block, list):
-                        for prev, s in zip(block, block[1:]):
-                            if isinstance(s, ast.Return) and _stores(prev, _SLOT[1]):
-                                floats[id(s)] = prev.value
-                test = getattr(node, "test", None)
-                if (
-                    isinstance(node, ast.If) and isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Is)
-                    and isinstance(test.left, ast.Name) and test.left.id in params
-                    and isinstance(test.comparators[0], ast.Name) and test.comparators[0].id == _SLOT[0]
-                ):
-                    heads[id(node)] = test.left.id, node.body[0].targets[0].id
+            boxed = next((i + 1 for i, s in enumerate(stmts) if _stores(s, _BOXED)), len(stmts))
+            floats = {
+                id(r) for s in stmts[boxed:] for r in ast.walk(s)
+                if isinstance(r, ast.Return) and not isinstance(r.value, ast.Constant)
+            }
+            heads = {}
+            todo = {p: _CHAINS[p] for p in params if p in _CHAINS}
+            for node in ast.walk(ast.Module(stmts, [])):  # breadth first: the outermost if first
+                if isinstance(node, ast.If):
+                    tested, bound = _names(node.test, ast.Load), _names(node, ast.Store)
+                    for p in [p for p, x in todo.items() if p in tested and x in bound]:
+                        heads[id(node)] = p, todo.pop(p)
             for s in stmts:
                 mark(s)
             self.bodies[name] = stmts, rewritten, floats, heads
@@ -496,8 +503,8 @@ class _Fuser:
                 value = rewrite(node.value) if node.value else ast.Constant(None)
                 bind = [ast.Assign([ast.Name(target, ast.Store())], value)]
                 if target in self.shadowed:
-                    f = floats.get(id(node))
-                    bind.append(ast.Assign([ast.Name(SHADOW + target, ast.Store())], f or ast.Constant(None)))
+                    f = ast.Name(_BOXED, ast.Load()) if id(node) in floats else ast.Constant(None)
+                    bind.append(ast.Assign([ast.Name(SHADOW + target, ast.Store())], f))
                 return [*bind, ast.Break()]
             new = copy(node)
             for field, old in ast.iter_fields(new):
@@ -525,6 +532,11 @@ class _Fuser:
 def _stores(s, name):
     """Whether statement s stores into name alone."""
     return isinstance(s, ast.Assign) and [getattr(t, "id", None) for t in s.targets] == [name]
+
+
+def _names(node, ctx):
+    """The names node and its children use in context ctx (ast.Load, ast.Store)."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
 
 
 def _bound(node):

@@ -19,11 +19,13 @@ Runtime's operations. run() runs a kernel fused with its runtime instead
 (fuse.py): one function per kernel and runtime key, compiled on first use,
 in which every call to an operation the kernel binds at entry is the
 operation's inline body, and which shares the runtime's namespace and its
-counter and slot cells. It gives the reference's words, counters, slots,
-arena, hook calls and exceptions, but not necessarily its decode memo: the
-fused form keeps the float of a word its operations bind to a name beside
-the word, and decodes none of those (fuse.py, shadow floats), so the memo
-may end with other words, each with its exact decode. A kernel is written
+counter cells. It gives the reference's words, counters, arena, hook
+calls and exceptions, but not necessarily its decode memo: the reference
+form finds each float operand in the memo, decodes it or reads it from
+the arena, while the fused form keeps the float of each word its
+operations bind to a name beside the word (fuse.py, shadow floats) and
+decodes none of those, so the memo may end with other words, each with
+its exact decode. A kernel is written
 in the subset of Python that fuse.py rewrites, which its docstring names;
 it raises NotImplementedError for anything else. The rule for replaced
 operations: when any operation attribute of the Runtime is not the

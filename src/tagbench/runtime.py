@@ -33,8 +33,8 @@ only for st2zeros, folds away the other families' +-0 test on a miss.
 Module constants (M64, the error messages and the like) go in as
 literals. Four blocks are expanded inline by one pattern, each written
 once: BOX, the boxing tail of box_float, box_host_float and the generic
-re-box (the hook, the event count, HIT and ENC, the slot fill, and CANON
-or MISS), which each of them reaches with a float r and its bits; MISS,
+re-box (the hook, the event count, HIT and ENC, and CANON or MISS),
+which each of them reaches with a float r and its bits; MISS,
 the miss path; FLOAT(w, x), the chain of tests that binds x to the float
 of a generic operand w; and ALLOC(w, x), the heap's allocation step
 (heap.ALLOC), which stores x in a new cell whose handle is w, at the end
@@ -48,8 +48,8 @@ code object: it executes it in a namespace of its own, whose globals are
 the values the Runtime binds once (its codec tables, ranges, tags, zero
 cells, hook, buffer views and memo, and the names ALLOC reads,
 SimHeap.alloc_names), and calls build() there. The closure cells, which a call copies into its
-frame, hold only what changes: the counters, the operand slots, and
-make_arith's fop and iop. So the per-operation cost is flat: the forms are
+frame, hold only what changes: the counters, and make_arith's fop and
+iop. So the per-operation cost is flat: the forms are
 inline, with no per-operation call, and nothing is looked up that could
 have been bound once. CPython specialises a global read for one globals
 dict, so runtimes of one key used in alternation re-specialise the code
@@ -60,8 +60,8 @@ on any of them.
 Kernels run fused with their runtime (fuse.py): for each kernel and key,
 one function into which the bodies of the operations it calls are inlined,
 taken from the same _text. A fused function runs in the Runtime's namespace
-and over the Runtime's own closure cells (the counters and the slots), so
-counts(), stats(), reset() and the slots need no copying in or out. The
+and over the Runtime's own closure cells (the counters), so counts(),
+stats() and reset() need no copying in or out. The
 operations' names and their text live in one table, _OPS, and the (fop,
 iop) pairs of the generic arithmetic in another, _ARITH, which both
 _compile and the fused code read. _compile keeps the closures it made
@@ -115,52 +115,36 @@ between threads, like the SimHeap under it; and nothing (profile hook,
 float operation, heap allocation) is called between a store into the
 buffer and the load that reads it back.
 
-Operand slots and the decode memo. Every family keeps the last two float
-words a Runtime returned, with their floats, in closure cells: (w1, x1),
-the newer, and (w2, x2). Those are the words of box_float,
-box_host_float and the generic re-box, immediates, heap handles and st2zeros' zero cells alike:
-box_float and box_host_float store their word and the float read back
-from the buffer, never box_host_float's argument itself (an int, a bool
-or a numpy float32 would disagree with its word), the re-box its word and
-the result float. Each store first moves slot 1 into
-slot 2. A handle's slot float is the float just stored in its cell, so it
-equals payload[w >> 3] bit for bit; an allocation that raises MemoryError
-fills no slot. FLOAT tests each operand for identity with w1 and w2
-first: a kernel passes back the very int a box returned, and no float can
-pass for a word (1.0 == 1, but 1.0 is not 1). Under boxed every float
-operand is a handle, and under mantissa over half are in mbrot, fft and
-pnpoly; a slot spares them the handle test and the arena read, which
-makes a new float. The families whose record has memo set (the table
-families, NaN and NuN boxing) also keep a memo, a dict from word to float,
-and FLOAT looks an operand up there next, before IMM. In a reference
-kernel (kernels.py), most operands outside the slots are the kernel's
-constants, used again and again, so a hit skips the tag test and the
-decode, which under NaN and NuN boxing is also a store into the buffer and
-a load from it. A fused kernel (fuse.py) takes the float of an operand
-that only its operations bind from a shadow, before the slots, so there
-the memo serves the other operands: list elements, loop targets and
-parameters. A hit evaluates w >> 128: for an int word that is 0, which
-CPython returns for a shift past every digit without computing one (~w,
-say, allocates), and for a float equal to a memo word it raises
-TypeError, as floats have no >>. A
-miss goes on to IMM, the range test and the decode, and stores the word
-in the memo, which is cleared once it holds MEMO_BOUND words. Mantissa
-keeps no memo: over half of its float operands in mbrot, fft and pnpoly
-are heap handles, which would pay the lookup for nothing, and a memo read
-before IMM or after it measured slower on those kernels (BENCH_19). Slots
-and memo hold the float a decode or the arena gives for word w, so they
-change no word, counter or hook call, and they survive reset(). NaN and
+The decode memo. Each kernel form keeps one cache of floats. A Runtime
+keeps no float of a word it returned, so its operations decode each
+operand or read it from the arena, unless the memo below holds it; a
+fused kernel (fuse.py) keeps the float of each word its operations bind
+to a name beside it (a shadow float), and reads that first. The families whose record has memo set (the table
+families, NaN and NuN boxing) keep a memo, a dict from word to float, and
+FLOAT looks an operand up there first, before IMM. In a reference kernel
+(kernels.py) the memo holds the kernel's constants, used again and again,
+and the results it passes on, so a hit skips the tag test and the decode,
+which under NaN and NuN boxing is also a store into the buffer and a load
+from it. In a fused kernel the shadows come first, so there the memo
+serves the other operands: list elements, loop targets and parameters. A
+hit evaluates w >> 128: for an int word that is 0, which CPython returns
+for a shift past every digit without computing one (~w, say, allocates),
+and for a float equal to a memo word it raises TypeError, as floats have
+no >>. A miss goes on to IMM, the range test and the decode, and stores
+the word in the memo, which is cleared once it holds MEMO_BOUND words.
+Mantissa keeps no memo: over half of its float operands in mbrot, fft and
+pnpoly are heap handles, which would pay the lookup for nothing, and a
+memo read before IMM or after it measured slower on those kernels
+(BENCH_19). The memo holds the float a decode gives for word w, so it
+changes no word, counter or hook call, and it survives reset(). NaN and
 NuN boxing collapse the NaNs at and above NAN_CANON (NuN: NUN_CANON_MIN)
-into the one word CANON, which never enters a slot, since its slot float
-would keep a payload that decoding loses, and the bits a profile hook sees
-would change; the memo holds CANON's decoded float like any other word's.
-Filling a slot counts no box event under those two. The slots start at a
-fresh object(). A slot holds a float object, not a view of the buffer, so
-the buffer rule holds.
+into the one word CANON; the memo holds CANON's decoded float like any
+other word's. A memo float is a float object, not a view of the buffer,
+so the buffer rule holds.
 
 The memo families reject a decoded operand outside [0, 2**64) before
 decoding it (_MEMO), since the table families' DEC maps any int to float
-bits; a slot or memo word is in range. Mantissa rejects such a word in
+bits; a memo word is in range. Mantissa rejects such a word in
 IMM or in the buffer store. A generic operand is a heap handle when
 w & ((1 << 64) | 7) == ht: every negative word has bit 64 set and fails,
 where w & 7 would let it index the arena from its end; a word of 2**65 or
@@ -236,8 +220,7 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 # The names _SOURCE reads. Closure cells: the counters n (box events),
 # slow (slow-path encodes), flips (flips finalised so far), last (the event
 # number of the last miss) and zhits (the slow-path encodes st2zeros served
-# from its zero cells); the operand slots (w1, x1) and (w2, x2), newest
-# first, each a word and its float. Globals of the Runtime's namespace
+# from its zero cells). Globals of the Runtime's namespace
 # (Runtime._compile): the codec tables dt and et; k, the rot4 offset; ht,
 # the heap-handle tag; fxt, the fixnum tag; lo and hi, the fixnum range;
 # pz_pos and pz_neg, st2zeros' zero cells; hook; mq and md, the buffer's
@@ -252,8 +235,6 @@ _RANGE_ERR = "float bits out of [0, 2**64): %r"
 _SOURCE = """
 def build():
     n = slow = flips = last = zhits = 0
-    w1 = w2 = object()
-    x1 = x2 = 0.0
 
     def counts():
         if not HAS_IMM:
@@ -265,7 +246,7 @@ def build():
         n = slow = flips = last = zhits = 0
 
     def box(bits):
-        nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
+        nonlocal n, slow, flips, last, zhits
         if not 0 <= bits <= M64:
             raise ValueError(_RANGE_ERR % (bits,))
         mq[0] = bits
@@ -273,7 +254,7 @@ def build():
         BOX
 
     def box_host(x):
-        nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
+        nonlocal n, slow, flips, last, zhits
         md[0] = x
         r = md[0]
         if HAS_IMM or HOOKED:
@@ -311,7 +292,7 @@ def build():
 
     def make_arith(fop, iop):
         def arith(aw, bw):
-            nonlocal n, slow, flips, last, zhits, w1, x1, w2, x2
+            nonlocal n, slow, flips, last, zhits
             try:
                 FLOAT(aw, xa)
                 else:
@@ -356,23 +337,17 @@ def build():
 """
 
 # FLOAT(w, x) binds x to the float of generic operand w when w is a float
-# word. {head} opens the chain: the two slot tests (_SLOTS), then, in a
-# family with a memo, the memo lookup (_MEMO_HIT). {decode}, after the tag
-# test IMM, is _DECODE, or with a memo _MEMO: the range test, the decode
-# and the memo store. The handle test comes last. The chain ends in an
+# word. {head} opens the chain at the tag test IMM, after the memo lookup
+# (_MEMO_HIT) in a family with a memo. {decode}, after IMM, is _DECODE,
+# or with a memo _MEMO: the range test, the decode and the memo store. The handle test comes last. The chain ends in an
 # elif, so the else after it in the source takes every other word.
 _FLOAT = """{head}IMM({w}):
 {decode}
 elif {w} & ((1 << 64) | 7) == ht:
     {x} = payload[{w} >> 3]"""
-_SLOTS = """if {w} is w1:
-    {x} = x1
-elif {w} is w2:
-    {x} = x2
-"""
-_MEMO_HIT = """elif ({x} := memo.get({w})) is not None:
+_MEMO_HIT = """if ({x} := memo.get({w})) is not None:
     {w} >> 128
-"""
+elif """
 _DECODE = """    mq[0] = DEC({w})
     {x} = md[0]"""
 _MEMO = """    if {w} >> 64:
@@ -384,18 +359,13 @@ _MEMO = """    if {w} >> 64:
     memo[{w}] = {x}"""
 
 # BOX: box float r, whose bits are bits: the hook, the event count and, on
-# a hit, the immediate word, which fills slot 1 with r; otherwise CANON or
-# MISS.
+# a hit, the immediate word; otherwise CANON or MISS.
 _BOX = """if HOOKED:
     hook(bits)
 if HAS_MISS:
     n += 1
 if HIT(bits):
-    w2 = w1
-    x2 = x1
-    w1 = ENC(bits)
-    x1 = r
-    return w1
+    return ENC(bits)
 if not HAS_MISS:
     return CANON
 MISS"""
@@ -403,8 +373,7 @@ MISS"""
 # MISS: float r, with bits bits, misses. It counts the miss (_COUNT_MISS,
 # which a family without immediates leaves out: there every event misses,
 # and counts() reads slow as n and flips as 0) and returns a zero cell
-# (SIGN_64 alone is the -0.0 word) or a new heap cell, whose word fills
-# slot 1.
+# (SIGN_64 alone is the -0.0 word) or a new heap cell.
 _COUNT_MISS = """slow += 1
 if last != n - 1:
     flips += 1 + (last > 0)
@@ -415,10 +384,6 @@ _MISS = """if ZEROS and (bits == 0 or bits == SIGN_64):
     w = pz_pos if bits == 0 else pz_neg
 else:
     ALLOC(w, r)
-w2 = w1
-x2 = x1
-w1 = w
-x1 = r
 return w"""
 
 # The Runtime's operations, each named after the function of _SOURCE that
@@ -557,7 +522,7 @@ def _text(family, hooked, zeros):
     rec = _FAMILIES[family]
     forms = rec.forms
     has_imm = forms["HIT"] != "False"
-    head = _SLOTS + (_MEMO_HIT if rec.memo else "") + "elif "
+    head = _MEMO_HIT if rec.memo else "if "
     blocks = {
         "BOX": _BOX,
         "MISS": (_COUNT_MISS if has_imm else "") + _MISS,
@@ -650,11 +615,10 @@ class Runtime:
     counters, and hit_ratio() counts only the float cells this runtime
     boxed.
 
-    The generic operations take an operand's float from the last two float
-    words the Runtime returned and, under every scheme but boxed and
-    mantissa, from a memo (_memo) of at most MEMO_BOUND decoded words.
-    Whether an operand came from there, a decode or the arena changes no
-    word, counter or hook call.
+    Under every scheme but boxed and mantissa, the generic operations take
+    an operand's float from a memo (_memo) of at most MEMO_BOUND decoded
+    words. Whether an operand came from there, a decode or the arena
+    changes no word, counter or hook call.
 
     The float<->bits conversions of every operation share one 8-byte
     buffer per Runtime (_mq/_md, two views of the same bytes), so a Runtime

@@ -1,5 +1,5 @@
 """Kernels fused with their runtime (fuse.py) against their reference form:
-the same result or exception, counters, slots, arena and hook calls, and a
+the same result or exception, counters, arena and hook calls, and a
 decode memo that keeps its contract, under every preset, with and without
 a profile hook."""
 
@@ -9,12 +9,14 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tagbench
 from tagbench import KERNEL_NAMES, PRESETS, Runtime, SimHeap, fuse, kernels
 from tagbench.kernels import KERNEL_FUNCS, KernelSpec
-from tagbench.runtime import _FAMILIES, _VARIANT_FAMILY, MEMO_BOUND
+from tagbench.runtime import _FAMILIES, _OPS, _VARIANT_FAMILY, MEMO_BOUND
+from tagbench.schemes import NAN_CANON, NUN_CANON_MIN
 from tagbench.words import bits_to_float, float_to_bits
 
 ALL = tuple(PRESETS)
@@ -26,10 +28,10 @@ SMALL = {"sumfp": 300, "fibfp": 10, "mbrot": 10, "pnpoly": 60, "fft": 32, "sum1"
 
 def k_names(rt, size, seed):
     """A kernel whose own names are names of the runtime's text: the
-    counter n, rot4's offset k, memo, the arena's payload, the slot w1,
-    bits and r. It boxes a float every preset with a heap misses (1e-100)
-    and both zeros, computes on fixnums, and uses more words than the
-    decode memo keeps."""
+    counter n, rot4's offset k, memo, the arena's payload, a FLOAT chain's
+    float xa, bits and r. It boxes a float every preset with a heap misses
+    (1e-100) and both zeros, computes on fixnums, and uses more words than
+    the decode memo keeps."""
     box = rt.box_host_float
     boxi = rt.box_fixnum
     add = rt.generic_add
@@ -41,7 +43,7 @@ def k_names(rt, size, seed):
     k = [box(z) for z in (0.0, -0.0)]
     memo = [box(1.0 + j / 8.0) for j in range(size)]
     payload = boxi(seed)
-    w1 = k[0]
+    xa = k[0]
 
     def bits(r):
         if less(r, n):
@@ -50,10 +52,10 @@ def k_names(rt, size, seed):
 
     r = 0
     while less(boxi(r), boxi(size)):
-        w1 = add(bits(memo[r]), div(w1, memo[size - 1 - r]))
+        xa = add(bits(memo[r]), div(xa, memo[size - 1 - r]))
         payload = add(payload, div(boxi(r), boxi(3)))
         r += 1
-    return w1, payload, add(k[1], k[0])
+    return xa, payload, add(k[1], k[0])
 
 
 def k_rebound(rt, size, seed):
@@ -117,21 +119,47 @@ def k_rebound(rt, size, seed):
     return got
 
 
+def k_host(rt, size, seed):
+    """A kernel that boxes host numbers whose float is not the number
+    itself, or is a NaN with a payload, and computes with their words: an
+    int no float equals (2**53 + 1, whose float is 2.0**53) beside the int
+    3, a bool, numpy float32s, a signalling NaN, and NaNs with payloads at
+    and above NAN_CANON and NUN_CANON_MIN, which NaN and NuN boxing
+    collapse, as floats and as a float32. A shadow that kept box_host_float's argument
+    in place of the float read back from the buffer would compare and
+    multiply the ints exactly and the float32s in float32 arithmetic, and
+    give other words."""
+    box = rt.box_host_float
+    add = rt.generic_add
+    mul = rt.generic_mul
+    div = rt.generic_div
+    less = rt.generic_less
+    big = box(2**53 + 1)
+    three = box(3)
+    near = box(2.0**53)
+    yes = box(True)
+    f32 = box(np.float32(1.1))
+    got = [less(near, big), less(big, near), mul(big, three), div(big, three), add(yes, yes)]
+    got += [mul(f32, f32), add(f32, yes)]
+    nans = [bits_to_float(b) for b in (NAN_CANON, NAN_CANON | 9, NUN_CANON_MIN | 3, 0x7FF0000000000005)]
+    nans.append(np.array([0xFFC00123], np.uint32).view(np.float32)[0])
+    for x in nans:
+        nan = box(x)
+        got += [add(nan, yes), mul(yes, nan), less(nan, nan)]
+    return got
+
+
 def state(rt):
-    """What a run leaves in rt: its counters, both slots and the arena.
-    The decode memo is a cache, which the fused form fills less (a word
-    whose float the kernel holds is never decoded): it is checked against
-    its contract, at most MEMO_BOUND words, each with its word's exact
-    decode, not compared."""
+    """What a run leaves in rt: its counters and the arena. The decode
+    memo is a cache, which the fused form fills less (a word whose float
+    the kernel holds is never decoded): it is checked against its
+    contract, at most MEMO_BOUND words, each with its word's exact decode,
+    not compared."""
     assert len(rt._memo) <= MEMO_BOUND
     assert all(float_to_bits(x) == rt.unbox_float(w) for w, x in rt._memo.items())
-    cells = dict(zip(rt.box_float.__code__.co_freevars, rt.box_float.__closure__))
-    w1, x1, w2, x2 = (cells[c].cell_contents for c in ("w1", "x1", "w2", "x2"))
     return (
         rt.stats(),
         rt._counts(),
-        [w if isinstance(w, int) else None for w in (w1, w2)],  # unfilled: object()
-        [float_to_bits(x) for x in (x1, x2)],
         rt.heap._payload.tobytes(),
         rt.heap.cells_used,
     )
@@ -187,11 +215,45 @@ def test_rebound_names_lose_their_shadow(hooked):
         assert names == {"f_k_one", "f_k_h", "f_k_p", "f_k_q"}, preset
 
 
-@pytest.mark.parametrize("name", ("sumfp", "mbrot"))
+@pytest.mark.parametrize("hooked", (False, True))
+def test_host_numbers_keep_the_float_of_their_word(hooked):
+    # the float a fused kernel keeps beside a word box_host_float made is
+    # the float read back from the buffer, the word's own float, and a
+    # collapsed NaN's word keeps none
+    for preset in ALL:
+        ref, fused = both(k_host, preset, hooked, 0)
+        assert fused == ref, preset
+        code = fuse._compiled(k_host, Runtime(PRESETS[preset], SimHeap())._key)[0]
+        shadows = {"f_k_big", "f_k_three", "f_k_near", "f_k_yes", "f_k_f32", "f_k_nan"}
+        assert shadows <= set(code.co_varnames), preset
+
+
+def test_the_fuser_finds_every_shadow_head_and_float():
+    # for every runtime key, the fuser finds in the operations' text the
+    # first test of the FLOAT chain of both operands of each generic
+    # operation, and the float of each return that gives a float's word:
+    # the immediate word (where the family has immediates) and the miss
+    # path's word (where it has a heap), not CANON nor a fixnum result. A
+    # change to the text that hid them would turn shadows off silently
+    keys = {Runtime(PRESETS[p], SimHeap(), profile_hook=h)._key for p in ALL for h in (None, [].append)}
+    assert len(keys) == 14
+    ops = set(_OPS.values())
+    for key in keys:
+        rec = _FAMILIES[key[0]]
+        gives = (rec.forms["HIT"] != "False") + (rec.canon is None)
+        fuser = fuse._Fuser("k", *fuse._op_defs(key), 1)
+        for name in ops:
+            _, _, floats, heads = fuser.body(name)
+            generic = name in ("arith", "less")
+            assert sorted(heads.values()) == ([("aw", "xa"), ("bw", "xb")] if generic else []), (key, name)
+            assert len(floats) == (gives if name in ("box", "box_host", "arith") else 0), (key, name)
+
+
+@pytest.mark.parametrize("name", ("sumfp", "mbrot", "sum1"))
 def test_fused_kernels_decode_no_word_they_made(name):
-    # every float operand of sumfp and mbrot is a word the kernel boxed, so
-    # the fused form takes its float from its shadow: nothing is decoded,
-    # and the memo, which the reference form fills, stays empty
+    # every float operand of sumfp, mbrot and sum1 is a word the kernel
+    # boxed, so the fused form takes its float from its shadow: nothing is
+    # decoded, and the memo, which the reference form fills, stays empty
     fn = KERNEL_FUNCS[name]
     assert set(MEMO_PRESETS) == {"st1", "st2biased", "st2zeros", "st3", "st4", "nanbox", "nunbox"}
     for preset in MEMO_PRESETS:

@@ -546,7 +546,7 @@ def test_word_validity_contract(specs):
     # generic operations fail only with the errors of the contract, with
     # TypeError whenever an operand lies outside [0, 2**64): an immediate
     # float's word moved out of range by 2**64 keeps its low tag, and is
-    # rejected both while the float sits in the runtime's slots and after
+    # rejected before and after the float's own word is in the decode memo
     for name in ALL:
         rt = fresh(name)
         f = rt.box_float(ONE)
@@ -561,7 +561,6 @@ def test_word_validity_contract(specs):
                 for a, b in ((w, f), (f, w), (w, w)):
                     with pytest.raises(TypeError, match="mixed or non-numeric"):
                         op(a, b)
-                    rt.box_float(ONE)  # f back in a slot
             for a in words:
                 for b in words:
                     try:
@@ -834,17 +833,14 @@ def test_hooked_and_unhooked_runtimes_agree(name):
     assert seen == boxed_bits
 
 
-# -- operand slots -----------------------------------------------------------
+# -- decode memo -------------------------------------------------------------
 
-# Every scheme keeps the floats of the last two float words its runtime
-# returned, immediates, heap handles and st2zeros' zero cells alike (NaN and
-# NuN boxing: only the words that decode back to the same bits). The slot
-# tests draw operands from these float bits: boundary words of every class,
-# +-0, subnormals, +-Inf, quiet and signalling NaNs of both signs with
-# payloads (at and above NAN_CANON and NUN_CANON_MIN too), and splitmix64
-# words.
+# The memo tests draw operands from these float bits: boundary words of
+# every class, +-0, subnormals, +-Inf, quiet and signalling NaNs of both
+# signs with payloads (at and above NAN_CANON and NUN_CANON_MIN too), and
+# splitmix64 words.
 INF_64 = 0x7FF0000000000000
-SLOT_OPERANDS = sorted({
+OPERAND_BITS = sorted({
     *(int(b) for b in boundary_words64()),
     0, SIGN_64, 1, SIGN_64 | 1, 0xFFFFFFFFFFFFF, SIGN_64 | 0xFFFFFFFFFFFFF,
     INF_64, SIGN_64 | INF_64, QNAN_64, QNAN_64 | 0x5A5A, INF_64 | 1, INF_64 | 0x3C3C3,
@@ -853,18 +849,18 @@ SLOT_OPERANDS = sorted({
 })
 
 
-def slot_pairs(cfg, k=0, n=None):
+def operand_pairs(cfg, k=0, n=None):
     """n + 1 operand pairs for the k-th config: n - 2 operands the config
-    keeps immediate and two it boxes on the heap (windows of SLOT_OPERANDS
+    keeps immediate and two it boxes on the heap (windows of OPERAND_BITS
     that move with k), paired across the window and once with itself. With
     n None, every operand the config keeps immediate and two it does not.
     A scheme that is not self-tagging draws both from all of
-    SLOT_OPERANDS: under boxed every operand is a heap handle."""
+    OPERAND_BITS: under boxed every operand is a heap handle."""
     if cfg.variant in SELF_TAG_VARIANTS:
-        hits = [b for b in SLOT_OPERANDS if covers(cfg, b)]
-        misses = [b for b in SLOT_OPERANDS if not covers(cfg, b)]
+        hits = [b for b in OPERAND_BITS if covers(cfg, b)]
+        misses = [b for b in OPERAND_BITS if not covers(cfg, b)]
     else:
-        hits = misses = SLOT_OPERANDS
+        hits = misses = OPERAND_BITS
     m = len(hits) if n is None else n - 2
     seq = [hits[(k * 7 + i) % len(hits)] for i in range(m)]
     seq += [misses[(k * 5 + i) % len(misses)] for i in range(2)]
@@ -884,64 +880,31 @@ def op_outcome(rt, op, aw, bw):
 GENERIC_OPS = ("generic_add", "generic_sub", "generic_mul", "generic_div", "generic_less")
 
 
-def slot_cells(rt):
-    """What rt's two operand slots hold: w1, x1 (the newer), w2, x2."""
-    fn = rt.generic_less
-    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__))
-    return [cells[n].cell_contents for n in ("w1", "x1", "w2", "x2")]
-
-
-def slot_words(rt):
-    """The words in rt's two operand slots, the newer first."""
-    return slot_cells(rt)[::2]
-
-
-def in_slot(rt, w):
-    return any(w is v for v in slot_words(rt))
-
-
 def check_reuse(cfg, pairs, hooked):
     """Every generic operation gives the same word, exception, counters
-    and hook bits whether its float operands come from the runtime's two
-    slots, from its decode memo or from a first decode. s boxes a ^ 4 and
-    b ^ 4, then a and b, which sit in its slots, heap handles included;
-    only a NaN that NaN or NuN boxing collapses fills none. m and d box a
-    and b, then a ^ 4 and b ^ 4, which evict them. m has emptied its memo
-    and decoded a and b once, with generic_less, which boxes nothing, so
-    under a scheme with a memo each of its immediate operands is in the
-    memo or, where an eviction collapsed and filled no slot, still in a
-    slot; d's memo is emptied, so d decodes them afresh, and reads its
-    heap operands from the arena. Flipping bit 2 keeps a float's class and
-    its low two bits, so all three runtimes see the same box outcomes in
-    the same order."""
-    hooks = [], [], []
-    rts = s, m, d = [
-        Runtime(cfg, SimHeap(), profile_hook=h.append if hooked else None) for h in hooks
-    ]
+    and hook bits whether its float operands come from the runtime's
+    decode memo or from a first decode. m and d box a and b; m has emptied
+    its memo and decoded a and b once, with generic_less, which boxes
+    nothing, so under a scheme with a memo each of its immediate operands
+    is in the memo; d's memo is emptied, so d decodes them afresh. Both
+    read their heap operands from the arena."""
+    hooks = [], []
+    rts = m, d = [Runtime(cfg, SimHeap(), profile_hook=h.append if hooked else None) for h in hooks]
     for a, b in pairs:
         for name in GENERIC_OPS:
-            s.box_float(a ^ 4)
-            s.box_float(b ^ 4)
-            operands = [(s.box_float(a), s.box_float(b))]
-            for w, bits in zip(operands[0], (a, b)):
-                collapsed = cfg.variant in (NANBOX, NUNBOX) and s.unbox_float(w) == NAN_CANON
-                assert collapsed or in_slot(s, w), (cfg, hex(bits))
-            for rt in (m, d):
-                operands.append((rt.box_float(a), rt.box_float(b)))
-                rt.box_float(a ^ 4)
-                rt.box_float(b ^ 4)
+            operands = [(rt.box_float(a), rt.box_float(b)) for rt in rts]
             m._memo.clear()
-            m.generic_less(*operands[1])
+            m.generic_less(*operands[0])
             if cfg.variant not in (MANTISSA, BOXED):
-                for w, bits in zip(operands[1], (a, b)):
+                for w, bits in zip(operands[0], (a, b)):
                     if cfg.variant in (NANBOX, NUNBOX) or covers(cfg, bits):
-                        assert w in m._memo or in_slot(m, w)
+                        assert w in m._memo
             d._memo.clear()
             for h in hooks:
                 h.clear()
             got = [op_outcome(rt, getattr(rt, name), *ws) for rt, ws in zip(rts, operands)]
-            assert got[1:] == got[:1] * 2, (cfg, name, hex(a), hex(b))
-            assert hooks[1:] == hooks[:1] * 2, (cfg, name, hex(a), hex(b))
+            assert got[0] == got[1], (cfg, name, hex(a), hex(b))
+            assert hooks[0] == hooks[1], (cfg, name, hex(a), hex(b))
             assert len({(rt.stats(), rt.boxes_total, rt.hit_ratio()) for rt in rts}) == 1
 
 
@@ -949,7 +912,7 @@ def test_reused_operands_match_decoded_ones():
     # every self-tagging config, a few pairs each
     configs = [cfg for cfg in valid_configs() if cfg.variant in SELF_TAG_VARIANTS]
     for k, cfg in enumerate(configs):
-        check_reuse(cfg, slot_pairs(cfg, k, 6), hooked=False)
+        check_reuse(cfg, operand_pairs(cfg, k, 6), hooked=False)
     assert len(configs) == 2464
 
 
@@ -957,12 +920,11 @@ def test_reused_operands_match_decoded_ones():
 @pytest.mark.parametrize("name", ALL)
 def test_reused_operands_match_decoded_ones_per_preset(name, hooked):
     # the presets, with and without a hook, over every operand (NaN payloads,
-    # and under nanbox and nunbox the collapsed word CANON, included);
-    # mantissa and boxed, which have no memo, must agree too, heap handles
-    # taken from a slot or read from the arena, so a slot or memo that
-    # changed a word or the bits a hook sees would show here
+    # and under nanbox and nunbox the collapsed word CANON, included), so a
+    # memo that changed a word or the bits a hook sees would show here;
+    # mantissa and boxed, which have no memo, must agree too
     cfg = PRESETS[name]
-    check_reuse(cfg, slot_pairs(cfg), hooked)
+    check_reuse(cfg, operand_pairs(cfg), hooked)
 
 
 def outcome(rt, op, a, b):
@@ -1002,22 +964,6 @@ def test_bool_and_numpy_integer_operands(name):
                             assert got == want or got[0] is OverflowError, (op, pair, got, want)
 
 
-@pytest.mark.parametrize("name", ALL)
-def test_unfilled_slots_match_no_word(name):
-    # before a runtime's second immediate hit, its slots hold no word yet:
-    # -1 and a negative word with 1.0's tag still raise TypeError, on a
-    # fresh runtime and on one that has boxed a single immediate
-    g = fresh(name).box_float(ONE)
-    for filled in (0, 1):
-        rt = fresh(name)
-        operands = [rt.box_float(ONE)] if filled else []
-        for op in (rt.generic_add, rt.generic_sub, rt.generic_mul, rt.generic_div, rt.generic_less):
-            for w in (-1, g - (1 << 64)):
-                for a, b in [(w, w), *((w, f) for f in operands), *((f, w) for f in operands)]:
-                    with pytest.raises(TypeError, match="mixed or non-numeric"):
-                        op(a, b)
-
-
 def least_immediate_bits(name):
     """The float bits of the preset's least immediate word: the least word
     below 16 that a fresh runtime reads as a float, heap handles aside.
@@ -1033,14 +979,12 @@ def least_immediate_bits(name):
 def test_floats_equal_to_known_words_are_not_words(name):
     # float(w) is no word, even where it equals a word whose float the
     # runtime keeps: either operand raises TypeError on a fresh runtime,
-    # while w sits in a slot (boxed's heap handle too), and while w sits in
-    # the decode memo
+    # on the runtime that boxed w (boxed: a heap handle), and while w sits
+    # in the decode memo
     bits = least_immediate_bits(name)
-    for state in ("fresh", "slot", "memo"):
+    for state in ("fresh", "boxed", "memo"):
         rt = fresh(name)
         w = (fresh(name) if state == "fresh" else rt).box_float(bits)
-        if state == "slot":
-            assert in_slot(rt, w)
         if state == "memo":
             rt.box_float(ONE)
             rt.box_float(HALF15)
@@ -1075,15 +1019,15 @@ def test_decode_memo_stays_bounded(name):
 @pytest.mark.parametrize("name", MEMO_PRESETS)
 def test_fixnums_and_handles_pass_the_memo_lookup(name):
     # the memo is read before the tag test, so fixnum and heap-handle
-    # operands look it up too: with decoded words in the memo and the
-    # slots, they still give the words and exceptions of their own paths,
-    # and never enter the memo
+    # operands look it up too: with decoded words in the memo, they still
+    # give the words and exceptions of their own paths, and never enter
+    # the memo
     rt = fresh(name)
     words = [rt.box_float(ONE + i) for i in range(8)]
     for w in words:
         rt.generic_less(w, w)
     memo = dict(rt._memo)
-    assert len(memo) == 6
+    assert len(memo) == 8
     a, b = rt.box_fixnum(3), rt.box_fixnum(-5)
     for op, iop in FIXNUM_OPS:
         assert getattr(rt, op)(a, b) == rt.box_fixnum(iop(3, -5))
@@ -1102,8 +1046,9 @@ def test_fixnums_and_handles_pass_the_memo_lookup(name):
 
 
 # A NaN at or above NAN_CANON (NuN boxing: NUN_CANON_MIN) boxes to the one
-# collapsed word, which decodes to other bits, so it never fills a slot.
-# Each is made twice: boxed, and as the result of a generic operation on the
+# collapsed word, which decodes to other bits, so no float is kept for it:
+# a fused kernel binds its shadow to None (fuse.py, test_fuse.py). Each is
+# made twice: boxed, and as the result of a generic operation on the
 # signalling NaN that the FPU quiets into it.
 COLLAPSED = {"nanbox": NAN_CANON | 9, "nunbox": NUN_CANON_MIN | 3}
 QUIET_BIT = 1 << 51
@@ -1113,9 +1058,8 @@ QUIET_BIT = 1 << 51
 @pytest.mark.parametrize("name", ("nanbox", "nunbox"))
 def test_collapsed_nans_fill_no_slot(name, hooked):
     # the first runtime uses the collapsed word right after making it; the
-    # second boxes two more floats first, so it decodes every operand. Every
-    # operation must give the same word, exception and hook bits on both,
-    # and neither counts a box event
+    # second boxes two more floats first. Every operation must give the same
+    # word, exception and hook bits on both, and neither counts a box event
     nan = COLLAPSED[name]
     for source in ("box", "result"):
         for op in GENERIC_OPS:
@@ -1149,8 +1093,9 @@ def test_collapsed_nans_fill_no_slot(name, hooked):
 @pytest.mark.parametrize("name", HEAP_PRESETS)
 def test_failed_allocation_fills_no_slot(name):
     # a miss whose allocation raises MemoryError, in box_float and in a
-    # generic re-box, leaves both slots as they were, and stores nothing;
-    # it still counts as a box event and as a miss that went to the heap
+    # generic re-box, stores nothing and leaves the words boxed before it
+    # as they were; it still counts as a box event and as a miss that went
+    # to the heap
     cfg = PRESETS[name]
     cost = 1 if cfg.heap_float_tag is not None else 2
     zero_cells = 2 if cfg.variant == TWO_TAG_ZEROS else 0
@@ -1160,12 +1105,9 @@ def test_failed_allocation_fills_no_slot(name):
     if hits:
         rt.box_float(ONE)
     a, b = rt.box_float(HEAP_A), rt.box_float(HEAP_B)  # the heap is full
-    before = slot_cells(rt)
-    assert before[0] is b and before[2] is a
     for fail in (lambda: rt.box_float(HEAP_A), lambda: rt.generic_add(a, b)):
         with pytest.raises(MemoryError, match="capacity exhausted"):
             fail()
-        assert all(x is y for x, y in zip(slot_cells(rt), before))
     assert rt.boxes_total == hits + 4
     assert rt.stats() == HeapStats(
         float_allocs=2, float_bytes=16 * cost, other_allocs=0, other_bytes=0,
@@ -1175,22 +1117,17 @@ def test_failed_allocation_fills_no_slot(name):
     assert (rt.unbox_float(a), rt.unbox_float(b)) == (HEAP_A, HEAP_B)
 
 
-def test_zero_cells_fill_a_slot():
+def test_zero_results_are_the_zero_cells():
     # st2zeros returns a generic result of +-0.0 as one of its zero cells,
-    # which fills slot 1 like any other word and, taken from its slot,
-    # gives the bits of its own zero: 1 / +0.0 is +Inf, 1 / -0.0 is -Inf
+    # which gives the bits of its own zero: 1 / +0.0 is +Inf, 1 / -0.0 is
+    # -Inf
     rt = fresh("st2zeros")
     one, minus = rt.box_float(ONE), rt.box_float(ONE | SIGN_64)
     pos = rt.generic_add(one, minus)
-    assert slot_words(rt)[0] is pos
     neg = rt.generic_mul(pos, minus)
     assert (pos, neg) == ((0 << 3) | 1, (1 << 3) | 1)  # the preallocated cells
     assert rt.stats().float_allocs == 2  # those two, and nothing since
-    w1, x1, w2, x2 = slot_cells(rt)
-    assert w1 is neg and w2 is pos
-    assert (float_to_bits(x1), float_to_bits(x2)) == (SIGN_64, 0)
     assert rt.unbox_float(rt.generic_div(one, pos)) == INF_64
-    assert in_slot(rt, neg)
     assert rt.unbox_float(rt.generic_div(one, neg)) == SIGN_64 | INF_64
 
 
@@ -1213,20 +1150,14 @@ HOST_INPUTS = (*HOST_SPECIALS, *map(bits_to_float, islice(splitmix64(24), 3000))
 
 
 def boxing_outcomes(rt, box, inputs, ops=GENERIC_OPS):
-    """Per input, the word box returns, the words and floats (as type and
-    bits) it leaves in rt's slots, what each of ops gives over it and the
-    word before it (generic_less first, which boxes nothing, so both
-    operands still sit in the slots the boxes filled) and rt's counters;
-    and stats() once at the end."""
+    """Per input, the word box returns, what each of ops gives over it and
+    the word before it, and rt's counters; and stats() once at the end."""
     out = []
     prev = box(1.5)
     for x in inputs:
         w = box(x)
-        w1, x1, w2, x2 = slot_cells(rt)
-        slots = [v if type(v) is int else None for v in (w1, w2)]
-        slots += [(type(v), float_to_bits(v)) for v in (x1, x2)]
         got = [op_outcome(rt, getattr(rt, op), *pair) for op in ops for pair in ((w, prev), (prev, w))]
-        out.append((w, slots, got, rt._counts()))
+        out.append((w, got, rt._counts()))
         prev = w
     out.append(rt.stats())
     return out
@@ -1234,7 +1165,9 @@ def boxing_outcomes(rt, box, inputs, ops=GENERIC_OPS):
 
 def check_host_boxing(cfg, inputs, hooked, ops=GENERIC_OPS):
     """box_host_float(x) and box_float(float_to_bits(x)) give the same
-    words, slots, counters and hook bits, and so do ops over their words."""
+    words, counters and hook bits, and so do ops over their words. The
+    float a fused kernel keeps for such a word is checked in test_fuse.py
+    (test_host_numbers_keep_the_float_of_their_word)."""
     seen = [], []
     host = Runtime(cfg, SimHeap(), profile_hook=seen[0].append if hooked else None)
     bits = Runtime(cfg, SimHeap(), profile_hook=seen[1].append if hooked else None)
@@ -1255,7 +1188,7 @@ def test_box_host_float_boxes_like_box_float_over_every_config():
     # one float per sign and exponent prefix (which decides a table
     # family's outcome), with low mantissa bits 00 or 11 in turn (which
     # decide mantissa's), and the specials, over the whole SchemeConfig
-    # space, where generic_less reads both operands from the slots
+    # space
     reps = [bits_to_float(p << 58 | (0x13579BDF if p & 1 else 0x2468ACE0)) for p in range(64)]
     ops = ("generic_less",)
     n_configs = 0
@@ -1270,13 +1203,13 @@ def test_box_host_float_rejects_non_numbers(name):
     seen = []
     rt = fresh(name, profile_hook=seen.append)
     rt.box_host_float(1.5)
-    before = slot_cells(rt), rt.stats(), rt.boxes_total
+    before = rt.stats(), rt.boxes_total
     for bad in ("1.5", None, b"x", 1j):
         with pytest.raises(TypeError):
             rt.box_host_float(bad)
     with pytest.raises(ValueError):
         rt.box_host_float(10**400)  # no float holds it
-    assert (slot_cells(rt), rt.stats(), rt.boxes_total) == before
+    assert (rt.stats(), rt.boxes_total) == before
     assert seen == [float_to_bits(1.5)]  # rejected before the hook and the counters
 
 
@@ -1302,25 +1235,18 @@ RUNTIME_OPS = (
     "box_float", "box_host_float", "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum",
     "is_fixnum_value", *GENERIC_OPS,
 )
-_SLOT_CELLS = ("w1", "w2", "x1", "x2")
-_ARITH_CELLS = ("flips", "fop", "iop", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits")
 # The closure cells each operation copies into its frame per call: only
-# what changes (the counters, the slots, and make_arith's fop and iop). What
-# a Runtime binds once (tables, ranges, buffer, memo, hook, and the heap
-# names of the allocation step) is a global of its own namespace.
+# what changes (the counters, and make_arith's fop and iop). What a Runtime
+# binds once (tables, ranges, buffer, memo, hook, and the heap names of the
+# allocation step) is a global of its own namespace.
 FREEVARS = {
-    "box_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
-    "box_host_float": ("flips", "last", "n", "slow", "w1", "w2", "x1", "x2", "zhits"),
-    "unbox_float": (),
-    "is_float_value": (),
-    "box_fixnum": (),
-    "unbox_fixnum": (),
-    "is_fixnum_value": (),
-    "generic_add": _ARITH_CELLS,
-    "generic_sub": _ARITH_CELLS,
-    "generic_mul": _ARITH_CELLS,
-    "generic_div": _ARITH_CELLS,
-    "generic_less": _SLOT_CELLS,
+    **dict.fromkeys(("box_float", "box_host_float"), ("flips", "last", "n", "slow", "zhits")),
+    **dict.fromkeys(("generic_add", "generic_sub", "generic_mul", "generic_div"), (
+        "flips", "fop", "iop", "last", "n", "slow", "zhits",
+    )),
+    **dict.fromkeys((
+        "unbox_float", "is_float_value", "box_fixnum", "unbox_fixnum", "is_fixnum_value", "generic_less",
+    ), ()),
 }
 
 
@@ -1419,75 +1345,62 @@ def test_runtimes_of_one_key_share_one_code_object():
 # box_float, generic_add, generic_less, unbox_float and box_host_float
 # with operands 1.5 and 2.25 (both immediate except under boxed), boxed
 # just before each call; box_host_float is given the float 1.5.
-# Reused: the operands are the runtime's last two words, so their floats
-# come from its slots. Memoized: two more floats (0.75 and 3.5) were boxed
-# after them, and generic_less had decoded them once, so their floats come
-# from the decode memo. Decoded: the same eviction, with the memo emptied,
-# so both are decoded for the first time. Boxed and mantissa keep no memo,
-# so their memoized and decoded rows agree; boxed reads its evicted
-# handles from the arena. Heap: the miss path, with operands HEAP_A and
-# HEAP_B, heap-bound under every preset that has a heap: box_float and
-# box_host_float allocate, and generic_add of the two slot-held handles
-# allocates its result.
+# Memoized: generic_less had decoded them once, so their floats come from
+# the decode memo. Decoded: the memo was emptied, so both are decoded for
+# the first time, as the words a runtime has just returned are. Boxed and
+# mantissa keep no memo, so their memoized and decoded rows agree; boxed
+# reads its handles from the arena. Heap:
+# the miss path, with operands HEAP_A and HEAP_B, heap-bound under every
+# preset that has a heap: box_float and box_host_float allocate, and
+# generic_add of the two handles allocates its result.
 HOT_PATH_OPCODES = {
-    "reused": {
-        "boxed": (65, 76, 23, 38, 57),
-        "nanbox": (33, 52, 23, 16, 29),
-        "nunbox": (35, 54, 23, 24, 31),
-        "st1": (45, 64, 23, 26, 41),
-        "st2biased": (45, 64, 23, 26, 41),
-        "st2zeros": (47, 66, 23, 28, 43),
-        "st3": (47, 66, 23, 28, 43),
-        "st4": (47, 66, 23, 28, 43),
-        "mantissa": (39, 58, 23, 18, 35),
-    },
     "memoized": {
-        "boxed": (65, 102, 49, 38, 57),
-        "nanbox": (33, 76, 47, 16, 29),
-        "nunbox": (35, 78, 47, 24, 31),
-        "st1": (45, 88, 47, 26, 41),
-        "st2biased": (45, 88, 47, 26, 41),
-        "st2zeros": (47, 90, 47, 28, 43),
-        "st3": (47, 90, 47, 28, 43),
-        "st4": (47, 90, 47, 28, 43),
-        "mantissa": (39, 86, 51, 18, 35),
+        "boxed": (57, 78, 33, 38, 49),
+        "nanbox": (25, 52, 31, 16, 21),
+        "nunbox": (27, 54, 31, 24, 23),
+        "st1": (37, 64, 31, 26, 33),
+        "st2biased": (37, 64, 31, 26, 33),
+        "st2zeros": (39, 66, 31, 28, 35),
+        "st3": (39, 66, 31, 28, 35),
+        "st4": (39, 66, 31, 28, 35),
+        "mantissa": (31, 62, 35, 18, 27),
     },
     "decoded": {
-        "boxed": (65, 102, 49, 38, 57),
-        "nanbox": (33, 122, 93, 16, 29),
-        "nunbox": (35, 140, 109, 24, 31),
-        "st1": (45, 154, 113, 26, 41),
-        "st2biased": (45, 154, 113, 26, 41),
-        "st2zeros": (47, 160, 117, 28, 43),
-        "st3": (47, 160, 117, 28, 43),
-        "st4": (47, 160, 117, 28, 43),
-        "mantissa": (39, 86, 51, 18, 35),
+        "boxed": (57, 78, 33, 38, 49),
+        "nanbox": (25, 98, 77, 16, 21),
+        "nunbox": (27, 116, 93, 24, 23),
+        "st1": (37, 130, 97, 26, 33),
+        "st2biased": (37, 130, 97, 26, 33),
+        "st2zeros": (39, 136, 101, 28, 35),
+        "st3": (39, 136, 101, 28, 35),
+        "st4": (39, 136, 101, 28, 35),
+        "mantissa": (31, 62, 35, 18, 27),
     },
     "heap": {
-        "boxed": (65, 76, 23, 38, 57),
-        "st1": (84, 103, 23, 45, 80),
-        "st2biased": (84, 103, 23, 45, 80),
-        "st2zeros": (91, 110, 23, 45, 87),
-        "st3": (84, 103, 23, 45, 80),
-        "st4": (84, 103, 23, 45, 80),
-        "mantissa": (82, 101, 23, 43, 78),
+        "boxed": (57, 78, 33, 38, 49),
+        "st1": (76, 135, 63, 45, 72),
+        "st2biased": (76, 135, 63, 45, 72),
+        "st2zeros": (83, 142, 63, 45, 79),
+        "st3": (76, 135, 63, 45, 72),
+        "st4": (76, 135, 63, 45, 72),
+        "mantissa": (74, 113, 43, 43, 70),
     },
 }
 
 
 # generic_add, generic_less, box_fixnum, unbox_fixnum on a fresh runtime,
-# fixnum operands 3 and -5. The first operand passes the two slot tests
-# and the memo lookup first, except under boxed and mantissa (no memo).
+# fixnum operands 3 and -5. The first operand passes the memo lookup
+# first, except under boxed and mantissa (no memo).
 FIXNUM_PATH_OPCODES = {
-    "boxed": (88, 68, 17, 26),
-    "nanbox": (97, 79, 15, 26),
-    "nunbox": (89, 71, 15, 20),
-    "st1": (103, 83, 17, 26),
-    "st2biased": (103, 83, 17, 26),
-    "st2zeros": (103, 83, 17, 26),
-    "st3": (103, 83, 17, 26),
-    "st4": (103, 83, 17, 26),
-    "mantissa": (93, 73, 17, 26),
+    "boxed": (80, 60, 17, 26),
+    "nanbox": (89, 71, 15, 26),
+    "nunbox": (81, 63, 15, 20),
+    "st1": (95, 75, 17, 26),
+    "st2biased": (95, 75, 17, 26),
+    "st2zeros": (95, 75, 17, 26),
+    "st3": (95, 75, 17, 26),
+    "st4": (95, 75, 17, 26),
+    "mantissa": (85, 65, 17, 26),
 }
 
 
@@ -1517,8 +1430,7 @@ def count_opcodes(fn, *args):
     reason="bytecode counts are specific to CPython 3.11",
 )
 def test_hot_path_opcode_counts():
-    evict = (float_to_bits(0.75), float_to_bits(3.5))
-    got = {"reused": {}, "memoized": {}, "decoded": {}, "heap": {}}
+    got = {"memoized": {}, "decoded": {}, "heap": {}}
     for row, counts in got.items():
         a, b = (HEAP_A, HEAP_B) if row == "heap" else (float_to_bits(1.5), float_to_bits(2.25))
         for name in HEAP_PRESETS if row == "heap" else ALL:
@@ -1526,9 +1438,7 @@ def test_hot_path_opcode_counts():
 
             def operands():
                 wa, wb = rt.box_float(a), rt.box_float(b)
-                if row in ("memoized", "decoded"):
-                    for bits in evict:
-                        rt.box_float(bits)
+                if row != "heap":
                     rt._memo.clear()
                 if row == "memoized":
                     rt.generic_less(wa, wb)
